@@ -1,8 +1,8 @@
-"""The exact oracle: pmf of the function sum by weighted enumeration.
+"""The exact oracle: pmf of the function sum by variable elimination.
 
 Families decompose into dependency components (functions that share no
-variables are independent), so the engine enumerates each component and
-convolves the partial sums. Weighted variables are handled exactly; there
+variables are independent), so the engine eliminates the variables of
+each component in turn and convolves the partial sums. Weighted variables are handled exactly; there
 is no sampling or approximation anywhere in this path.
 """
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AuditError, DomainError
-from .exact import TailQuery, _Space, enumeration_guard, function_marginals
+from .exact import TailQuery, _check_guard, _Space, enumeration_guard, function_marginals
 from .family import FamilySpec, read_width
 from .info_theory import Distribution, Nats, entropy, kl_binary, project
 
@@ -145,11 +145,12 @@ def conditional_law(
     """Exact law of the full assignment conditioned on the tail event.
 
     Outcomes are the surviving assignment tuples in lexicographic order.
+    Raises :class:`ResourceError` when the family spans more assignments
+    than the guard.
     """
     guard = enumeration_guard(guard)
     space = _Space(spec, range(spec.num_variables))
-    if space.total > guard:
-        raise DomainError(f"family spans {space.total} assignments, exceeding the guard {guard}")
+    _check_guard(space.total, guard, "family")
     t = query.effective_threshold()
     outcomes: list[tuple[int, ...]] = []
     masses: list[np.ndarray] = []
@@ -178,13 +179,14 @@ def proof_trace(
     With ``check=True`` (the default) an :class:`AuditError` is raised as
     soon as some step of the chain is violated beyond ``CHAIN_REL_TOL``;
     ``check=False`` always returns the trace so callers can report it.
+    Raises :class:`ResourceError` when the family spans more assignments
+    than the guard.
     """
     if not all(v.is_uniform for v in spec.variables):
         raise DomainError("proof traces apply to families of uniform variables only")
     guard = enumeration_guard(guard)
     space = _Space(spec, range(spec.num_variables))
-    if space.total > guard:
-        raise DomainError(f"family spans {space.total} assignments, exceeding the guard {guard}")
+    _check_guard(space.total, guard, "family")
 
     r = spec.num_functions
     k = max(read_width(spec), 1)
@@ -202,10 +204,7 @@ def proof_trace(
         s = np.zeros(n, dtype=np.int64)
         values = []
         for j in range(r):
-            table = np.frombuffer(
-                spec.functions[j].truth_table.encode("ascii"), dtype=np.uint8
-            ) - ord("0")
-            values.append(table[tbl_idx[j]])
+            values.append(spec.tables[j][tbl_idx[j]])
             s += values[-1]
         mask = s >= t if query.direction == "ge" else s <= t
         tail_count += int(np.count_nonzero(mask))

@@ -9,7 +9,10 @@ byte-identical for identical inputs and seeds.
 
 Exit codes: 0 success, 1 a checked inequality failed, 2 usage or
 validation errors. The environment variable ``READK_ENUM_GUARD`` overrides
-the exact engine's per-component enumeration guard.
+the exact engine's guard (default ``2**24``). For ``exact`` and ``verify``
+it bounds the cells of the largest factor formed while eliminating one
+dependency component; for ``trace`` and ``shearer``, which enumerate the
+full assignment space, it bounds the number of assignments.
 """
 
 from __future__ import annotations
@@ -218,7 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="readk",
         description="Tail bounds and exact oracles for read-k families of Boolean functions.",
-        epilog="READK_ENUM_GUARD overrides the exact engine's enumeration guard.",
+        epilog=(
+            "READK_ENUM_GUARD overrides the exact engine's guard (default 2^24): the cells "
+            "of the largest elimination factor for exact and verify, the assignments "
+            "enumerated for trace and shearer."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,21 +1,39 @@
-"""Exact distribution of the function-sum of a family, by weighted enumeration.
+"""Exact distribution of the function-sum of a family.
 
-The oracle enumerates assignments in mixed-radix order, vectorized in
-chunks, independently per dependency component, and convolves the
-per-component partial sums. Families where every variable is uniform take
-an integer-counting fast path. Work is capped by an enumeration guard
-(``DEFAULT_GUARD`` assignments per component) which can be overridden per
-call or through the ``READK_ENUM_GUARD`` environment variable.
+:func:`sum_pmf` works per dependency component by variable elimination
+(bucket elimination) over generating-polynomial factors: each function is
+a factor with one axis per variable it reads, standing for the polynomial
+``z**f`` in the partial sum, and products carry a trailing axis of
+polynomial coefficients. Multiplying factors broadcasts their variable
+axes and convolves their sum axes; eliminating a variable sums its axis
+out against that variable's probabilities. The
+elimination order is greedy min-degree, ties broken by variable index, so
+the cost grows with a component's treewidth rather than its assignment
+count. Components of uniform variables with fewer than ``2**62``
+assignments carry exact integer counts and divide by the total at the
+end; the rest carry float64 weights. The component pmfs are then
+convolved in order of smallest function index.
 
-Chunks are processed and reduced in a fixed order, so results are
-bit-reproducible for identical inputs.
+The guard (``DEFAULT_GUARD``, overridable per call or through the
+``READK_ENUM_GUARD`` environment variable) bounds different work on
+different paths. In :func:`sum_pmf` it bounds the cells (variable axes
+times sum axis) of the largest product factor formed while eliminating a
+component. In the flat enumerations, :func:`sum_pmf_enumerate`,
+:func:`conditional_function_marginals` and the audits, it bounds the
+number of assignments enumerated.
+
+Every reduction runs in a fixed order, so results are bit-reproducible
+for identical inputs.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +43,9 @@ from .family import Component, FamilySpec, dependency_components
 from .info_theory import PROB_SUM_TOL
 
 DEFAULT_GUARD = 1 << 24
+
+#: Uniform components below this many assignments count in exact int64.
+_INT_COUNT_LIMIT = 1 << 62
 
 #: Assignments handled per vectorized block; bounds peak memory.
 CHUNK = 1 << 20
@@ -80,6 +101,35 @@ class SumPmf:
 
     def mean(self) -> float:
         return math.fsum(s * p for s, p in enumerate(self.probs))
+
+    @cached_property
+    def _prefix_sums(self) -> tuple[float, ...]:
+        """``[t] = Pr[Y <= t]``, each equal to ``math.fsum(probs[:t + 1])``."""
+        return _exact_running_sums(self.probs)
+
+    @cached_property
+    def _suffix_sums(self) -> tuple[float, ...]:
+        """``[t] = Pr[Y >= t]``, each equal to ``math.fsum(probs[t:])``."""
+        return _exact_running_sums(self.probs[::-1])[::-1]
+
+
+def _exact_running_sums(probs: Sequence[float]) -> tuple[float, ...]:
+    """Correctly rounded running sums, accumulated exactly in integers.
+
+    Every double is a multiple of a power of two no smaller than
+    ``2**-1074``, so scaling by the largest denominator among the bins
+    makes each bin an exact integer. Int/int true division rounds
+    correctly, so each entry equals ``math.fsum`` of the same prefix,
+    subnormals included.
+    """
+    ratios = [p.as_integer_ratio() for p in probs]
+    scale = max(den for _, den in ratios)
+    acc = 0
+    out = []
+    for num, den in ratios:
+        acc += num * (scale // den)
+        out.append(acc / scale)
+    return tuple(out)
 
 
 class Marginals(NamedTuple):
@@ -140,15 +190,16 @@ class _Space:
 
     def function_values(self, j: int, digits: dict[int, np.ndarray], n: int) -> np.ndarray:
         fn = self.spec.functions[j]
-        table = np.frombuffer(fn.truth_table.encode("ascii"), dtype=np.uint8) - ord("0")
+        table = self.spec.tables[j]
         if not fn.vars:
             return np.full(n, table[0], dtype=np.uint8)
         return table[self.table_indices(j, digits, n)]
 
 
-def _check_guard(total: int, guard: int, what: str) -> None:
-    if total > guard:
-        raise ResourceError(f"{what} spans {total} assignments, exceeding the guard {guard}")
+def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") -> None:
+    """Raise :class:`ResourceError` when ``what`` spans more than ``guard`` units."""
+    if size > guard:
+        raise ResourceError(f"{what} spans {size} {unit}, exceeding the guard {guard}")
 
 
 def _enumerate_pmf(spec: FamilySpec, var_indices: Sequence[int], fn_indices: Sequence[int],
@@ -173,21 +224,137 @@ def _enumerate_pmf(spec: FamilySpec, var_indices: Sequence[int], fn_indices: Seq
     return pmf
 
 
+def _component_name(spec: FamilySpec, comp: Component) -> str:
+    names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
+    return f"component [{names}{', ...' if len(comp.functions) > 4 else ''}]"
+
+
+def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Product of two aligned polynomial factors.
+
+    Variable axes broadcast to ``shape``; the sum axes (the last) convolve.
+    """
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    la, lb = a.shape[-1], b.shape[-1]
+    out = np.empty(shape + (la + lb - 1,), dtype=a.dtype)
+    np.multiply(a, b[..., :1], out=out[..., :la])
+    out[..., la:] = 0
+    for i in range(1, lb):
+        out[..., i:i + la] += a * b[..., i:i + 1]
+    return out
+
+
+def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
+    """Exact pmf of one component's partial sum by variable elimination.
+
+    A factor is ``(scope, array, length)``: ``scope`` lists its variables
+    in increasing order, one array axis each. A *sum* factor holds the
+    partial sum ``s`` of its functions, standing for the polynomial
+    ``z**s``, and has no further axis; a polynomial factor adds a trailing
+    axis of ``length`` coefficients. Functions enter as sum factors, so the
+    functions of one bucket are added, not convolved.
+    """
+    variables = spec.variables
+    sizes = {i: variables[i].support_size for i in comp.variables}
+    total = math.prod(sizes.values())
+    counting = total < _INT_COUNT_LIMIT and all(variables[i].is_uniform for i in comp.variables)
+    dtype = np.int64 if counting else np.float64
+
+    factors: dict[int, tuple[list[int], np.ndarray, int]] = {}
+    holders: dict[int, list[int]] = {i: [] for i in comp.variables}  # ids of factors reading i
+    adj: dict[int, set[int]] = {i: set() for i in comp.variables}  # interaction graph
+    for fid, j in enumerate(comp.functions):
+        read = spec.functions[j].vars
+        scope = sorted(read)
+        table = spec.tables[j].reshape([sizes[i] for i in read])
+        if scope != list(read):
+            table = table.transpose(sorted(range(len(read)), key=read.__getitem__))
+        factors[fid] = (scope, table, 2)
+        for i in scope:
+            holders[i].append(fid)
+            adj[i].update(scope)
+    for i, nbrs in adj.items():
+        nbrs.discard(i)
+
+    # Greedy min-degree order with lazy deletion of stale heap entries.
+    next_id = len(factors)
+    heap = [(len(nbrs), i) for i, nbrs in adj.items()]
+    heapq.heapify(heap)
+    remaining = len(heap)
+    while remaining:
+        degree, v = heapq.heappop(heap)
+        if degree != len(adj[v]) or not holders[v]:  # stale, or v already eliminated
+            continue
+        nbrs = adj[v]
+        rest = sorted(nbrs)
+        axis = bisect.bisect(rest, v)
+        scope = rest[:axis] + [v] + rest[axis:]
+        # A bucket spanning every variable left takes every factor left
+        # and sums all of them out: the last elimination.
+        last = len(scope) == remaining
+        fids = list(factors) if last else holders[v]
+        bucket = [factors.pop(f) for f in fids]
+        shape = tuple([sizes[i] for i in scope])
+        length = 1 + sum([n for _, _, n in bucket]) - len(bucket)
+        _check_guard(math.prod(shape) * length, guard, "an elimination factor", "cells")
+        sums, sum_length, product = None, 1, None
+        for vs, arr, n in bucket:
+            if vs != scope:
+                aligned = [sizes[i] if i in vs else 1 for i in scope]
+                arr = arr.reshape(aligned + list(arr.shape[len(vs):]))
+            if arr.ndim == len(scope):
+                sums = arr if sums is None else np.add(sums, arr, dtype=np.intp)
+                sum_length += n - 1
+            else:
+                product = arr if product is None else _times_poly(product, arr, shape)
+        if sums is not None:
+            poly = (sums[..., np.newaxis] == np.arange(sum_length)).astype(dtype)
+            product = poly if product is None else _times_poly(product, poly, shape)
+        summed = scope if last else [v]
+        axes = tuple(range(len(scope))) if last else (axis,)
+        if not counting:
+            for i, a in zip(summed, axes):
+                weights = [1] * product.ndim
+                weights[a] = sizes[i]
+                product = product * np.asarray(variables[i].probs).reshape(weights)
+        message = np.add.reduce(product, axis=axes)
+        if last:
+            return message / total if counting else message
+        remaining -= 1
+        holders[v] = []
+        factors[next_id] = (rest, message, length)
+        gone = set(fids)
+        for u in rest:
+            holders[u] = [f for f in holders[u] if f not in gone]
+            holders[u].append(next_id)
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+            heapq.heappush(heap, (len(adj[u]), u))
+        next_id += 1
+
+    # A component without variables is a single constant function.
+    ((_, table, _),) = factors.values()
+    value = int(table.reshape(()))
+    return np.array([1 - value, value], dtype=np.float64)
+
+
 def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """Exact pmf of the family's function sum, component by component.
 
-    Each dependency component is enumerated on its own (weighted by the
-    variable probabilities; unread variables contribute weight one) and
-    the component pmfs are convolved in order of smallest function index.
-    Raises :class:`ResourceError` naming the offending component when a
-    single component exceeds the guard.
+    Each dependency component is solved by variable elimination (unread
+    variables contribute weight one) and the component pmfs are convolved
+    in order of smallest function index. Raises :class:`ResourceError`
+    naming the offending component when an intermediate product factor
+    would exceed the guard in cells.
     """
     guard = enumeration_guard(guard)
     acc: np.ndarray | None = None
     for comp in dependency_components(spec):
-        names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
-        what = f"component [{names}{', ...' if len(comp.functions) > 4 else ''}]"
-        part = _enumerate_pmf(spec, comp.variables, comp.functions, guard, what)
+        try:
+            part = _eliminate_pmf(spec, comp, guard)
+        except ResourceError as e:
+            raise ResourceError(f"{_component_name(spec, comp)}: {e}") from None
         acc = part if acc is None else np.convolve(acc, part)
     assert acc is not None and len(acc) == spec.num_functions + 1
     return SumPmf(tuple(float(p) for p in acc))
@@ -210,7 +377,8 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
     """``Pr[Y >= t]`` or ``Pr[Y <= t]``, inclusive at integer thresholds.
 
     Fractional thresholds round toward the event: ceiling for ``ge``,
-    floor for ``le``.
+    floor for ``le``. O(1) after the pmf's first query in each direction,
+    and equal to ``math.fsum`` over the same bins.
     """
     t = query.effective_threshold()
     if query.direction == "ge":
@@ -218,12 +386,12 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
             return 0.0
         if t <= 0:
             return 1.0
-        return min(math.fsum(pmf.probs[t:]), 1.0)
+        return min(pmf._suffix_sums[t], 1.0)
     if t < 0:
         return 0.0
     if t >= pmf.max_sum:
         return 1.0
-    return min(math.fsum(pmf.probs[: t + 1]), 1.0)
+    return min(pmf._prefix_sums[t], 1.0)
 
 
 def function_marginals(spec: FamilySpec) -> Marginals:
@@ -231,7 +399,7 @@ def function_marginals(spec: FamilySpec) -> Marginals:
     per = []
     for j, fn in enumerate(spec.functions):
         space = _Space(spec, fn.vars)
-        table = np.frombuffer(fn.truth_table.encode("ascii"), dtype=np.uint8) - ord("0")
+        table = spec.tables[j]
         if space.uniform:
             per.append(float(np.count_nonzero(table)) / space.total)
             continue

@@ -18,11 +18,15 @@ probability vectors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 from .info_theory import PROB_SUM_TOL
@@ -55,7 +59,7 @@ class Variable:
 
     @property
     def is_uniform(self) -> bool:
-        return all(p == 1.0 / self.support_size for p in self.probs)
+        return self.probs == (1.0 / self.support_size,) * self.support_size
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,20 @@ class FamilySpec:
     @property
     def num_functions(self) -> int:
         return len(self.functions)
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """Each function's truth table as a flat read-only ``uint8`` 0/1 array.
+
+        Decoded from the ``'0'``/``'1'`` strings once per family.
+        """
+        flat = np.frombuffer(
+            "".join(fn.truth_table for fn in self.functions).encode("ascii"), dtype=np.uint8
+        ) - ord("0")
+        flat.flags.writeable = False
+        lengths = (len(fn.truth_table) for fn in self.functions)
+        bounds = list(itertools.accumulate(lengths, initial=0))
+        return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def read_width(spec: FamilySpec) -> int:

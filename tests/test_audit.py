@@ -12,7 +12,7 @@ from readk.audit import (
     shearer_kl_gap,
 )
 from readk.bounds import BoundQuery, read_k_tail_bound
-from readk.errors import DomainError
+from readk.errors import DomainError, ResourceError
 from readk.exact import TailQuery, sum_pmf, tail_prob
 from readk.family import FamilySpec, ReadFunction, Variable, read_width
 from readk.generators import gen_random_family
@@ -190,6 +190,27 @@ class TestProofTrace:
                     assert math.exp(-trace.neg_log_tail) == pytest.approx(
                         exact, abs=EXACT_TOL
                     )
+
+
+class TestGuard:
+    """Both full-space audits refuse a family past the guard with ResourceError."""
+
+    MESSAGE = "family spans 4 assignments, exceeding the guard 3"
+
+    def test_conditional_law(self, xor_family):
+        with pytest.raises(ResourceError, match=self.MESSAGE):
+            conditional_law(xor_family, TailQuery(0, "ge"), guard=3)
+
+    def test_proof_trace(self, xor_family):
+        with pytest.raises(ResourceError, match=self.MESSAGE):
+            proof_trace(xor_family, TailQuery(0, "ge"), guard=3)
+
+    def test_env_override(self, xor_family, monkeypatch):
+        monkeypatch.setenv("READK_ENUM_GUARD", "3")
+        with pytest.raises(ResourceError):
+            conditional_law(xor_family, TailQuery(0, "ge"))
+        with pytest.raises(ResourceError):
+            proof_trace(xor_family, TailQuery(0, "ge"))
 
 
 def test_chain_holds_detects_violations():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from readk.exact import (
     sum_pmf_enumerate,
     tail_prob,
 )
-from readk.family import FamilySpec, ReadFunction, Variable
-from readk.generators import gen_random_family
+from readk.family import FamilySpec, ReadFunction, Variable, dependency_components
+from readk.generators import gen_block_tight, gen_random_family
 
 EXACT_TOL = 1e-12
 
@@ -71,6 +72,129 @@ class TestTailProb:
         pmf = sum_pmf(xor_family)
         assert tail_prob(pmf, TailQuery(3, "ge")) == 0.0
         assert tail_prob(pmf, TailQuery(-1, "le")) == 0.0
+
+
+def fsum_tail(pmf, t, direction):
+    """Reference tail: math.fsum over the slice, with tail_prob's edge cases."""
+    if direction == "ge":
+        if t > pmf.max_sum:
+            return 0.0
+        return 1.0 if t <= 0 else min(math.fsum(pmf.probs[t:]), 1.0)
+    if t < 0:
+        return 0.0
+    return 1.0 if t >= pmf.max_sum else min(math.fsum(pmf.probs[: t + 1]), 1.0)
+
+
+def subnormal_heavy_pmf(rng):
+    """A valid pmf whose small bins are mostly subnormal or near the normal edge."""
+    n = int(rng.integers(2, 40))
+    tiny = sys.float_info.min
+    probs = []
+    for _ in range(n - 1):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            probs.append(float(rng.integers(1, 2**20)) * 5e-324)  # subnormal
+        elif kind == 1:
+            probs.append(tiny * float(rng.random()))  # subnormal, random bits
+        elif kind == 2:
+            probs.append(tiny * float(rng.integers(1, 8)))  # just above the edge
+        else:
+            probs.append(float(rng.random()) / n)
+    probs.insert(int(rng.integers(0, n)), 1.0 - math.fsum(probs))
+    return SumPmf(tuple(probs))
+
+
+class TestTailSums:
+    """tail_prob reads cached exact running sums; each must equal math.fsum."""
+
+    def check_every_threshold(self, pmf):
+        for t in range(-1, pmf.max_sum + 2):
+            for direction in ("ge", "le"):
+                assert tail_prob(pmf, TailQuery(t, direction)) == fsum_tail(pmf, t, direction)
+
+    def test_block_tight_with_subnormal_bins(self):
+        pmf = sum_pmf(gen_block_tight(1, 1100, "1/3"))
+        assert any(0.0 < p < sys.float_info.min for p in pmf.probs)
+        self.check_every_threshold(pmf)
+
+    def test_random_subnormal_heavy_pmfs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            self.check_every_threshold(subnormal_heavy_pmf(rng))
+
+    def test_random_family_pmfs(self):
+        for seed in range(10):
+            self.check_every_threshold(sum_pmf(gen_random_family(8, 8, 3, 3, seed=seed)))
+
+
+class TestElimination:
+    """sum_pmf by variable elimination against independent computations."""
+
+    def test_uniform_components_equal_enumeration_exactly(self):
+        # One component: both paths count assignments exactly and divide once.
+        checked = 0
+        for seed in range(40):
+            spec = gen_random_family(m=6, r=6, k=3, max_arity=3, seed=seed)
+            if len(dependency_components(spec)) == 1:
+                assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
+                checked += 1
+        assert checked >= 10
+
+    def test_unsorted_reads_equal_enumeration_exactly(self):
+        spec = FamilySpec(
+            (Variable("a", 2), Variable("b", 3), Variable("c", 2)),
+            (
+                ReadFunction("y0", (2, 0, 1), "010011101100"),
+                ReadFunction("y1", (1, 2), "011001"),
+                ReadFunction("y2", (0,), "10"),
+            ),
+        )
+        assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
+
+    def test_weighted_chain_far_past_enumeration(self):
+        # 200 bits in one component: 2**200 assignments.
+        rng = np.random.default_rng(3)
+        probs = (0.3, 0.7)
+        tables = [("0110", "1001")[int(b)] for b in rng.integers(0, 2, size=199)]
+        spec = FamilySpec(
+            tuple(Variable(f"x{i}", 2, probs) for i in range(200)),
+            tuple(ReadFunction(f"y{j}", (j, j + 1), t) for j, t in enumerate(tables)),
+        )
+        assert len(dependency_components(spec)) == 1
+
+        # transfer matrix over (previous bit, partial sum)
+        state = {(b, 0): probs[b] for b in (0, 1)}
+        for table in tables:
+            nxt = {}
+            for (b, s), mass in state.items():
+                for b2 in (0, 1):
+                    key = (b2, s + int(table[2 * b + b2]))
+                    nxt[key] = nxt.get(key, 0.0) + mass * probs[b2]
+            state = nxt
+        want = [0.0] * 200
+        for (_, s), mass in state.items():
+            want[s] += mass
+
+        got = sum_pmf(spec).probs
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, abs=EXACT_TOL)
+
+    def test_guard_bounds_factor_cells_not_assignments(self):
+        spec = FamilySpec(
+            tuple(Variable(f"x{i}", 2) for i in range(30)),
+            tuple(ReadFunction(f"y{j}", (j, j + 1), "0110") for j in range(29)),
+        )
+        assert sum_pmf(spec, guard=1 << 10).probs == tuple(
+            math.comb(29, s) / 2**29 for s in range(30)
+        )
+        with pytest.raises(ResourceError):
+            sum_pmf_enumerate(spec, guard=1 << 10)
+
+    def test_mean_matches_marginals_on_large_component(self):
+        spec = gen_random_family(60, 60, 3, 3, seed=9)
+        marg = function_marginals(spec)
+        assert sum_pmf(spec).mean() == pytest.approx(math.fsum(marg.per_function), abs=1e-10)
 
 
 class TestFunctionMarginals:
@@ -178,6 +302,10 @@ class TestGuard:
             sum_pmf(xor_family)
         # explicit argument wins over the environment
         assert sum_pmf(xor_family, guard=16).probs == (0.25, 0.5, 0.25)
+
+    def test_message_names_component(self, xor_family):
+        with pytest.raises(ResourceError, match=r"component \[y0, y1\].*exceeding the guard 2"):
+            sum_pmf(xor_family, guard=2)
 
     def test_conditional_guard(self, xor_family):
         with pytest.raises(ResourceError):

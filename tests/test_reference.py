@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readk.audit import proof_trace
 from readk.exact import (
@@ -17,6 +19,7 @@ from readk.exact import (
     conditional_function_marginals,
     function_marginals,
     sum_pmf,
+    sum_pmf_enumerate,
 )
 from readk.family import FamilySpec, ReadFunction, Variable, eval_function, read_width
 from readk.generators import gen_random_family
@@ -64,6 +67,36 @@ def test_sum_pmf_matches_scalar_reference(seed):
         spec = weighted_variant(spec, rng)
     got = sum_pmf(spec).probs
     want = reference_pmf(spec)
+    assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, want))
+
+
+@st.composite
+def weighted_families(draw):
+    """Small weighted families; functions read variables in any order."""
+    variables = []
+    for i in range(draw(st.integers(1, 5))):
+        support = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=support, max_size=support))
+        total = math.fsum(raw)
+        variables.append(Variable(f"x{i}", support, tuple(x / total for x in raw)))
+    functions = []
+    for j in range(draw(st.integers(1, 5))):
+        indices = st.integers(0, len(variables) - 1)
+        read = draw(st.lists(indices, unique=True, max_size=min(3, len(variables))))
+        size = math.prod(variables[i].support_size for i in read)
+        table = draw(st.text(alphabet="01", min_size=size, max_size=size))
+        functions.append(ReadFunction(f"y{j}", tuple(read), table))
+    return FamilySpec(tuple(variables), tuple(functions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_families())
+def test_elimination_matches_enumeration_and_scalar_reference(spec):
+    got = sum_pmf(spec).probs
+    flat = sum_pmf_enumerate(spec).probs
+    want = reference_pmf(spec)
+    assert len(got) == len(flat) == len(want)
+    assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, flat))
     assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, want))
 
 
