@@ -1,15 +1,15 @@
 """Watching the tail-bound derivation run on a concrete family.
 
-For a uniform-variable family and tail event, the trace evaluates the
-chain
+For a family and tail event, the trace evaluates the chain, with mu the
+family's product law (uniform or weighted) and mu_j its projection
 
-  -ln Pr >= (1/k) sum_j D(proj_j || unif)        projections (Shearer)
+  -ln Pr >= (1/k) sum_j D(proj_j || mu_j)        projections (Shearer)
          >= (1/k) sum_j KL(q_j || p_j)           through each function
          >= (r/k) KL(qbar || pbar)               convexity
          >= (r/k) KL(t/r || pbar)                monotonicity
 
 The per-step slack shows exactly where the bound loses ground on a given
-instance; on the block construction every step is an equality.
+instance; on the block construction every step is an equality, for any p.
 """
 
 import math
@@ -29,6 +29,7 @@ def show(name, spec, t):
 
 show("random read-3 family", gen_random_family(m=6, r=7, k=3, max_arity=2, seed=8), t=5)
 show("block construction (k=2, 3 blocks)", gen_block_tight(2, 3, "1/2"), t=6)
+show("weighted block construction (k=2, 3 blocks, p=1/3)", gen_block_tight(2, 3, "1/3"), t=6)
 
 spec = gen_random_family(m=6, r=7, k=3, max_arity=2, seed=8)
 pmf = sum_pmf(spec)

@@ -3,8 +3,9 @@
 If every coordinate of a joint distribution is covered at least k times by
 a family of sets, then k times the joint entropy is at most the sum of the
 projected entropies. Dually, when every coordinate is covered at *most* k
-times, k times the divergence from a uniform product dominates the sum of
-projected divergences; that flip is what makes the tail bound work.
+times, k times the divergence from a product law (uniform or weighted)
+dominates the sum of projected divergences; that flip is what makes the
+tail bound work.
 """
 
 import itertools
@@ -37,6 +38,6 @@ spec = gen_random_family(m=5, r=5, k=2, max_arity=2, seed=2)
 law = conditional_law(spec, TailQuery(4, "ge"))
 lhs, rhs = shearer_kl_gap(spec, law)
 print("divergence corollary on a conditioned random read-2 family:")
-print(f"  k * D(law || uniform)      = {lhs:.12f}")
+print(f"  k * D(law || product law)  = {lhs:.12f}")
 print(f"  sum of projected D's       = {rhs:.12f}")
 print(f"  slack                      = {lhs - rhs:.12f}  (never negative)")

@@ -1,11 +1,13 @@
 """Numeric verification of the entropy machinery behind the tail bound.
 
-The central object is the proof trace: for a concrete uniform-variable
-family and a tail event it evaluates, in order,
+The central object is the proof trace: for a concrete family and a tail
+event it evaluates, in order,
 
 1. ``-ln Pr[tail]``,
 2. the Shearer step ``(1/k) sum_j D(mu_j^tail || mu_j)`` over the
-   projections onto each function's variable set,
+   projections onto each function's variable set, where ``mu_j`` is the
+   product law of those variables and ``mu_j^tail`` the projection of the
+   law conditioned on the tail,
 3. the data-processing step ``(1/k) sum_j KL(q_j || p_j)`` through the
    functions themselves,
 4. the convexity step ``(r/k) KL(q || p)`` at the averaged marginals,
@@ -15,7 +17,9 @@ and checks that the sequence is non-increasing. The final term equals the
 log-space magnitude of the closed-form tail bound, so a valid chain
 re-derives the bound on that instance; per-step gaps show where it is
 loose. Shearer's entropy inequality and its divergence corollary are also
-exposed directly for arbitrary joints and covers.
+exposed directly for arbitrary joints and covers. Every audit holds for
+any product law, uniform or weighted: the divergence corollary needs only
+independent coordinates, each read at most k times.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AuditError, DomainError
-from .exact import TailQuery, _check_guard, _Space, enumeration_guard, function_marginals
-from .family import FamilySpec, read_width
+from .exact import TailQuery, enumeration_guard, function_marginals
+from .exact import _cell_masses, _in_tail, _product_law, _scan, _scan_tail, _tail_marginals
+from .family import FamilySpec, cover_multiplicity, read_width
 from .info_theory import Distribution, Nats, entropy, kl_binary, project
 
 #: Relative slack allowed per chain step (chains many floating-point ops).
@@ -67,9 +72,18 @@ class ProofTrace:
         return all(_approx_ge(t[i], t[i + 1], rel_tol) for i in range(len(t) - 1))
 
 
-def _kl_vs_uniform(probs: Sequence[float], size: int) -> float:
-    """``D(d || uniform-over-size)`` for a law given only on its support."""
-    return max(math.fsum(p * math.log(p * size) for p in probs if p > 0.0), 0.0)
+def _kl_vs_product(probs: Sequence[float], masses: Sequence[float], norm: int) -> float:
+    """``sum p ln(p / mu)`` over the support of ``p``, where ``mu = masses / norm``.
+
+    ``+inf`` when ``p`` puts mass where ``mu`` has none.
+    """
+    terms = []
+    for p, mass in zip(probs, masses):
+        if p > 0.0:
+            if mass == 0.0:
+                return math.inf
+            terms.append(p * math.log(p * norm / mass))
+    return math.fsum(terms)
 
 
 def shearer_entropy_gap(
@@ -87,12 +101,7 @@ def shearer_entropy_gap(
         raise DomainError("joint outcomes must be tuples of one common length")
     width = widths.pop()
     sets = [tuple(sorted(set(p))) for p in cover]
-    multiplicity = [0] * width
-    for p in sets:
-        for i in p:
-            if not (0 <= i < width):
-                raise DomainError(f"cover coordinate {i} out of range")
-            multiplicity[i] += 1
+    multiplicity = cover_multiplicity(sets, width)
     short = [i for i, c in enumerate(multiplicity) if c < k]
     if short:
         raise DomainError(f"coordinates {short} are covered fewer than k={k} times")
@@ -103,36 +112,55 @@ def shearer_entropy_gap(
     return lhs, rhs
 
 
-def _validate_uniform_assignment_law(spec: FamilySpec, d: Distribution) -> None:
-    if not all(v.is_uniform for v in spec.variables):
-        raise DomainError("this audit applies to families of uniform variables only")
+def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
+    """The law's outcomes as an ``(outcomes, variables)`` array of in-range values."""
     m = spec.num_variables
     for a in d.outcomes:
         if not isinstance(a, tuple) or len(a) != m:
             raise DomainError(f"outcome {a!r} is not an assignment of {m} variables")
-        for i, v in enumerate(a):
-            if not (0 <= v < spec.variables[i].support_size):
-                raise DomainError(f"outcome {a!r}: value {v!r} out of range at position {i}")
+    values = np.array(d.outcomes)
+    if values.dtype.kind not in "iu":
+        raise DomainError("outcome values must be integers")
+    bad = np.argwhere((values < 0) | (values >= [v.support_size for v in spec.variables]))
+    if len(bad):
+        row, i = bad[0]
+        a = d.outcomes[row]
+        raise DomainError(f"outcome {a!r}: value {a[i]!r} out of range at position {i}")
+    return values
+
+
+def _kl_vs_variables(
+    spec: FamilySpec, var_indices: Sequence[int], probs: Sequence[float], values: np.ndarray
+) -> float:
+    """``D(nu || product law of the listed variables)``, ``nu`` putting ``probs[n]`` on row n."""
+    masses, norm = _product_law(spec, var_indices)
+    mass = np.ones(len(values))
+    for mass_i, column in zip(masses, values.T):
+        mass *= mass_i[column]
+    return max(_kl_vs_product(probs, mass.tolist(), norm), 0.0)
 
 
 def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, Nats]:
     """Both sides of the divergence corollary on a concrete family.
 
-    For variables uniform on their supports and any law over full
-    assignments: ``k D(law || uniform product)`` versus the sum over
-    functions of the divergence of the projected law from the uniform law
-    on that function's variables, with ``k`` the family's read width.
+    For the family's product law ``mu`` and any law ``nu`` over full
+    assignments: ``k D(nu || mu)`` versus the sum over functions of
+    ``D(nu_P || mu_P)``, the projections onto that function's variables,
+    with ``k`` the family's read width. A divergence is ``+inf`` where
+    ``nu`` puts mass on an outcome of probability zero under ``mu``.
     Raises :class:`AuditError` when the left side drops below the right
     beyond ``GAP_TOL``.
     """
-    _validate_uniform_assignment_law(spec, conditioned)
+    values = _assignment_values(spec, conditioned)
     k = read_width(spec)
-    total = math.prod(v.support_size for v in spec.variables)
-    lhs = k * _kl_vs_uniform(conditioned.probs, total)
+    divergence = _kl_vs_variables(spec, range(spec.num_variables), conditioned.probs, values)
+    # k = 0 leaves every function without variables: both sides are 0.
+    lhs = k * divergence if k else 0.0
     rhs_terms = []
     for fn in spec.functions:
-        size = math.prod(spec.variables[i].support_size for i in fn.vars)
-        rhs_terms.append(_kl_vs_uniform(project(conditioned, fn.vars).probs, size))
+        proj = project(conditioned, fn.vars)
+        proj_values = np.array(proj.outcomes, dtype=np.int64).reshape(len(proj.outcomes), -1)
+        rhs_terms.append(_kl_vs_variables(spec, fn.vars, proj.probs, proj_values))
     rhs = math.fsum(rhs_terms)
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")
@@ -148,33 +176,23 @@ def conditional_law(
     Raises :class:`ResourceError` when the family spans more assignments
     than the guard.
     """
-    guard = enumeration_guard(guard)
-    space = _Space(spec, range(spec.num_variables))
-    _check_guard(space.total, guard, "family")
-    t = query.effective_threshold()
     outcomes: list[tuple[int, ...]] = []
-    masses: list[np.ndarray] = []
-    for idx in space.chunks():
-        digits = space.digits(idx)
-        s = np.zeros(len(idx), dtype=np.int64)
-        for j in range(spec.num_functions):
-            s += space.function_values(j, digits, len(idx))
-        mask = s >= t if query.direction == "ge" else s <= t
-        values = np.stack([digits[i] for i in range(spec.num_variables)], axis=1)[mask]
-        outcomes.extend(map(tuple, values.tolist()))
-        w = space.weights(digits, len(idx))[mask]
-        masses.append(w)
-    weights = np.concatenate(masses) if masses else np.zeros(0)
+    kept: list[np.ndarray] = []
+    for digits, _, sums, masses in _scan(spec, enumeration_guard(guard), "family"):
+        mask = _in_tail(sums, query)
+        outcomes.extend(map(tuple, digits.T[mask].tolist()))
+        kept.append(masses[mask])
+    weights = np.concatenate(kept)
     z = float(weights.sum())
-    if not outcomes or z <= 0.0:
+    if z <= 0.0:
         raise DomainError("conditioning event has probability zero")
-    return Distribution(tuple(outcomes), tuple(float(w) / z for w in weights))
+    return Distribution(tuple(outcomes), tuple((weights / z).tolist()))
 
 
 def proof_trace(
     spec: FamilySpec, query: TailQuery, guard: int | None = None, check: bool = True
 ) -> ProofTrace:
-    """Evaluate the whole chain on one uniform-variable family and tail event.
+    """Evaluate the whole chain on one family and tail event.
 
     With ``check=True`` (the default) an :class:`AuditError` is raised as
     soon as some step of the chain is violated beyond ``CHAIN_REL_TOL``;
@@ -182,47 +200,23 @@ def proof_trace(
     Raises :class:`ResourceError` when the family spans more assignments
     than the guard.
     """
-    if not all(v.is_uniform for v in spec.variables):
-        raise DomainError("proof traces apply to families of uniform variables only")
-    guard = enumeration_guard(guard)
-    space = _Space(spec, range(spec.num_variables))
-    _check_guard(space.total, guard, "family")
-
+    mass, cells = _scan_tail(spec, query, enumeration_guard(guard), "family")
     r = spec.num_functions
     k = max(read_width(spec), 1)
     t = query.effective_threshold()
-    table_sizes = [
-        math.prod(spec.variables[i].support_size for i in fn.vars) for fn in spec.functions
-    ]
-    proj_counts = [np.zeros(size, dtype=np.int64) for size in table_sizes]
-    hit_counts = np.zeros(r, dtype=np.int64)
-    tail_count = 0
-    for idx in space.chunks():
-        digits = space.digits(idx)
-        n = len(idx)
-        tbl_idx = [space.table_indices(j, digits, n) for j in range(r)]
-        s = np.zeros(n, dtype=np.int64)
-        values = []
-        for j in range(r):
-            values.append(spec.tables[j][tbl_idx[j]])
-            s += values[-1]
-        mask = s >= t if query.direction == "ge" else s <= t
-        tail_count += int(np.count_nonzero(mask))
-        for j in range(r):
-            proj_counts[j] += np.bincount(tbl_idx[j][mask], minlength=table_sizes[j])
-            hit_counts[j] += int(values[j][mask].sum())
-    if tail_count == 0:
-        raise DomainError("conditioning event has probability zero")
 
-    neg_log_tail = -math.log(tail_count / space.total)
+    _, norm = _product_law(spec, range(spec.num_variables))
+    neg_log_tail = -math.log(mass / norm)
     proj_divs = []
-    for j in range(r):
-        pr = proj_counts[j][proj_counts[j] > 0] / tail_count
-        proj_divs.append(math.fsum(p * math.log(p * table_sizes[j]) for p in pr))
+    for fn, fn_cells in zip(spec.functions, cells):
+        masses, cell_norm = _product_law(spec, fn.vars)
+        proj_divs.append(
+            _kl_vs_product((fn_cells / mass).tolist(), _cell_masses(masses).tolist(), cell_norm)
+        )
     shearer_term = math.fsum(proj_divs) / k
 
     p_js = function_marginals(spec).per_function
-    q_js = tuple(float(c) / tail_count for c in hit_counts)
+    q_js = _tail_marginals(spec, cells)
     dpi_term = math.fsum(kl_binary(q, p) for q, p in zip(q_js, p_js)) / k
 
     p_bar = math.fsum(p_js) / r

@@ -23,9 +23,9 @@ import sys
 
 from .audit import conditional_law, proof_trace, shearer_entropy_gap, shearer_kl_gap
 from .bounds import BoundQuery, read_k_tail_bound, simplified_tail_bound
-from .errors import AuditError, ReadkError
+from .errors import AuditError, DomainError, ReadkError
 from .exact import TailQuery, function_marginals, sum_pmf, tail_prob
-from .family import load_family, read_width, save_family
+from .family import cover_multiplicity, load_family, read_width, save_family
 from .generators import gen_block_tight, gen_random_family
 from .sampler import estimate_tail
 
@@ -67,6 +67,8 @@ def _tail_query(args) -> TailQuery:
 
 def _cmd_bound(args) -> int:
     if args.t is not None:
+        if args.r < 1:
+            raise DomainError(f"r must be a positive int, got {args.r!r}")
         ratio = args.t / args.r
         eps = ratio - args.p if args.tail == "upper" else args.p - ratio
         if eps <= 0:
@@ -170,11 +172,7 @@ def _cmd_shearer(args) -> int:
     law = conditional_law(spec, _tail_query(args))
     cover = [fn.vars for fn in spec.functions]
     # Largest k the entropy inequality applies to: the least-covered coordinate.
-    multiplicity = [0] * spec.num_variables
-    for p in cover:
-        for i in p:
-            multiplicity[i] += 1
-    lemma_k = min(multiplicity)
+    lemma_k = min(cover_multiplicity(cover, spec.num_variables))
     ok = True
     try:
         lemma_lhs, lemma_rhs = shearer_entropy_gap(law, cover, lemma_k)

@@ -18,9 +18,11 @@ The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
 different paths. In :func:`sum_pmf` it bounds the cells (variable axes
 times sum axis) of the largest product factor formed while eliminating a
-component. In the flat enumerations, :func:`sum_pmf_enumerate`,
-:func:`conditional_function_marginals` and the audits, it bounds the
-number of assignments enumerated.
+component. The flat enumerations, :func:`sum_pmf_enumerate`,
+:func:`conditional_function_marginals` and the audits ``conditional_law``
+and ``proof_trace``, share one scan of the full assignment space, weighted
+by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
+number of assignments.
 
 Every reduction runs in a fixed order, so results are bit-reproducible
 for identical inputs.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -69,8 +72,8 @@ class TailQuery:
     def __post_init__(self) -> None:
         if self.direction not in ("ge", "le"):
             raise DomainError(f"direction must be 'ge' or 'le', got {self.direction!r}")
-        if math.isnan(self.threshold):
-            raise DomainError("threshold must not be NaN")
+        if not math.isfinite(self.threshold):
+            raise DomainError(f"threshold must be finite, got {self.threshold!r}")
 
     def effective_threshold(self) -> int:
         """Integer threshold actually compared against the (integer) sum."""
@@ -139,61 +142,36 @@ class Marginals(NamedTuple):
     mean: float
 
 
-class _Space:
-    """Vectorized mixed-radix enumeration over an ordered variable subset."""
+def _product_law(spec: FamilySpec, var_indices: Sequence[int]) -> tuple[list[np.ndarray], int]:
+    """The listed variables' masses (see :attr:`FamilySpec.laws`) and the product of their norms."""
+    laws = [spec.laws[i] for i in var_indices]
+    return [masses for masses, _ in laws], math.prod(norm for _, norm in laws)
 
-    def __init__(self, spec: FamilySpec, var_indices: Sequence[int]):
-        self.spec = spec
-        self.vars = tuple(var_indices)
-        self.sizes = {i: spec.variables[i].support_size for i in self.vars}
-        self.total = math.prod(self.sizes.values())
-        self.uniform = all(spec.variables[i].is_uniform for i in self.vars)
-        # mixed-radix strides, first listed variable most significant
-        self.strides: dict[int, int] = {}
-        stride = 1
-        for i in reversed(self.vars):
-            self.strides[i] = stride
-            stride *= self.sizes[i]
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        dtype = np.int32 if self.total <= 2**31 - 1 else np.int64
-        for start in range(0, self.total, CHUNK):
-            stop = min(start + CHUNK, self.total)
-            yield np.arange(start, stop, dtype=dtype)
+def _cell_masses(masses: list[np.ndarray], lead: float = 1.0) -> np.ndarray:
+    """``lead`` times the mass of every mixed-radix cell, first variable most significant.
 
-    def digit(self, idx: np.ndarray, var: int) -> np.ndarray:
-        stride, size = self.strides[var], self.sizes[var]
-        if stride & (stride - 1) == 0 and size & (size - 1) == 0:
-            return (idx >> (stride.bit_length() - 1)) & (size - 1)
-        return (idx // stride) % size
+    Multiplies in variable order, as a product over one assignment would.
+    """
+    cells = np.array([lead])
+    for m in masses:
+        cells = np.multiply.outer(cells, m).ravel()
+    return cells
 
-    def digits(self, idx: np.ndarray) -> dict[int, np.ndarray]:
-        return {i: self.digit(idx, i) for i in self.vars}
 
-    def weights(self, digits: dict[int, np.ndarray], n: int) -> np.ndarray:
-        """Product of per-variable probabilities for each assignment."""
-        w = np.ones(n, dtype=np.float64)
-        for i in self.vars:
-            w *= np.asarray(self.spec.variables[i].probs)[digits[i]]
-        return w
+def _table_positions(spec: FamilySpec, j: int, columns: np.ndarray) -> np.ndarray:
+    """Mixed-radix truth-table position of function j; ``columns[i]`` holds variable i's values."""
+    read = spec.functions[j].vars
+    positions = columns[read[0]].copy() if read else np.zeros_like(columns[0])
+    for i in read[1:]:
+        positions *= spec.variables[i].support_size
+        positions += columns[i]
+    return positions
 
-    def table_indices(self, j: int, digits: dict[int, np.ndarray], n: int) -> np.ndarray:
-        """Mixed-radix truth-table positions of function j on each assignment."""
-        fn = self.spec.functions[j]
-        if not fn.vars:
-            return np.zeros(n, dtype=np.int64)
-        idx = digits[fn.vars[0]].copy()
-        for i in fn.vars[1:]:
-            idx *= self.sizes[i]
-            idx += digits[i]
-        return idx
 
-    def function_values(self, j: int, digits: dict[int, np.ndarray], n: int) -> np.ndarray:
-        fn = self.spec.functions[j]
-        table = self.spec.tables[j]
-        if not fn.vars:
-            return np.full(n, table[0], dtype=np.uint8)
-        return table[self.table_indices(j, digits, n)]
+def _in_tail(sums: np.ndarray, query: TailQuery) -> np.ndarray:
+    t = query.effective_threshold()
+    return sums >= t if query.direction == "ge" else sums <= t
 
 
 def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") -> None:
@@ -202,26 +180,69 @@ def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") ->
         raise ResourceError(f"{what} spans {size} {unit}, exceeding the guard {guard}")
 
 
-def _enumerate_pmf(spec: FamilySpec, var_indices: Sequence[int], fn_indices: Sequence[int],
-                   guard: int, what: str) -> np.ndarray:
-    """Exact pmf of the partial sum of the given functions over their variables."""
-    space = _Space(spec, var_indices)
-    _check_guard(space.total, guard, what)
-    nbins = len(fn_indices) + 1
-    counts = np.zeros(nbins, dtype=np.int64)
-    pmf = np.zeros(nbins, dtype=np.float64)
-    for idx in space.chunks():
-        digits = space.digits(idx)
-        s = np.zeros(len(idx), dtype=np.int32)
-        for j in fn_indices:
-            s += space.function_values(j, digits, len(idx))
-        if space.uniform:
-            counts += np.bincount(s, minlength=nbins)
-        else:
-            pmf += np.bincount(s, weights=space.weights(digits, len(idx)), minlength=nbins)
-    if space.uniform:
-        return counts / space.total
-    return pmf
+def _scan(spec: FamilySpec, guard: int, what: str) -> Iterator[tuple]:
+    """Every full assignment in lexicographic order, by chunks.
+
+    Yields ``(digits, positions, sums, masses)`` per chunk: each variable's
+    values (one row per variable, in a buffer the next chunk overwrites),
+    each function's truth-table positions, and each assignment's function
+    sum and product-law mass. Raises :class:`ResourceError` when the family
+    spans more than ``guard`` assignments.
+    """
+    sizes = [v.support_size for v in spec.variables]
+    total = math.prod(sizes)
+    _check_guard(total, guard, what)
+    masses, _ = _product_law(spec, range(len(sizes)))
+    # A chunk fixes the leading variables and runs through every value of
+    # the trailing ones, at most CHUNK assignments unless one variable has more.
+    lead = len(sizes) - 1
+    while lead and math.prod(sizes[lead - 1:]) <= CHUNK:
+        lead -= 1
+    dtype = np.int32 if total <= 2**31 - 1 else np.int64
+    digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
+    digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
+    for values in itertools.product(*map(range, sizes[:lead])):
+        digits[:lead] = np.reshape(values, (-1, 1))
+        positions = [_table_positions(spec, j, digits) for j in range(spec.num_functions)]
+        sums = np.zeros(digits.shape[1], dtype=np.int32)
+        for table, pos in zip(spec.tables, positions):
+            sums += table[pos]
+        lead_mass = math.prod(m[v] for m, v in zip(masses, values))
+        yield digits, positions, sums, _cell_masses(masses[lead:], lead_mass)
+
+
+def _scan_tail(
+    spec: FamilySpec, query: TailQuery, guard: int, what: str
+) -> tuple[float, list[np.ndarray]]:
+    """Product-law mass of a tail event, and its mass on each cell of each truth table.
+
+    Both are before division by the norm. Raises :class:`DomainError` when
+    the event has probability zero.
+    """
+    mass = 0.0
+    cells = [np.zeros(len(table)) for table in spec.tables]
+    for _, positions, sums, masses in _scan(spec, guard, what):
+        mask = _in_tail(sums, query)
+        w = masses[mask]
+        mass += float(w.sum())
+        for cell, pos in zip(cells, positions):
+            cell += np.bincount(pos[mask], weights=w, minlength=len(cell))
+    if mass <= 0.0:
+        raise DomainError("conditioning event has probability zero")
+    return mass, cells
+
+
+def _tail_marginals(spec: FamilySpec, cells: list[np.ndarray]) -> tuple[float, ...]:
+    """``q_j = Pr[f_j = 1 | event]`` from the event's masses on f_j's truth-table cells.
+
+    The event's mass is taken as those cells add it up, so ``q_j`` is
+    exactly 1 (or 0) when f_j is constant on the event.
+    """
+    q = []
+    for table, fn_cells in zip(spec.tables, cells):
+        ones = float(fn_cells[table == 1].sum())
+        q.append(ones / (ones + float(fn_cells[table == 0].sum())))
+    return tuple(q)
 
 
 def _component_name(spec: FamilySpec, comp: Component) -> str:
@@ -366,11 +387,11 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     Independent cross-check path for :func:`sum_pmf`; quadratically more
     work on families with many components, so keep it to small inputs.
     """
-    guard = enumeration_guard(guard)
-    pmf = _enumerate_pmf(
-        spec, range(spec.num_variables), range(spec.num_functions), guard, "full family"
-    )
-    return SumPmf(tuple(float(p) for p in pmf))
+    _, norm = _product_law(spec, range(spec.num_variables))
+    pmf = np.zeros(spec.num_functions + 1)
+    for _, _, sums, masses in _scan(spec, enumeration_guard(guard), "full family"):
+        pmf += np.bincount(sums, weights=masses, minlength=len(pmf))
+    return SumPmf(tuple(float(p) for p in pmf / norm))
 
 
 def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
@@ -397,18 +418,9 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
 def function_marginals(spec: FamilySpec) -> Marginals:
     """Exact ``p_j = Pr[f_j = 1]`` for every function, plus their average."""
     per = []
-    for j, fn in enumerate(spec.functions):
-        space = _Space(spec, fn.vars)
-        table = spec.tables[j]
-        if space.uniform:
-            per.append(float(np.count_nonzero(table)) / space.total)
-            continue
-        total = 0.0
-        for idx in space.chunks():
-            digits = space.digits(idx)
-            w = space.weights(digits, len(idx))
-            total += float(w[table[idx] == 1].sum())
-        per.append(min(total, 1.0))
+    for fn, table in zip(spec.functions, spec.tables):
+        masses, norm = _product_law(spec, fn.vars)
+        per.append(min(float(_cell_masses(masses)[table == 1].sum()) / norm, 1.0))
     return Marginals(tuple(per), math.fsum(per) / len(per))
 
 
@@ -421,34 +433,5 @@ def conditional_function_marginals(
     conditioning couples the components). Raises :class:`DomainError` when
     the conditioning event has probability zero.
     """
-    guard = enumeration_guard(guard)
-    space = _Space(spec, range(spec.num_variables))
-    _check_guard(space.total, guard, "full family")
-    t = query.effective_threshold()
-    r = spec.num_functions
-    mass = 0.0
-    hits = np.zeros(r, dtype=np.float64)
-    count = 0
-    hit_counts = np.zeros(r, dtype=np.int64)
-    for idx in space.chunks():
-        digits = space.digits(idx)
-        vals = np.empty((r, len(idx)), dtype=np.uint8)
-        s = np.zeros(len(idx), dtype=np.int64)
-        for j in range(r):
-            vals[j] = space.function_values(j, digits, len(idx))
-            s += vals[j]
-        mask = s >= t if query.direction == "ge" else s <= t
-        if space.uniform:
-            count += int(np.count_nonzero(mask))
-            hit_counts += vals[:, mask].sum(axis=1, dtype=np.int64)
-        else:
-            w = space.weights(digits, len(idx))
-            mass += float(w[mask].sum())
-            hits += (vals * w).T[mask].sum(axis=0)
-    if space.uniform:
-        if count == 0:
-            raise DomainError("conditioning event has probability zero")
-        return tuple(float(c) / count for c in hit_counts)
-    if mass <= 0.0:
-        raise DomainError("conditioning event has probability zero")
-    return tuple(float(h) / mass for h in hits)
+    _, cells = _scan_tail(spec, query, enumeration_guard(guard), "full family")
+    return _tail_marginals(spec, cells)

@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,6 +125,33 @@ class FamilySpec:
         bounds = list(itertools.accumulate(lengths, initial=0))
         return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
+    @cached_property
+    def laws(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """Each variable's law as ``(masses, norm)``: ``Pr[x = v] = masses[v] / norm``.
+
+        A uniform variable has unit masses over ``norm = support``, so sums
+        of products of masses count assignments exactly in float64; a
+        weighted one has its probabilities as masses over ``norm = 1``.
+        """
+        laws = []
+        for v in self.variables:
+            uniform = v.is_uniform
+            masses = np.ones(v.support_size) if uniform else np.array(v.probs)
+            masses.flags.writeable = False
+            laws.append((masses, v.support_size if uniform else 1))
+        return tuple(laws)
+
+
+def cover_multiplicity(cover: Iterable[Sequence[int]], width: int) -> list[int]:
+    """How many sets of ``cover`` hold each coordinate; DomainError outside ``[0, width)``."""
+    counts = [0] * width
+    for p in cover:
+        for i in p:
+            if not (0 <= i < width):
+                raise DomainError(f"cover coordinate {i} out of range")
+            counts[i] += 1
+    return counts
+
 
 def read_width(spec: FamilySpec) -> int:
     """Smallest k such that every variable is read by at most k functions.
@@ -132,11 +159,8 @@ def read_width(spec: FamilySpec) -> int:
     Equals the maximum, over variables, of how many functions list that
     variable; 0 when no function reads anything.
     """
-    counts = [0] * spec.num_variables
-    for fn in spec.functions:
-        for i in fn.vars:
-            counts[i] += 1
-    return max(counts, default=0)
+    cover = (fn.vars for fn in spec.functions)
+    return max(cover_multiplicity(cover, spec.num_variables), default=0)
 
 
 def table_index(spec: FamilySpec, j: int, assignment: Sequence[int]) -> int:

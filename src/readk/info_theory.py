@@ -131,8 +131,10 @@ def kl_binary(q: float, p: float) -> Nats:
         return math.inf if p == 1.0 else -math.log1p(-p)
     if p == 0.0 or p == 1.0:
         return math.inf
-    val = q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-    return max(val, 0.0)
+    # q / p overflows when p is subnormal; a difference of logarithms does not.
+    ratio = q / p
+    head = q * (math.log(q) - math.log(p)) if math.isinf(ratio) else q * math.log(ratio)
+    return max(head + (1.0 - q) * math.log((1.0 - q) / (1.0 - p)), 0.0)
 
 
 def _require_tuple_outcomes(d: Distribution) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exact import TailQuery
+from .exact import TailQuery, _in_tail, _table_positions
 from .family import FamilySpec
 
 _SAMPLE_CHUNK = 1 << 16
@@ -59,13 +59,8 @@ def sample_assignment(spec: FamilySpec, rng: np.random.Generator) -> tuple[int, 
 
 def _sums_of_values(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
     sums = np.zeros(values.shape[0], dtype=np.int64)
-    for fn in spec.functions:
-        table = np.frombuffer(fn.truth_table.encode("ascii"), dtype=np.uint8) - ord("0")
-        idx = np.zeros(values.shape[0], dtype=np.int64)
-        for i in fn.vars:
-            idx *= spec.variables[i].support_size
-            idx += values[:, i]
-        sums += table[idx]
+    for j, table in enumerate(spec.tables):
+        sums += table[_table_positions(spec, j, values.T)]
     return sums
 
 
@@ -77,15 +72,13 @@ def estimate_tail(
         raise DomainError(f"samples must be >= 1, got {samples!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     cums = _cumulative(spec)
-    t = query.effective_threshold()
     successes = 0
     done = 0
     while done < samples:
         n = min(_SAMPLE_CHUNK, samples - done)
         uniforms = rng.random((n, spec.num_variables))
         sums = _sums_of_values(spec, _draw_values(spec, cums, uniforms))
-        hit = sums >= t if query.direction == "ge" else sums <= t
-        successes += int(np.count_nonzero(hit))
+        successes += int(np.count_nonzero(_in_tail(sums, query)))
         done += n
     estimate = successes / samples
     half = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))

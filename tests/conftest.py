@@ -34,3 +34,14 @@ def random_distribution(rng: np.random.Generator, outcomes) -> "Distribution":
     raw = rng.random(len(outcomes)) + 1e-3
     total = raw.sum()
     return Distribution(tuple(outcomes), tuple(float(x / total) for x in raw))
+
+
+def weighted_variant(spec, rng):
+    """Same structure, random non-uniform probabilities."""
+    variables = []
+    for v in spec.variables:
+        raw = rng.random(v.support_size) + 0.05
+        variables.append(
+            Variable(v.name, v.support_size, tuple(float(x) for x in raw / raw.sum()))
+        )
+    return FamilySpec(tuple(variables), spec.functions)

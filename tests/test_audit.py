@@ -16,9 +16,9 @@ from readk.errors import DomainError, ResourceError
 from readk.exact import TailQuery, sum_pmf, tail_prob
 from readk.family import FamilySpec, ReadFunction, Variable, read_width
 from readk.generators import gen_random_family
-from readk.info_theory import Distribution, kl_divergence
+from readk.info_theory import Distribution, kl_divergence, project
 
-from conftest import random_distribution
+from conftest import random_distribution, weighted_variant
 
 LN2 = math.log(2)
 EXACT_TOL = 1e-12
@@ -108,12 +108,42 @@ class TestKlGap:
             lhs, rhs = shearer_kl_gap(spec, law)
             assert lhs >= rhs - 1e-9
 
-    def test_weighted_variables_rejected(self):
+    def test_weighted_matches_materialized_product_law(self):
+        # independent route: materialize the weighted product law over the
+        # full outcome set and use kl_divergence / project on it
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            spec = weighted_variant(gen_random_family(m=4, r=4, k=2, max_arity=2, seed=seed), rng)
+            law = conditional_law(spec, TailQuery(2, "ge"))
+            lhs, rhs = shearer_kl_gap(spec, law)
+
+            full = tuple(itertools.product(*(range(v.support_size) for v in spec.variables)))
+            mass = dict(zip(law.outcomes, law.probs))
+            padded = Distribution(full, tuple(mass.get(a, 0.0) for a in full))
+            mu = Distribution(
+                full, tuple(math.prod(v.probs[x] for v, x in zip(spec.variables, a)) for a in full)
+            )
+            k = read_width(spec)
+            assert lhs == pytest.approx(k * kl_divergence(padded, mu), rel=1e-12)
+            want = math.fsum(
+                kl_divergence(project(padded, fn.vars), project(mu, fn.vars))
+                for fn in spec.functions
+            )
+            assert rhs == pytest.approx(want, rel=1e-12)
+
+    def test_zero_mass_outcome_is_infinite(self):
+        # x1 = 1 has probability zero; x1 is read only by y1
         spec = FamilySpec(
-            (Variable("x", 2, (0.75, 0.25)),), (ReadFunction("y", (0,), "01"),)
+            (Variable("x0", 2, (0.75, 0.25)), Variable("x1", 2, (1.0, 0.0)), Variable("x2", 2)),
+            (ReadFunction("y0", (0,), "01"), ReadFunction("y1", (1,), "01")),
         )
-        with pytest.raises(DomainError):
-            shearer_kl_gap(spec, Distribution(((0,), (1,)), (0.5, 0.5)))
+        law = Distribution(((0, 0, 0), (1, 1, 0)), (0.5, 0.5))
+        assert shearer_kl_gap(spec, law) == (math.inf, math.inf)
+        # mass on the zero-probability value of an unread variable
+        spec = FamilySpec(spec.variables, spec.functions[:1])
+        lhs, rhs = shearer_kl_gap(spec, law)
+        assert lhs == math.inf
+        assert rhs == pytest.approx(0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25))
 
 
 class TestConditionalLaw:
@@ -130,6 +160,16 @@ class TestConditionalLaw:
     def test_empty_event_rejected(self, xor_family):
         with pytest.raises(DomainError):
             conditional_law(xor_family, TailQuery(3, "ge"))
+
+    def test_uniform_law_is_exactly_one_over_count(self):
+        for seed in range(10):
+            spec = gen_random_family(m=4, r=4, k=2, max_arity=2, seed=seed)
+            pmf = sum_pmf(spec)
+            for t in range(spec.num_functions + 1):
+                if tail_prob(pmf, TailQuery(t, "le")) == 0.0:
+                    continue
+                law = conditional_law(spec, TailQuery(t, "le"))
+                assert law.probs == (1 / len(law.outcomes),) * len(law.outcomes)
 
 
 class TestProofTrace:
@@ -163,13 +203,6 @@ class TestProofTrace:
         trace = proof_trace(block_family, TailQuery(0, "le"))
         assert trace.chain_holds()
         assert trace.neg_log_tail == pytest.approx(2 * LN2, abs=EXACT_TOL)
-
-    def test_weighted_variables_rejected(self):
-        spec = FamilySpec(
-            (Variable("x", 2, (0.75, 0.25)),), (ReadFunction("y", (0,), "01"),)
-        )
-        with pytest.raises(DomainError):
-            proof_trace(spec, TailQuery(1, "ge"))
 
     def test_empty_tail_rejected(self, xor_family):
         with pytest.raises(DomainError):

@@ -58,6 +58,11 @@ class TestBound:
         assert res.returncode == 0
         assert json.loads(res.stdout)["bound"] == pytest.approx(0.0439369336234074, rel=1e-9)
 
+    def test_zero_r_with_threshold_is_usage_error(self):
+        res = run_cli("bound", "--r", 0, "--k", 2, "--p", 0.5, "--t", 3, "--tail", "upper")
+        assert res.returncode == 2
+        assert res.stderr == "error: r must be a positive int, got 0\n"
+
     def test_eps_and_t_are_mutually_exclusive(self):
         res = run_cli("bound", "--r", 4, "--k", 2, "--p", 0.5, "--eps", 0.5,
                       "--t", 4, "--tail", "upper")
@@ -75,6 +80,11 @@ class TestExact:
     def test_pmf_only(self, block_file):
         out = json.loads(run_cli("exact", block_file).stdout)
         assert "tail_prob" not in out
+
+    def test_infinite_threshold_is_exit_two(self, block_file):
+        res = run_cli("exact", block_file, "--t", "inf")
+        assert res.returncode == 2
+        assert res.stderr == "error: threshold must be finite, got inf\n"
 
     def test_missing_file_is_exit_two(self, tmp_path):
         res = run_cli("exact", tmp_path / "nope.json")
@@ -142,6 +152,11 @@ class TestTraceAndShearer:
     def test_trace_empty_tail_is_exit_two(self, block_file):
         res = run_cli("trace", block_file, "--t", 5, "--tail", "upper")
         assert res.returncode == 2
+
+    def test_trace_infinite_threshold_is_exit_two(self, block_file):
+        res = run_cli("trace", block_file, "--t", "inf", "--tail", "upper")
+        assert res.returncode == 2
+        assert res.stderr == "error: threshold must be finite, got inf\n"
 
     def test_shearer_report(self, block_file):
         res = run_cli("shearer", block_file, "--t", 4, "--tail", "upper")

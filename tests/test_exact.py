@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from readk import exact
+from readk.audit import conditional_law, proof_trace
 from readk.errors import DomainError, ResourceError
 from readk.exact import (
     SumPmf,
@@ -16,6 +18,8 @@ from readk.exact import (
 )
 from readk.family import FamilySpec, ReadFunction, Variable, dependency_components
 from readk.generators import gen_block_tight, gen_random_family
+
+from conftest import weighted_variant
 
 EXACT_TOL = 1e-12
 
@@ -67,6 +71,11 @@ class TestTailProb:
         pmf = sum_pmf(xor_family)
         assert tail_prob(pmf, TailQuery(1.5, "ge")) == 0.25   # ceil -> 2
         assert tail_prob(pmf, TailQuery(1.5, "le")) == 0.75   # floor -> 1
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, t):
+        with pytest.raises(DomainError):
+            TailQuery(t, "ge")
 
     def test_beyond_range(self, xor_family):
         pmf = sum_pmf(xor_family)
@@ -280,6 +289,34 @@ def test_disjoint_family_matches_poisson_binomial():
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a == pytest.approx(b, abs=EXACT_TOL)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_chunked_scan_matches_one_chunk(weighted, monkeypatch):
+    spec = gen_random_family(m=6, r=6, k=3, max_arity=2, seed=4)
+    if weighted:
+        spec = weighted_variant(spec, np.random.default_rng(4))
+    query = TailQuery(3, "ge")
+
+    def results():
+        law = conditional_law(spec, query)
+        numbers = (
+            sum_pmf_enumerate(spec).probs,
+            conditional_function_marginals(spec, query),
+            proof_trace(spec, query).terms(),
+            law.probs,
+        )
+        return law.outcomes, numbers
+
+    outcomes, whole = results()
+    monkeypatch.setattr(exact, "CHUNK", 7)  # every chunk fixes the leading variables
+    chunked_outcomes, chunked = results()
+    assert chunked_outcomes == outcomes
+    if weighted:
+        for got, want in zip(chunked, whole):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    else:
+        assert chunked == whole
 
 
 def test_convolution_equals_full_enumeration_on_random_corpus():

@@ -232,6 +232,12 @@ def test_binary_divergence_monotone_away_from_p(a, b, c):
     assert kl_binary(p, q2) >= kl_binary(q, q2) - 1e-12
 
 
+def test_binary_divergence_finite_at_subnormal_p():
+    p = 2.225073858507e-311
+    assert kl_binary(0.5, p) == pytest.approx(math.log(0.5) - 0.5 * math.log(p), rel=1e-15)
+    assert kl_binary(0.5, p) <= kl_binary(1.0, p)
+
+
 def test_chain_rule_on_random_three_variable_joints():
     rng = np.random.default_rng(2024)
     outcomes = tuple(itertools.product((0, 1), (0, 1, 2), (0, 1)))

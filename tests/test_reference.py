@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from readk.audit import proof_trace
@@ -20,10 +20,13 @@ from readk.exact import (
     function_marginals,
     sum_pmf,
     sum_pmf_enumerate,
+    tail_prob,
 )
 from readk.family import FamilySpec, ReadFunction, Variable, eval_function, read_width
 from readk.generators import gen_random_family
 from readk.info_theory import Distribution, kl_binary, kl_divergence, project
+
+from conftest import weighted_variant
 
 EXACT_TOL = 1e-12
 
@@ -46,17 +49,6 @@ def reference_pmf(spec):
     for _, weight, total in reference_rows(spec):
         pmf[total] += weight
     return pmf
-
-
-def weighted_variant(spec, rng):
-    """Same structure, random non-uniform probabilities."""
-    variables = []
-    for v in spec.variables:
-        raw = rng.random(v.support_size) + 0.05
-        variables.append(
-            Variable(v.name, v.support_size, tuple(float(x) for x in raw / raw.sum()))
-        )
-    return FamilySpec(tuple(variables), spec.functions)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -132,37 +124,39 @@ def test_conditional_marginals_match_scalar_reference(seed):
 
 
 def test_trace_terms_match_distribution_level_reference():
-    spec = gen_random_family(m=5, r=5, k=2, max_arity=2, seed=9)
-    t, r = 3, spec.num_functions
+    check_trace_terms(gen_random_family(m=5, r=5, k=2, max_arity=2, seed=9), t=3)
+
+
+@pytest.mark.parametrize("seed", [9, 10, 11])
+def test_weighted_trace_terms_match_distribution_level_reference(seed):
+    spec = gen_random_family(m=5, r=5, k=2, max_arity=2, seed=seed)
+    check_trace_terms(weighted_variant(spec, np.random.default_rng(seed)), t=3)
+
+
+def check_trace_terms(spec, t):
+    """All five trace terms against the product law materialized scalar-style."""
+    r = spec.num_functions
     k = read_width(spec)
     trace = proof_trace(spec, TailQuery(t, "ge"))
 
-    # conditional law over the full outcome set, built scalar-style
-    outcomes = tuple(
-        itertools.product(*(range(v.support_size) for v in spec.variables))
-    )
-    tail = [a for a, _, total in reference_rows(spec) if total >= t]
-    law = Distribution(
-        outcomes, tuple(1.0 / len(tail) if a in set(tail) else 0.0 for a in outcomes)
-    )
-    uniform = Distribution.uniform(outcomes)
+    rows = list(reference_rows(spec))
+    outcomes = tuple(a for a, _, _ in rows)
+    mu = Distribution(outcomes, tuple(w for _, w, _ in rows))
+    mass = math.fsum(w for _, w, total in rows if total >= t)
+    law = Distribution(outcomes, tuple(w / mass if total >= t else 0.0 for _, w, total in rows))
 
-    assert trace.neg_log_tail == pytest.approx(
-        kl_divergence(law, uniform), rel=1e-12
-    )
+    assert trace.neg_log_tail == pytest.approx(kl_divergence(law, mu), rel=1e-12)
 
-    shearer = 0.0
-    for fn in spec.functions:
-        sub = tuple(
-            itertools.product(*(range(spec.variables[i].support_size) for i in fn.vars))
-        )
-        shearer += kl_divergence(
-            project(law, fn.vars), Distribution.uniform(sub)
-        )
+    shearer = math.fsum(
+        kl_divergence(project(law, fn.vars), project(mu, fn.vars)) for fn in spec.functions
+    )
     assert trace.shearer_term == pytest.approx(shearer / k, rel=1e-12)
 
-    p_js = function_marginals(spec).per_function
-    q_js = conditional_function_marginals(spec, TailQuery(t, "ge"))
+    def one_prob(d, j):
+        return math.fsum(p for a, p in zip(d.outcomes, d.probs) if eval_function(spec, j, a))
+
+    p_js = [one_prob(mu, j) for j in range(r)]
+    q_js = [one_prob(law, j) for j in range(r)]
     dpi = math.fsum(kl_binary(q, p) for q, p in zip(q_js, p_js)) / k
     assert trace.dpi_term == pytest.approx(dpi, rel=1e-12)
 
@@ -173,3 +167,14 @@ def test_trace_terms_match_distribution_level_reference():
     assert trace.final_term == pytest.approx(
         (r / k) * kl_binary(max(t / r, p_bar), p_bar), rel=1e-12
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_families(), st.integers(0, 5), st.sampled_from(["ge", "le"]))
+def test_weighted_trace_chain_holds_and_inverts_tail(spec, t, direction):
+    query = TailQuery(t, direction)
+    exact = tail_prob(sum_pmf(spec), query)
+    assume(exact > 0.0)
+    trace = proof_trace(spec, query)
+    assert trace.chain_holds()
+    assert math.exp(-trace.neg_log_tail) == pytest.approx(exact, rel=1e-9, abs=EXACT_TOL)
