@@ -25,26 +25,24 @@ independent coordinates, each read at most k times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AuditError, DomainError
 from .exact import TailQuery, enumeration_guard, function_marginals
-from .exact import _cell_masses, _in_tail, _product_law, _scan, _scan_tail, _tail_marginals
+from .exact import _cell_masses, _in_tail, _product_law, _scan, _scan_tail, _table_positions
+from .exact import _tail_marginals
 from .family import FamilySpec, cover_multiplicity, read_width
-from .info_theory import Distribution, Nats, entropy, kl_binary, project
+from .info_theory import Distribution, Nats, _group_sums, _require_tuple_outcomes, entropy
+from .info_theory import kl_binary, project
 
 #: Relative slack allowed per chain step (chains many floating-point ops).
 CHAIN_REL_TOL = 1e-9
 
 #: Absolute slack for the standalone entropy/divergence inequalities.
 GAP_TOL = 1e-9
-
-
-def _approx_ge(a: float, b: float, rel_tol: float) -> bool:
-    return b - a <= rel_tol * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -58,18 +56,12 @@ class ProofTrace:
     final_term: Nats
 
     def terms(self) -> tuple[Nats, Nats, Nats, Nats, Nats]:
-        return (
-            self.neg_log_tail,
-            self.shearer_term,
-            self.dpi_term,
-            self.convexity_term,
-            self.final_term,
-        )
+        return astuple(self)
 
     def chain_holds(self, rel_tol: float = CHAIN_REL_TOL) -> bool:
         """True when every adjacent pair is non-increasing within slack."""
         t = self.terms()
-        return all(_approx_ge(t[i], t[i + 1], rel_tol) for i in range(len(t) - 1))
+        return all(b - a <= rel_tol * max(1.0, abs(a), abs(b)) for a, b in zip(t, t[1:]))
 
 
 def _kl_vs_product(probs: Sequence[float], masses: Sequence[float], norm: int) -> float:
@@ -96,10 +88,7 @@ def shearer_entropy_gap(
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"k must be a non-negative int, got {k!r}")
-    widths = {len(a) for a in joint.outcomes if isinstance(a, tuple)}
-    if len(widths) != 1:
-        raise DomainError("joint outcomes must be tuples of one common length")
-    width = widths.pop()
+    width = _require_tuple_outcomes(joint)
     sets = [tuple(sorted(set(p))) for p in cover]
     multiplicity = cover_multiplicity(sets, width)
     short = [i for i, c in enumerate(multiplicity) if c < k]
@@ -115,9 +104,8 @@ def shearer_entropy_gap(
 def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     """The law's outcomes as an ``(outcomes, variables)`` array of in-range values."""
     m = spec.num_variables
-    for a in d.outcomes:
-        if not isinstance(a, tuple) or len(a) != m:
-            raise DomainError(f"outcome {a!r} is not an assignment of {m} variables")
+    if _require_tuple_outcomes(d) != m:
+        raise DomainError(f"outcomes are not assignments of {m} variables")
     values = np.array(d.outcomes)
     if values.dtype.kind not in "iu":
         raise DomainError("outcome values must be integers")
@@ -129,15 +117,13 @@ def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     return values
 
 
-def _kl_vs_variables(
-    spec: FamilySpec, var_indices: Sequence[int], probs: Sequence[float], values: np.ndarray
-) -> float:
-    """``D(nu || product law of the listed variables)``, ``nu`` putting ``probs[n]`` on row n."""
-    masses, norm = _product_law(spec, var_indices)
-    mass = np.ones(len(values))
-    for mass_i, column in zip(masses, values.T):
-        mass *= mass_i[column]
-    return max(_kl_vs_product(probs, mass.tolist(), norm), 0.0)
+def _projected_divergences(spec: FamilySpec, cells: Sequence[Sequence[float]]) -> list[float]:
+    """Unclamped ``D(cells[j] || product law of f_j's variables)``, over f_j's table cells."""
+    divergences = []
+    for fn, probs in zip(spec.functions, cells):
+        masses, norm = _product_law(spec, fn.vars)
+        divergences.append(_kl_vs_product(probs, _cell_masses(masses).tolist(), norm))
+    return divergences
 
 
 def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, Nats]:
@@ -153,15 +139,16 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     """
     values = _assignment_values(spec, conditioned)
     k = read_width(spec)
-    divergence = _kl_vs_variables(spec, range(spec.num_variables), conditioned.probs, values)
+    masses, norm = _product_law(spec, range(spec.num_variables))
+    mass = math.prod(mass_i[column] for mass_i, column in zip(masses, values.T))
+    divergence = max(_kl_vs_product(conditioned.probs, mass.tolist(), norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
-    rhs_terms = []
-    for fn in spec.functions:
-        proj = project(conditioned, fn.vars)
-        proj_values = np.array(proj.outcomes, dtype=np.int64).reshape(len(proj.outcomes), -1)
-        rhs_terms.append(_kl_vs_variables(spec, fn.vars, proj.probs, proj_values))
-    rhs = math.fsum(rhs_terms)
+    cells = [
+        _group_sums(_table_positions(spec, j, values.T), conditioned.probs, len(table))
+        for j, table in enumerate(spec.tables)
+    ]
+    rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")
     return lhs, rhs
@@ -207,13 +194,8 @@ def proof_trace(
 
     _, norm = _product_law(spec, range(spec.num_variables))
     neg_log_tail = -math.log(mass / norm)
-    proj_divs = []
-    for fn, fn_cells in zip(spec.functions, cells):
-        masses, cell_norm = _product_law(spec, fn.vars)
-        proj_divs.append(
-            _kl_vs_product((fn_cells / mass).tolist(), _cell_masses(masses).tolist(), cell_norm)
-        )
-    shearer_term = math.fsum(proj_divs) / k
+    projected = [(fn_cells / mass).tolist() for fn_cells in cells]
+    shearer_term = math.fsum(_projected_divergences(spec, projected)) / k
 
     p_js = function_marginals(spec).per_function
     q_js = _tail_marginals(spec, cells)

@@ -72,7 +72,11 @@ class TailQuery:
     def __post_init__(self) -> None:
         if self.direction not in ("ge", "le"):
             raise DomainError(f"direction must be 'ge' or 'le', got {self.direction!r}")
-        if not math.isfinite(self.threshold):
+        try:
+            finite = math.isfinite(self.threshold)
+        except OverflowError:
+            raise DomainError("threshold must be finite, got an int too big for a float") from None
+        if not finite:
             raise DomainError(f"threshold must be finite, got {self.threshold!r}")
 
     def effective_threshold(self) -> int:

@@ -12,8 +12,8 @@ The JSON file format used across the package::
      "functions": [{"name": "y1", "vars": [0, 1], "truth_table": "0110"}, ...]}
 
 ``probs`` may be omitted, meaning uniform. ``vars`` are 0-based indices
-into ``variables``. Parsers reject wrong-length tables and unnormalized
-probability vectors.
+into ``variables``. Parsers reject wrong-length tables, unnormalized
+probability vectors and fields of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -258,7 +258,16 @@ def family_to_json(spec: FamilySpec) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _expect_list(value, what: str, item: type | tuple[type, ...] = object) -> list:
+    """``value`` if it is a JSON list of ``item`` entries; ValidationError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+        raise ValidationError(f"{what} has the wrong JSON type: {json.dumps(value)}")
+    return value
+
+
 def _expect_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} has the wrong JSON type: {json.dumps(obj)}")
     extra = set(obj) - allowed
     if extra:
         raise ValidationError(f"{what}: unknown keys {sorted(extra)}")
@@ -272,31 +281,21 @@ def family_from_json(text: str) -> FamilySpec:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"malformed family file: {e}") from None
-    if not isinstance(obj, dict):
-        raise ValidationError("family file must hold a JSON object")
     _expect_keys(obj, {"variables", "functions"}, {"variables", "functions"}, "family")
     variables = []
-    for entry in obj["variables"]:
+    for entry in _expect_list(obj["variables"], "family: variables"):
         _expect_keys(entry, {"name", "support", "probs"}, {"name", "support"}, "variable")
-        variables.append(
-            Variable(
-                name=str(entry["name"]),
-                support_size=entry["support"],
-                probs=tuple(entry.get("probs") or ()),
-            )
-        )
+        name = str(entry["name"])
+        probs = _expect_list(entry.get("probs") or [], f"variable {name!r}: probs", (int, float))
+        variables.append(Variable(name, entry["support"], tuple(probs)))
     functions = []
-    for entry in obj["functions"]:
+    for entry in _expect_list(obj["functions"], "family: functions"):
         _expect_keys(
             entry, {"name", "vars", "truth_table"}, {"name", "vars", "truth_table"}, "function"
         )
-        functions.append(
-            ReadFunction(
-                name=str(entry["name"]),
-                vars=tuple(entry["vars"]),
-                truth_table=str(entry["truth_table"]),
-            )
-        )
+        name = str(entry["name"])
+        read = _expect_list(entry["vars"], f"function {name!r}: vars", int)
+        functions.append(ReadFunction(name, tuple(read), str(entry["truth_table"])))
     return FamilySpec(tuple(variables), tuple(functions))
 
 

@@ -5,13 +5,21 @@ throughout: ``0 * ln(0) = 0`` and ``0 * ln(0/x) = 0``; a Kullback-Leibler
 divergence where the first argument has mass outside the support of the
 second is ``+inf`` (an explicit ``math.inf``, never a NaN). Entropies are
 finite and non-negative; divergences are non-negative or ``+inf``.
+
+Projections and push-forwards merge outcomes through one group-by kernel:
+each merged probability is the correctly rounded sum of its group, equal
+to ``math.fsum`` over that group in any order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 
@@ -138,10 +146,27 @@ def kl_binary(q: float, p: float) -> Nats:
 
 
 def _require_tuple_outcomes(d: Distribution) -> int:
-    lengths = {len(a) for a in d.outcomes if isinstance(a, tuple)}
-    if len(lengths) != 1 or any(not isinstance(a, tuple) for a in d.outcomes):
+    tuples = all(map(isinstance, d.outcomes, itertools.repeat(tuple)))
+    lengths = set(map(len, d.outcomes)) if tuples else ()
+    if len(lengths) != 1:
         raise DomainError("outcomes must all be tuples of one common length")
     return lengths.pop()
+
+
+def _group_sums(keys: Sequence[int], probs: Sequence[float], n: int) -> list[float]:
+    """``math.fsum`` of ``probs`` per key in ``range(n)``: one rounding, whatever the order."""
+    keys = np.asarray(keys, dtype=np.intp)
+    order = np.argsort(keys, kind="stable")
+    ordered = np.asarray(probs, dtype=np.float64)[order].tolist()
+    bounds = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [math.fsum(ordered[a:b]) for a, b in zip([0] + bounds, bounds)]
+
+
+def _image_law(images: list[Hashable], probs: Sequence[float]) -> Distribution:
+    """The law of the images: equal images merge, outcomes sorted."""
+    labels = sorted(dict.fromkeys(images))
+    keys = list(map({b: i for i, b in enumerate(labels)}.__getitem__, images))
+    return Distribution(tuple(labels), tuple(_group_sums(keys, probs, len(labels))))
 
 
 def project(d: Distribution, coords: Sequence[int]) -> Distribution:
@@ -149,7 +174,8 @@ def project(d: Distribution, coords: Sequence[int]) -> Distribution:
 
     Colliding sub-tuples have their probabilities summed; the resulting
     outcomes are ordered lexicographically. ``coords`` keeps its given
-    order and must contain distinct, in-range positions.
+    order and must contain distinct, in-range positions. Each probability
+    is the correctly rounded sum of its group, whatever the outcome order.
     """
     width = _require_tuple_outcomes(d)
     coords = tuple(coords)
@@ -158,12 +184,9 @@ def project(d: Distribution, coords: Sequence[int]) -> Distribution:
     for c in coords:
         if not (0 <= c < width):
             raise DomainError(f"coordinate {c} out of range for width {width}")
-    acc: dict[tuple, list[float]] = {}
-    for a, p in zip(d.outcomes, d.probs):
-        sub = tuple(a[c] for c in coords)
-        acc.setdefault(sub, []).append(p)
-    outcomes = sorted(acc)
-    return Distribution(tuple(outcomes), tuple(math.fsum(acc[a]) for a in outcomes))
+    columns = [map(operator.itemgetter(c), d.outcomes) for c in coords]
+    subs = list(zip(*columns)) if coords else [()] * len(d.outcomes)
+    return _image_law(subs, d.probs)
 
 
 def push_forward(
@@ -172,14 +195,11 @@ def push_forward(
     """Distribution of ``phi(X)`` for ``X ~ d``; labels with equal image merge.
 
     Output outcomes are sorted, so two pushes through the same map are
-    directly comparable with :func:`kl_divergence`.
+    directly comparable with :func:`kl_divergence`. Merged probabilities
+    are correctly rounded sums, as in :func:`project`.
     """
     fn = phi.__getitem__ if isinstance(phi, Mapping) else phi
-    acc: dict[Hashable, list[float]] = {}
-    for a, p in zip(d.outcomes, d.probs):
-        acc.setdefault(fn(a), []).append(p)
-    outcomes = sorted(acc)
-    return Distribution(tuple(outcomes), tuple(math.fsum(acc[b]) for b in outcomes))
+    return _image_law(list(map(fn, d.outcomes)), d.probs)
 
 
 def conditional_entropy(

@@ -97,6 +97,13 @@ class TestExact:
         res = run_cli("exact", bad)
         assert res.returncode == 2
 
+    def test_wrong_json_type_is_exit_two(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"variables": 5, "functions": []}')
+        res = run_cli("exact", bad)
+        assert res.returncode == 2
+        assert res.stderr == "error: family: variables has the wrong JSON type: 5\n"
+
 
 class TestVerify:
     def test_block_passes_with_zero_slack_at_top(self, block_file):
@@ -218,3 +225,147 @@ def test_guard_env_variable_is_honored(tmp_path):
     )
     assert res.returncode == 2
     assert "guard" in res.stderr
+
+
+WEIGHTED_FAMILY = {
+    "variables": [
+        {"name": "a", "support": 2, "probs": [0.25, 0.75]},
+        {"name": "b", "support": 3, "probs": [0.5, 0.0, 0.5]},
+        {"name": "c", "support": 2, "probs": [0.6, 0.4]},
+    ],
+    "functions": [
+        {"name": "f0", "vars": [0, 1], "truth_table": "011010"},
+        {"name": "f1", "vars": [1, 2], "truth_table": "100110"},
+        {"name": "f2", "vars": [2, 0], "truth_table": "0111"},
+        {"name": "f3", "vars": [1], "truth_table": "010"},
+    ],
+}
+
+#: Stdout recorded with an earlier version of readk on two families: ``random`` is
+#: ``gen --preset random --m 6 --r 5 --k 2 --max-arity 2 --seed 3`` and
+#: ``weighted`` is WEIGHTED_FAMILY (a zero-probability value included).
+#: Byte equality pins the output across versions, not only run to run.
+GOLDEN_STDOUT = {
+    ('random', ('exact', '--t', 3, '--tail', 'upper')): (
+        '{"pmf": [0.0000000000000000e+00, 1.6666666666666666e-01, '
+        '3.1944444444444442e-01, 3.3333333333333331e-01, 1.2500000000000000e-01, '
+        '5.5555555555555552e-02], "t": 3.0000000000000000e+00, "tail": "upper", '
+        '"tail_prob": 5.1388888888888884e-01}\n'
+    ),
+    ('random', ('trace', '--t', 3, '--tail', 'upper')): (
+        '{"neg_log_tail": 6.6574820637183096e-01, '
+        '"shearer_term": 3.0164877655688871e-01, "dpi_term": 2.4562581887373147e-01, '
+        '"convexity_term": 1.5831740454798834e-01, '
+        '"final_term": 3.5055601317917143e-02, "chain_ok": true, "result": "PASS"}\n'
+    ),
+    ('random', ('trace', '--t', 1, '--tail', 'lower')): (
+        '{"neg_log_tail": 1.7917594692280550e+00, '
+        '"shearer_term": 1.7917594692280550e+00, "dpi_term": 1.1897730670650870e+00, '
+        '"convexity_term": 5.3327008449426117e-01, '
+        '"final_term": 5.3327008449426117e-01, "chain_ok": true, "result": "PASS"}\n'
+    ),
+    ('random', ('shearer', '--t', 3, '--tail', 'upper')): (
+        '{"lemma_k": 1, "lemma_lhs": 4.3040650932041693e+00, '
+        '"lemma_rhs": 6.8514223962502241e+00, "corollary_k": 2, '
+        '"corollary_lhs": 1.3314964127436621e+00, '
+        '"corollary_rhs": 6.0329755311377742e-01, "result": "PASS"}\n'
+    ),
+    ('random', ('shearer', '--t', 1, '--tail', 'lower')): (
+        '{"lemma_k": 1, "lemma_lhs": 3.1780538303479453e+00, '
+        '"lemma_rhs": 3.8712010109078907e+00, "corollary_k": 2, '
+        '"corollary_lhs": 3.5835189384561099e+00, '
+        '"corollary_rhs": 3.5835189384561099e+00, "result": "PASS"}\n'
+    ),
+    ('random', ('verify',)): (
+        '{"tail": "upper", "t": 3, "exact": 5.1388888888888884e-01, '
+        '"bound": 9.6555172881639473e-01, "slack": 4.5166283992750589e-01, '
+        '"ok": true}\n'
+        '{"tail": "upper", "t": 4, "exact": 1.8055555555555555e-01, '
+        '"bound": 6.4840938006498494e-01, "slack": 4.6785382450942936e-01, '
+        '"ok": true}\n'
+        '{"tail": "upper", "t": 5, "exact": 5.5555555555555552e-02, '
+        '"bound": 1.9187840893876634e-01, "slack": 1.3632285338321079e-01, '
+        '"ok": true}\n'
+        '{"tail": "lower", "t": 0, "exact": 0.0000000000000000e+00, '
+        '"bound": 1.6241153416565324e-01, "slack": 1.6241153416565324e-01, '
+        '"ok": true}\n'
+        '{"tail": "lower", "t": 1, "exact": 1.6666666666666666e-01, '
+        '"bound": 5.8668332537580092e-01, "slack": 4.2001665870913429e-01, '
+        '"ok": true}\n'
+        '{"tail": "lower", "t": 2, "exact": 4.8611111111111105e-01, '
+        '"bound": 9.3388564074342584e-01, "slack": 4.4777452963231479e-01, '
+        '"ok": true}\n'
+        '{"result": "PASS", "r": 5, "k": 2, "thresholds": 6, "violations": 0}\n'
+    ),
+    ('weighted', ('exact', '--t', 2, '--tail', 'upper')): (
+        '{"pmf": [0.0000000000000000e+00, 4.2500000000000004e-01, '
+        '5.7499999999999996e-01, 0.0000000000000000e+00, 0.0000000000000000e+00], '
+        '"t": 2.0000000000000000e+00, "tail": "upper", '
+        '"tail_prob": 5.7499999999999996e-01}\n'
+    ),
+    ('weighted', ('trace', '--t', 2, '--tail', 'upper')): (
+        '{"neg_log_tail": 5.5338523818478669e-01, '
+        '"shearer_term": 3.0013186850731605e-01, "dpi_term": 9.5057377951795655e-02, '
+        '"convexity_term": 3.0805042968565177e-02, '
+        '"final_term": 3.0805042968565177e-02, "chain_ok": true, "result": "PASS"}\n'
+    ),
+    ('weighted', ('trace', '--t', 1, '--tail', 'lower')): (
+        '{"neg_log_tail": 8.5566611005772009e-01, '
+        '"shearer_term": 4.7135394992740359e-01, "dpi_term": 1.7163198084517783e-01, '
+        '"convexity_term": 6.1362340186131070e-02, '
+        '"final_term": 6.1362340186131070e-02, "chain_ok": true, "result": "PASS"}\n'
+    ),
+    ('weighted', ('shearer', '--t', 2, '--tail', 'upper')): (
+        '{"lemma_k": 2, "lemma_lhs": 2.4247124649734153e+00, '
+        '"lemma_rhs": 3.3242345163809857e+00, "corollary_k": 3, '
+        '"corollary_lhs": 1.6601557145543602e+00, '
+        '"corollary_rhs": 9.0039560552194808e-01, "result": "PASS"}\n'
+    ),
+    ('weighted', ('shearer', '--t', 1, '--tail', 'lower')): (
+        '{"lemma_k": 2, "lemma_lhs": 2.5860449401287990e+00, '
+        '"lemma_rhs": 3.5764624910219736e+00, "corollary_k": 3, '
+        '"corollary_lhs": 2.5669983301731603e+00, '
+        '"corollary_rhs": 1.4140618497822108e+00, "result": "PASS"}\n'
+    ),
+    ('weighted', ('verify',)): (
+        '{"tail": "upper", "t": 2, "exact": 5.7499999999999996e-01, '
+        '"bound": 9.6966459758103085e-01, "slack": 3.9466459758103090e-01, '
+        '"ok": true}\n'
+        '{"tail": "upper", "t": 3, "exact": 0.0000000000000000e+00, '
+        '"bound": 7.0533681280628291e-01, "slack": 7.0533681280628291e-01, '
+        '"ok": true}\n'
+        '{"tail": "upper", "t": 4, "exact": 0.0000000000000000e+00, '
+        '"bound": 2.8859851299790301e-01, "slack": 2.8859851299790301e-01, '
+        '"ok": true}\n'
+        '{"tail": "lower", "t": 0, "exact": 0.0000000000000000e+00, '
+        '"bound": 5.1310037904094274e-01, "slack": 5.1310037904094274e-01, '
+        '"ok": true}\n'
+        '{"tail": "lower", "t": 1, "exact": 4.2500000000000004e-01, '
+        '"bound": 9.4048240346126877e-01, "slack": 5.1548240346126872e-01, '
+        '"ok": true}\n'
+        '{"result": "PASS", "r": 4, "k": 3, "thresholds": 5, "violations": 0}\n'
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_families(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    res = run_cli("gen", "--preset", "random", "--m", 6, "--r", 5, "--k", 2,
+                  "--max-arity", 2, "--seed", 3, "--out", root / "random.json")
+    assert res.returncode == 0, res.stderr
+    (root / "weighted.json").write_text(json.dumps(WEIGHTED_FAMILY))
+    return root
+
+
+def _golden_id(key):
+    family, args = key
+    return "-".join([family, *(str(a) for a in args if not str(a).startswith("--"))])
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_STDOUT), ids=map(_golden_id, GOLDEN_STDOUT))
+def test_stdout_matches_recorded_bytes(golden_families, key):
+    family, (command, *flags) = key
+    res = run_cli(command, golden_families / f"{family}.json", *flags)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == GOLDEN_STDOUT[key]

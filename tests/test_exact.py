@@ -72,10 +72,15 @@ class TestTailProb:
         assert tail_prob(pmf, TailQuery(1.5, "ge")) == 0.25   # ceil -> 2
         assert tail_prob(pmf, TailQuery(1.5, "le")) == 0.75   # floor -> 1
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "t",
+        [math.nan, math.inf, -math.inf,
+         pytest.param(10**400, id="huge-int"), pytest.param(-10**400, id="-huge-int")],
+    )
     def test_non_finite_threshold_rejected(self, t):
-        with pytest.raises(DomainError):
-            TailQuery(t, "ge")
+        for direction in ("ge", "le"):
+            with pytest.raises(DomainError, match="threshold must be finite"):
+                TailQuery(t, direction)
 
     def test_beyond_range(self, xor_family):
         pmf = sum_pmf(xor_family)

@@ -125,6 +125,10 @@ class TestValidation:
             FamilySpec((Variable("x", 2),), (ReadFunction("y", (1,), "01"),))
 
 
+#: One well-formed variable, for cases whose fault is in the functions.
+ONE_VARIABLE = '[{"name": "x", "support": 2}]'
+
+
 class TestFileFormat:
     def test_round_trip(self, xor_family):
         text = family_to_json(xor_family)
@@ -156,6 +160,26 @@ class TestFileFormat:
     def test_rejects_malformed_json(self):
         with pytest.raises(ValidationError):
             family_from_json("{not json")
+
+    @pytest.mark.parametrize(
+        "variables, functions",
+        [
+            ("5", "[]"),
+            ("[3]", "[]"),
+            ('[{"name": "x", "support": 2, "probs": [0.5, null]}]', "[]"),
+            ('[{"name": "x", "support": 2, "probs": "ab"}]', "[]"),
+            (ONE_VARIABLE, '{"name": "y"}'),
+            (ONE_VARIABLE, '["y"]'),
+            (ONE_VARIABLE, '[{"name": "y", "vars": 0, "truth_table": "01"}]'),
+            (ONE_VARIABLE, '[{"name": "y", "vars": [[0]], "truth_table": "01"}]'),
+        ],
+        ids=["variables-number", "variable-number", "probs-null", "probs-string",
+             "functions-object", "function-string", "vars-number", "vars-nested"],
+    )
+    def test_rejects_wrong_json_types(self, variables, functions):
+        with pytest.raises(ValidationError) as info:
+            family_from_json(f'{{"variables": {variables}, "functions": {functions}}}')
+        assert "\n" not in str(info.value)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValidationError):

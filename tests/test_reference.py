@@ -7,13 +7,15 @@ so it shares no indexing or reduction code with the numpy engine.
 
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from readk.audit import proof_trace
+from readk.audit import conditional_law, proof_trace, shearer_entropy_gap, shearer_kl_gap
+from readk.errors import DomainError
 from readk.exact import (
     TailQuery,
     conditional_function_marginals,
@@ -24,7 +26,13 @@ from readk.exact import (
 )
 from readk.family import FamilySpec, ReadFunction, Variable, eval_function, read_width
 from readk.generators import gen_random_family
-from readk.info_theory import Distribution, kl_binary, kl_divergence, project
+from readk.info_theory import (
+    Distribution,
+    kl_binary,
+    kl_divergence,
+    project,
+    push_forward,
+)
 
 from conftest import weighted_variant
 
@@ -178,3 +186,87 @@ def test_weighted_trace_chain_holds_and_inverts_tail(spec, t, direction):
     trace = proof_trace(spec, query)
     assert trace.chain_holds()
     assert math.exp(-trace.neg_log_tail) == pytest.approx(exact, rel=1e-9, abs=EXACT_TOL)
+
+
+def reference_push_forward(d, phi):
+    """Merging by a dict of lists, one ``math.fsum`` per image, outcomes sorted."""
+    fn = phi.__getitem__ if isinstance(phi, Mapping) else phi
+    acc = {}
+    for a, p in zip(d.outcomes, d.probs):
+        acc.setdefault(fn(a), []).append(p)
+    outcomes = sorted(acc)
+    return Distribution(tuple(outcomes), tuple(math.fsum(acc[b]) for b in outcomes))
+
+
+def reference_project(d, coords):
+    return reference_push_forward(d, lambda a: tuple(a[c] for c in coords))
+
+
+@st.composite
+def tuple_laws(draw):
+    """Laws over distinct equal-width tuples of int or string labels, some with zero mass."""
+    width = draw(st.integers(1, 4))
+    labels = draw(st.sampled_from([st.integers(0, 2), st.sampled_from("abc")]))
+    outcome = st.tuples(*[labels] * width)
+    outcomes = draw(st.lists(outcome, min_size=1, max_size=40, unique=True))
+    raw = draw(st.lists(
+        st.just(0.0) | st.floats(1e-12, 1.0), min_size=len(outcomes), max_size=len(outcomes)
+    ))
+    total = math.fsum(raw)
+    assume(total > 0.0)
+    return Distribution(tuple(outcomes), tuple(x / total for x in raw))
+
+
+def assert_same_law(got, want):
+    assert got.outcomes == want.outcomes
+    assert got.probs == want.probs  # bit for bit
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_laws(), st.data())
+def test_project_is_bit_identical_to_dict_reference(law, data):
+    width = len(law.outcomes[0])
+    # any subset in any order, the empty one included
+    coords = data.draw(st.permutations(range(width)))[: data.draw(st.integers(0, width))]
+    assert_same_law(project(law, coords), reference_project(law, coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuple_laws(), st.data())
+def test_push_forward_is_bit_identical_to_dict_reference(law, data):
+    image = data.draw(st.sampled_from([st.integers(0, 3), st.sampled_from("pq")]))
+    phi = {a: data.draw(image) for a in law.outcomes}  # a merging map
+    assert_same_law(push_forward(law, phi), reference_push_forward(law, phi))
+    assert_same_law(push_forward(law, phi.get), reference_push_forward(law, phi.get))
+
+
+@st.composite
+def uniform_families(draw):
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    arity = draw(st.integers(1, min(3, m)))
+    r = draw(st.integers(1, min(5, m * k // arity)))
+    return gen_random_family(m, r, k, arity, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    uniform_families() | weighted_families(), st.integers(0, 5), st.sampled_from(["ge", "le"])
+)
+def test_kl_gap_matches_trace_terms(spec, t, direction):
+    k = read_width(spec)
+    assume(k >= 1)
+    query = TailQuery(t, direction)
+    assume(tail_prob(sum_pmf(spec), query) > 0.0)
+    trace = proof_trace(spec, query, check=False)
+    lhs, rhs = shearer_kl_gap(spec, conditional_law(spec, query))
+    # abs_tol: a whole-space event gives divergences that are 0 up to rounding
+    assert math.isclose(lhs, k * trace.neg_log_tail, rel_tol=1e-12, abs_tol=1e-14)
+    assert math.isclose(rhs, k * trace.shearer_term, rel_tol=1e-12, abs_tol=1e-14)
+
+
+def test_entropy_gap_rejects_mixed_tuple_and_scalar_outcomes():
+    # The shape check comes first: coordinate 1 being uncovered is not the fault.
+    joint = Distribution(((0, 0), 1), (0.5, 0.5))
+    with pytest.raises(DomainError, match="outcomes must all be tuples of one common length"):
+        shearer_entropy_gap(joint, [[0]], 1)
