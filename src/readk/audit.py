@@ -31,12 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AuditError, DomainError
-from .exact import TailQuery, enumeration_guard, function_marginals
+from .exact import TailQuery, function_marginals
 from .exact import _cell_masses, _in_tail, _product_law, _scan, _scan_tail, _table_positions
 from .exact import _tail_marginals
 from .family import FamilySpec, cover_multiplicity, read_width
-from .info_theory import Distribution, Nats, _group_sums, _require_tuple_outcomes, entropy
-from .info_theory import kl_binary, project
+from .info_theory import Distribution, Nats, _group_sums, _kl_sum, _require_tuple_outcomes
+from .info_theory import entropy, kl_binary, project
 
 #: Relative slack allowed per chain step (chains many floating-point ops).
 CHAIN_REL_TOL = 1e-9
@@ -62,20 +62,6 @@ class ProofTrace:
         """True when every adjacent pair is non-increasing within slack."""
         t = self.terms()
         return all(b - a <= rel_tol * max(1.0, abs(a), abs(b)) for a, b in zip(t, t[1:]))
-
-
-def _kl_vs_product(probs: Sequence[float], masses: Sequence[float], norm: int) -> float:
-    """``sum p ln(p / mu)`` over the support of ``p``, where ``mu = masses / norm``.
-
-    ``+inf`` when ``p`` puts mass where ``mu`` has none.
-    """
-    terms = []
-    for p, mass in zip(probs, masses):
-        if p > 0.0:
-            if mass == 0.0:
-                return math.inf
-            terms.append(p * math.log(p * norm / mass))
-    return math.fsum(terms)
 
 
 def shearer_entropy_gap(
@@ -122,7 +108,7 @@ def _projected_divergences(spec: FamilySpec, cells: Sequence[Sequence[float]]) -
     divergences = []
     for fn, probs in zip(spec.functions, cells):
         masses, norm = _product_law(spec, fn.vars)
-        divergences.append(_kl_vs_product(probs, _cell_masses(masses).tolist(), norm))
+        divergences.append(_kl_sum(probs, _cell_masses(masses).tolist(), norm))
     return divergences
 
 
@@ -141,7 +127,7 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     k = read_width(spec)
     masses, norm = _product_law(spec, range(spec.num_variables))
     mass = math.prod(mass_i[column] for mass_i, column in zip(masses, values.T))
-    divergence = max(_kl_vs_product(conditioned.probs, mass.tolist(), norm), 0.0)
+    divergence = max(_kl_sum(conditioned.probs, mass.tolist(), norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     cells = [
@@ -165,7 +151,7 @@ def conditional_law(
     """
     outcomes: list[tuple[int, ...]] = []
     kept: list[np.ndarray] = []
-    for digits, _, sums, masses in _scan(spec, enumeration_guard(guard), "family"):
+    for digits, _, sums, masses in _scan(spec, guard):
         mask = _in_tail(sums, query)
         outcomes.extend(map(tuple, digits.T[mask].tolist()))
         kept.append(masses[mask])
@@ -187,7 +173,7 @@ def proof_trace(
     Raises :class:`ResourceError` when the family spans more assignments
     than the guard.
     """
-    mass, cells = _scan_tail(spec, query, enumeration_guard(guard), "family")
+    mass, cells = _scan_tail(spec, query, guard)
     r = spec.num_functions
     k = max(read_width(spec), 1)
     t = query.effective_threshold()

@@ -24,6 +24,15 @@ Direction = Literal["upper", "lower"]
 _EDGE_TOL = 1e-12
 
 
+def _check_rkp(r: int, k: int, p: float) -> None:
+    """DomainError unless ``r`` and ``k`` are positive ints and ``p`` lies in [0, 1]."""
+    for name, n in (("r", r), ("k", k)):
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"{name} must be a positive int, got {n!r}")
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"p must lie in [0, 1], got {p!r}")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Parameters of one tail-bound evaluation."""
@@ -35,12 +44,7 @@ class BoundQuery:
     direction: Direction = "upper"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise DomainError(f"r must be a positive int, got {self.r!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise DomainError(f"k must be a positive int, got {self.k!r}")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
+        _check_rkp(self.r, self.k, self.p)
         if not (self.eps > 0.0) or math.isinf(self.eps):
             raise DomainError(f"eps must be positive and finite, got {self.eps!r}")
         if self.direction not in ("upper", "lower"):
@@ -97,12 +101,7 @@ def simplified_tail_bound(q: BoundQuery) -> BoundResult:
 
 def shearer_and_bound(r: int, k: int, p: float) -> BoundResult:
     """Bound ``p^{r/k}`` on the probability that all r indicators are one."""
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"r must be a positive int, got {r!r}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive int, got {k!r}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
+    _check_rkp(r, k, p)
     if p == 0.0:
         return BoundResult(-math.inf, 0.0)
     return BoundResult.from_log(math.log(p) * (r / k))

@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 from .audit import conditional_law, proof_trace, shearer_entropy_gap, shearer_kl_gap
-from .bounds import BoundQuery, read_k_tail_bound, simplified_tail_bound
-from .errors import AuditError, DomainError, ReadkError
+from .bounds import BoundQuery, _check_rkp, read_k_tail_bound, simplified_tail_bound
+from .errors import AuditError, ReadkError
 from .exact import TailQuery, function_marginals, sum_pmf, tail_prob
 from .family import cover_multiplicity, load_family, read_width, save_family
 from .generators import gen_block_tight, gen_random_family
@@ -66,9 +67,8 @@ def _tail_query(args) -> TailQuery:
 
 
 def _cmd_bound(args) -> int:
+    _check_rkp(args.r, args.k, args.p)
     if args.t is not None:
-        if args.r < 1:
-            raise DomainError(f"r must be a positive int, got {args.r!r}")
         ratio = args.t / args.r
         eps = ratio - args.p if args.tail == "upper" else args.p - ratio
         if eps <= 0:
@@ -80,7 +80,7 @@ def _cmd_bound(args) -> int:
         eps = args.eps
     query = BoundQuery(r=args.r, k=args.k, p=args.p, eps=eps, direction=args.tail)
     result = simplified_tail_bound(query) if args.simplified else read_k_tail_bound(query)
-    _emit({"log_bound": result.log_bound, "bound": result.bound}, args.pretty)
+    _emit(asdict(result), args.pretty)
     return 0
 
 
@@ -98,16 +98,7 @@ def _cmd_exact(args) -> int:
 def _cmd_mc(args) -> int:
     spec = load_family(args.family)
     est = estimate_tail(spec, _tail_query(args), args.samples, args.seed)
-    _emit(
-        {
-            "estimate": est.estimate,
-            "samples": est.samples,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "seed": est.seed,
-        },
-        args.pretty,
-    )
+    _emit(asdict(est), args.pretty)
     return 0
 
 
@@ -152,18 +143,7 @@ def _cmd_trace(args) -> int:
     spec = load_family(args.family)
     trace = proof_trace(spec, _tail_query(args), check=False)
     ok = trace.chain_holds()
-    _emit(
-        {
-            "neg_log_tail": trace.neg_log_tail,
-            "shearer_term": trace.shearer_term,
-            "dpi_term": trace.dpi_term,
-            "convexity_term": trace.convexity_term,
-            "final_term": trace.final_term,
-            "chain_ok": ok,
-            "result": "PASS" if ok else "FAIL",
-        },
-        args.pretty,
-    )
+    _emit({**asdict(trace), "chain_ok": ok, "result": "PASS" if ok else "FAIL"}, args.pretty)
     return 0 if ok else 1
 
 

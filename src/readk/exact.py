@@ -41,9 +41,9 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ResourceError
 from .family import Component, FamilySpec, dependency_components
-from .info_theory import PROB_SUM_TOL
+from .info_theory import _prob_vector
 
 DEFAULT_GUARD = 1 << 24
 
@@ -93,14 +93,7 @@ class SumPmf:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if not self.probs:
-            raise ValidationError("empty pmf")
-        if any(not (p >= 0.0) or math.isnan(p) for p in self.probs):
-            raise ValidationError("pmf entries must be non-negative")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"pmf sums to {total!r}, not 1")
+        object.__setattr__(self, "probs", _prob_vector(self.probs, "pmf"))
 
     @property
     def max_sum(self) -> int:
@@ -184,18 +177,18 @@ def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") ->
         raise ResourceError(f"{what} spans {size} {unit}, exceeding the guard {guard}")
 
 
-def _scan(spec: FamilySpec, guard: int, what: str) -> Iterator[tuple]:
+def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """Every full assignment in lexicographic order, by chunks.
 
     Yields ``(digits, positions, sums, masses)`` per chunk: each variable's
     values (one row per variable, in a buffer the next chunk overwrites),
     each function's truth-table positions, and each assignment's function
     sum and product-law mass. Raises :class:`ResourceError` when the family
-    spans more than ``guard`` assignments.
+    spans more assignments than the guard (see :func:`enumeration_guard`).
     """
     sizes = [v.support_size for v in spec.variables]
     total = math.prod(sizes)
-    _check_guard(total, guard, what)
+    _check_guard(total, enumeration_guard(guard), "family")
     masses, _ = _product_law(spec, range(len(sizes)))
     # A chunk fixes the leading variables and runs through every value of
     # the trailing ones, at most CHUNK assignments unless one variable has more.
@@ -216,7 +209,7 @@ def _scan(spec: FamilySpec, guard: int, what: str) -> Iterator[tuple]:
 
 
 def _scan_tail(
-    spec: FamilySpec, query: TailQuery, guard: int, what: str
+    spec: FamilySpec, query: TailQuery, guard: int | None
 ) -> tuple[float, list[np.ndarray]]:
     """Product-law mass of a tail event, and its mass on each cell of each truth table.
 
@@ -225,7 +218,7 @@ def _scan_tail(
     """
     mass = 0.0
     cells = [np.zeros(len(table)) for table in spec.tables]
-    for _, positions, sums, masses in _scan(spec, guard, what):
+    for _, positions, sums, masses in _scan(spec, guard):
         mask = _in_tail(sums, query)
         w = masses[mask]
         mass += float(w.sum())
@@ -393,7 +386,7 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """
     _, norm = _product_law(spec, range(spec.num_variables))
     pmf = np.zeros(spec.num_functions + 1)
-    for _, _, sums, masses in _scan(spec, enumeration_guard(guard), "full family"):
+    for _, _, sums, masses in _scan(spec, guard):
         pmf += np.bincount(sums, weights=masses, minlength=len(pmf))
     return SumPmf(tuple(float(p) for p in pmf / norm))
 
@@ -437,5 +430,5 @@ def conditional_function_marginals(
     conditioning couples the components). Raises :class:`DomainError` when
     the conditioning event has probability zero.
     """
-    _, cells = _scan_tail(spec, query, enumeration_guard(guard), "full family")
+    _, cells = _scan_tail(spec, query, guard)
     return _tail_marginals(spec, cells)

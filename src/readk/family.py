@@ -13,7 +13,8 @@ The JSON file format used across the package::
 
 ``probs`` may be omitted, meaning uniform. ``vars`` are 0-based indices
 into ``variables``. Parsers reject wrong-length tables, unnormalized
-probability vectors and fields of the wrong JSON type.
+probability vectors and fields of the wrong JSON type: a JSON boolean is
+not a number, and ``truth_table`` must be a string.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .info_theory import PROB_SUM_TOL
+from .info_theory import _prob_vector
 
 
 @dataclass(frozen=True)
@@ -41,21 +42,11 @@ class Variable:
     probs: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not isinstance(self.support_size, int) or self.support_size < 1:
-            raise ValidationError(f"support_size must be a positive int, got {self.support_size!r}")
-        if not self.probs:
-            object.__setattr__(self, "probs", (1.0 / self.support_size,) * self.support_size)
-        else:
-            object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.probs) != self.support_size:
-            raise ValidationError(
-                f"variable {self.name!r}: {len(self.probs)} probs for support {self.support_size}"
-            )
-        if any(not (p >= 0.0) or math.isnan(p) or math.isinf(p) for p in self.probs):
-            raise ValidationError(f"variable {self.name!r}: negative or non-finite probability")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"variable {self.name!r}: probs sum to {total!r}")
+        n = self.support_size
+        if not isinstance(n, int) or n < 1:
+            raise ValidationError(f"support_size must be a positive int, got {n!r}")
+        probs = _prob_vector(self.probs or (1.0 / n,) * n, f"variable {self.name!r}", n)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def is_uniform(self) -> bool:
@@ -196,24 +187,6 @@ class Component(NamedTuple):
     variables: tuple[int, ...]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def dependency_components(spec: FamilySpec) -> tuple[Component, ...]:
     """Partition functions into blocks that share no variables.
 
@@ -222,22 +195,28 @@ def dependency_components(spec: FamilySpec) -> tuple[Component, ...]:
     exactly one block; unread variables belong to none. Blocks are ordered
     by their smallest function index.
     """
-    uf = _UnionFind(spec.num_functions)
-    readers: dict[int, list[int]] = {}
+    readers: list[list[int]] = [[] for _ in spec.variables]
     for j, fn in enumerate(spec.functions):
         for i in fn.vars:
-            readers.setdefault(i, []).append(j)
-    for js in readers.values():
-        for j in js[1:]:
-            uf.union(js[0], j)
-    blocks: dict[int, list[int]] = {}
-    for j in range(spec.num_functions):
-        blocks.setdefault(uf.find(j), []).append(j)
+            readers[i].append(j)
+    seen = [False] * spec.num_functions
     components = []
-    for js in blocks.values():
-        var_set = sorted({i for j in js for i in spec.functions[j].vars})
-        components.append(Component(tuple(sorted(js)), tuple(var_set)))
-    components.sort(key=lambda c: c.functions[0])
+    for start in range(spec.num_functions):
+        if seen[start]:
+            continue
+        # Walk the block from its smallest function, so blocks come out in order.
+        seen[start] = True
+        stack, block, block_vars = [start], [], set()
+        while stack:
+            j = stack.pop()
+            block.append(j)
+            for i in set(spec.functions[j].vars) - block_vars:
+                block_vars.add(i)
+                for reader in readers[i]:
+                    if not seen[reader]:
+                        seen[reader] = True
+                        stack.append(reader)
+        components.append(Component(tuple(sorted(block)), tuple(sorted(block_vars))))
     return tuple(components)
 
 
@@ -258,17 +237,21 @@ def family_to_json(spec: FamilySpec) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _expect_list(value, what: str, item: type | tuple[type, ...] = object) -> list:
-    """``value`` if it is a JSON list of ``item`` entries; ValidationError otherwise."""
-    if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+def _expect(value, what: str, kind: type, item: type | tuple[type, ...] = object):
+    """``value`` if of JSON type ``kind``, a list's entries of ``item``; ValidationError otherwise.
+
+    A JSON boolean is neither a number nor anything else expected here.
+    """
+    def fits(x, t) -> bool:
+        return isinstance(x, t) and not isinstance(x, bool)
+
+    if not fits(value, kind) or (kind is list and not all(fits(x, item) for x in value)):
         raise ValidationError(f"{what} has the wrong JSON type: {json.dumps(value)}")
     return value
 
 
 def _expect_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} has the wrong JSON type: {json.dumps(obj)}")
-    extra = set(obj) - allowed
+    extra = set(_expect(obj, what, dict)) - allowed
     if extra:
         raise ValidationError(f"{what}: unknown keys {sorted(extra)}")
     missing = required - set(obj)
@@ -283,19 +266,21 @@ def family_from_json(text: str) -> FamilySpec:
         raise ValidationError(f"malformed family file: {e}") from None
     _expect_keys(obj, {"variables", "functions"}, {"variables", "functions"}, "family")
     variables = []
-    for entry in _expect_list(obj["variables"], "family: variables"):
+    for entry in _expect(obj["variables"], "family: variables", list):
         _expect_keys(entry, {"name", "support", "probs"}, {"name", "support"}, "variable")
         name = str(entry["name"])
-        probs = _expect_list(entry.get("probs") or [], f"variable {name!r}: probs", (int, float))
-        variables.append(Variable(name, entry["support"], tuple(probs)))
+        support = _expect(entry["support"], f"variable {name!r}: support", int)
+        probs = _expect(entry.get("probs") or [], f"variable {name!r}: probs", list, (int, float))
+        variables.append(Variable(name, support, tuple(probs)))
     functions = []
-    for entry in _expect_list(obj["functions"], "family: functions"):
+    for entry in _expect(obj["functions"], "family: functions", list):
         _expect_keys(
             entry, {"name", "vars", "truth_table"}, {"name", "vars", "truth_table"}, "function"
         )
         name = str(entry["name"])
-        read = _expect_list(entry["vars"], f"function {name!r}: vars", int)
-        functions.append(ReadFunction(name, tuple(read), str(entry["truth_table"])))
+        read = _expect(entry["vars"], f"function {name!r}: vars", list, int)
+        table = _expect(entry["truth_table"], f"function {name!r}: truth_table", str)
+        functions.append(ReadFunction(name, tuple(read), table))
     return FamilySpec(tuple(variables), tuple(functions))
 
 

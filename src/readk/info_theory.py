@@ -8,7 +8,10 @@ finite and non-negative; divergences are non-negative or ``+inf``.
 
 Projections and push-forwards merge outcomes through one group-by kernel:
 each merged probability is the correctly rounded sum of its group, equal
-to ``math.fsum`` over that group in any order.
+to ``math.fsum`` over that group in any order. Every probability vector of
+the package (a variable's law, a :class:`Distribution`, a sum pmf) passes
+one check, and every divergence from an explicit law, here and in the
+audits, is one summation kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,27 @@ Nats = float
 
 #: Absolute tolerance for "probabilities sum to one".
 PROB_SUM_TOL = 1e-12
+
+
+def _prob_vector(probs: Iterable[float], what: str, size: int | None = None) -> tuple[float, ...]:
+    """``probs`` as a float tuple, checked to be a probability vector.
+
+    Raises :class:`ValidationError`, naming ``what``, unless the vector
+    has ``size`` entries (when given), is non-empty, holds only finite
+    non-negative entries and sums to one within ``PROB_SUM_TOL``.
+    """
+    probs = tuple(map(float, probs))
+    if size is not None and len(probs) != size:
+        raise ValidationError(f"{what}: {len(probs)} probabilities for {size} outcomes")
+    if not probs:
+        raise ValidationError(f"{what}: empty probability vector")
+    bad = next((p for p in probs if not 0.0 <= p < math.inf), None)
+    if bad is not None:
+        raise ValidationError(f"{what}: invalid probability {bad!r}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"{what}: probabilities sum to {total!r}, not 1")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -45,21 +69,10 @@ class Distribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.outcomes) != len(self.probs):
-            raise ValidationError(
-                f"{len(self.outcomes)} outcomes but {len(self.probs)} probabilities"
-            )
-        if not self.outcomes:
-            raise ValidationError("distribution needs at least one outcome")
+        probs = _prob_vector(self.probs, "distribution", len(self.outcomes))
+        object.__setattr__(self, "probs", probs)
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValidationError("outcome labels must be distinct")
-        for p in self.probs:
-            if not (p >= 0.0) or math.isinf(p) or math.isnan(p):
-                raise ValidationError(f"invalid probability {p!r}")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
     def uniform(cls, outcomes: Sequence[Hashable]) -> "Distribution":
@@ -111,14 +124,22 @@ def kl_divergence(d1: Distribution, d2: Distribution) -> Nats:
     """
     if d1.outcomes != d2.outcomes:
         raise DomainError("distributions are over different ordered outcome sets")
+    return max(_kl_sum(d1.probs, d2.probs), 0.0)
+
+
+def _kl_sum(probs: Iterable[float], masses: Iterable[float], norm: int = 1) -> float:
+    """Unclamped ``sum p ln(p * norm / mass)`` over the support of ``probs``.
+
+    The divergence from the law ``masses / norm``; ``+inf`` when ``probs``
+    puts mass where ``masses`` has none.
+    """
     terms = []
-    for p, q in zip(d1.probs, d2.probs):
-        if p == 0.0:
-            continue
-        if q == 0.0:
-            return math.inf
-        terms.append(p * math.log(p / q))
-    return max(math.fsum(terms), 0.0)
+    for p, mass in zip(probs, masses):
+        if p > 0.0:
+            if mass == 0.0:
+                return math.inf
+            terms.append(p * math.log(p * norm / mass))
+    return math.fsum(terms)
 
 
 def kl_binary(q: float, p: float) -> Nats:

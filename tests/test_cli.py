@@ -104,6 +104,28 @@ class TestExact:
         assert res.returncode == 2
         assert res.stderr == "error: family: variables has the wrong JSON type: 5\n"
 
+    @pytest.mark.parametrize(
+        "variable, function, message",
+        [
+            ('"support": true', '"vars": [0], "truth_table": "0"', "variable 'x': support"),
+            ('"support": 2, "probs": [true, false]', '"vars": [0], "truth_table": "01"',
+             "variable 'x': probs"),
+            ('"support": 2', '"vars": [0], "truth_table": 10', "function 'y': truth_table"),
+            ('"support": 2', '"vars": [true], "truth_table": "01"', "function 'y': vars"),
+        ],
+        ids=["support-bool", "probs-bool", "table-number", "vars-bool"],
+    )
+    def test_json_boolean_or_numeric_table_is_exit_two(self, tmp_path, variable, function, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            f'{{"variables": [{{"name": "x", {variable}}}, {{"name": "z", "support": 2}}],'
+            f' "functions": [{{"name": "y", {function}}}]}}'
+        )
+        res = run_cli("exact", bad)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {message} has the wrong JSON type: ")
+        assert res.stderr.count("\n") == 1
+
 
 class TestVerify:
     def test_block_passes_with_zero_slack_at_top(self, block_file):

@@ -127,6 +127,9 @@ class TestValidation:
 
 #: One well-formed variable, for cases whose fault is in the functions.
 ONE_VARIABLE = '[{"name": "x", "support": 2}]'
+TWO_VARIABLES = '[{"name": "x", "support": 2}, {"name": "z", "support": 2}]'
+#: One well-formed function of a binary variable 0, for cases whose fault is in the variables.
+ONE_FUNCTION = '[{"name": "y", "vars": [0], "truth_table": "01"}]'
 
 
 class TestFileFormat:
@@ -172,14 +175,21 @@ class TestFileFormat:
             (ONE_VARIABLE, '["y"]'),
             (ONE_VARIABLE, '[{"name": "y", "vars": 0, "truth_table": "01"}]'),
             (ONE_VARIABLE, '[{"name": "y", "vars": [[0]], "truth_table": "01"}]'),
+            # JSON booleans are not numbers; each family below is otherwise valid.
+            ('[{"name": "x", "support": true}]', ONE_FUNCTION),
+            ('[{"name": "x", "support": 2, "probs": [true, false]}]', ONE_FUNCTION),
+            (TWO_VARIABLES, '[{"name": "y", "vars": [true], "truth_table": "01"}]'),
+            (ONE_VARIABLE, '[{"name": "y", "vars": [0], "truth_table": 10}]'),
         ],
         ids=["variables-number", "variable-number", "probs-null", "probs-string",
-             "functions-object", "function-string", "vars-number", "vars-nested"],
+             "functions-object", "function-string", "vars-number", "vars-nested",
+             "support-bool", "probs-bool", "vars-bool", "table-number"],
     )
     def test_rejects_wrong_json_types(self, variables, functions):
         with pytest.raises(ValidationError) as info:
             family_from_json(f'{{"variables": {variables}, "functions": {functions}}}')
         assert "\n" not in str(info.value)
+        assert "has the wrong JSON type" in str(info.value)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValidationError):

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readk.errors import DomainError, ValidationError
+from readk.exact import SumPmf
+from readk.family import Variable
 from readk.info_theory import (
     Distribution,
     conditional_entropy,
@@ -57,6 +59,31 @@ class TestEntropy:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValidationError):
             Distribution(("a", "a"), (0.5, 0.5))
+
+
+#: One bad vector per fault; every constructor of a probability vector rejects each.
+BAD_VECTORS = {
+    "negative": (-0.5, 1.5),
+    "nan": (math.nan, 1.0),
+    "inf": (math.inf, 0.0),
+    "-inf": (-math.inf, 1.0),
+    "unnormalised": (0.5, 0.6),
+    "empty": (),
+}
+VECTOR_OWNERS = {
+    "Variable": lambda probs: Variable("x", len(probs), probs),
+    "Distribution": lambda probs: Distribution(tuple(range(len(probs))), probs),
+    "SumPmf": SumPmf,
+}
+
+
+@pytest.mark.parametrize("make", VECTOR_OWNERS.values(), ids=VECTOR_OWNERS)
+@pytest.mark.parametrize("probs", BAD_VECTORS.values(), ids=BAD_VECTORS)
+def test_bad_probability_vectors_rejected_alike(make, probs):
+    with pytest.raises(ValidationError) as info:
+        make(probs)
+    if probs and not 0.0 <= probs[0] < math.inf:
+        assert f"invalid probability {probs[0]!r}" in str(info.value)
 
 
 class TestKlDivergence:

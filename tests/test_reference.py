@@ -24,7 +24,15 @@ from readk.exact import (
     sum_pmf_enumerate,
     tail_prob,
 )
-from readk.family import FamilySpec, ReadFunction, Variable, eval_function, read_width
+from readk.family import (
+    Component,
+    FamilySpec,
+    ReadFunction,
+    Variable,
+    dependency_components,
+    eval_function,
+    read_width,
+)
 from readk.generators import gen_random_family
 from readk.info_theory import (
     Distribution,
@@ -270,3 +278,66 @@ def test_entropy_gap_rejects_mixed_tuple_and_scalar_outcomes():
     joint = Distribution(((0, 0), 1), (0.5, 0.5))
     with pytest.raises(DomainError, match="outcomes must all be tuples of one common length"):
         shearer_entropy_gap(joint, [[0]], 1)
+
+
+def reference_kl_divergence(d1, d2):
+    """The former loop of ``kl_divergence``: ``max(fsum(p ln(p/q)), 0)``, ``+inf`` off support."""
+    terms = []
+    for p, q in zip(d1.probs, d2.probs):
+        if p == 0.0:
+            continue
+        if q == 0.0:
+            return math.inf
+        terms.append(p * math.log(p / q))
+    return max(math.fsum(terms), 0.0)
+
+
+@st.composite
+def law_pairs(draw):
+    """Two laws over one outcome set, zero and subnormal masses included."""
+    n = draw(st.integers(1, 8))
+    laws = []
+    for _ in range(2):
+        raw = draw(st.lists(st.just(0.0) | st.floats(1e-310, 1.0), min_size=n, max_size=n))
+        total = math.fsum(raw)
+        assume(total > 0.0)
+        laws.append(Distribution(tuple(range(n)), tuple(x / total for x in raw)))
+    return laws
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_pairs())
+def test_kl_divergence_is_bit_identical_to_loop_reference(laws):
+    assert kl_divergence(*laws) == reference_kl_divergence(*laws)
+
+
+def reference_components(spec):
+    """Blocks by brute force: Warshall's transitive closure of "reads a common variable"."""
+    reads = [set(fn.vars) for fn in spec.functions]
+    r = len(reads)
+    linked = [[a == b or bool(reads[a] & reads[b]) for b in range(r)] for a in range(r)]
+    for via in range(r):
+        for a in range(r):
+            for b in range(r):
+                linked[a][b] = linked[a][b] or (linked[a][via] and linked[via][b])
+    blocks = sorted({tuple(b for b in range(r) if linked[a][b]) for a in range(r)})
+    return tuple(
+        Component(js, tuple(sorted(set().union(*(reads[j] for j in js))))) for js in blocks
+    )
+
+
+@st.composite
+def read_structures(draw):
+    """Binary variables read in any order; functions may read nothing, variables may go unread."""
+    m = draw(st.integers(1, 8))
+    functions = []
+    for j in range(draw(st.integers(1, 10))):
+        read = draw(st.lists(st.integers(0, m - 1), max_size=min(m, 4), unique=True))
+        functions.append(ReadFunction(f"y{j}", tuple(read), "0" * 2 ** len(read)))
+    return FamilySpec(tuple(Variable(f"x{i}", 2) for i in range(m)), tuple(functions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(read_structures())
+def test_dependency_components_match_brute_force_connectivity(spec):
+    assert dependency_components(spec) == reference_components(spec)
