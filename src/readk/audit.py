@@ -72,7 +72,7 @@ def shearer_entropy_gap(
     Requires every coordinate to be covered at least ``k`` times. Raises
     :class:`AuditError` if the inequality fails beyond ``GAP_TOL``.
     """
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"k must be a non-negative int, got {k!r}")
     width = _require_tuple_outcomes(joint)
     sets = [tuple(sorted(set(p))) for p in cover]
@@ -88,14 +88,14 @@ def shearer_entropy_gap(
 
 
 def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
-    """The law's outcomes as an ``(outcomes, variables)`` array of in-range values."""
+    """The law's outcomes as in-range values, one row per variable (the scan's digits layout)."""
     m = spec.num_variables
     if _require_tuple_outcomes(d) != m:
         raise DomainError(f"outcomes are not assignments of {m} variables")
-    values = np.array(d.outcomes)
+    values = np.array(list(zip(*d.outcomes)))
     if values.dtype.kind not in "iu":
         raise DomainError("outcome values must be integers")
-    bad = np.argwhere((values < 0) | (values >= [v.support_size for v in spec.variables]))
+    bad = np.argwhere(((values < 0) | (values >= [[v.support_size] for v in spec.variables])).T)
     if len(bad):
         row, i = bad[0]
         a = d.outcomes[row]
@@ -126,12 +126,12 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     values = _assignment_values(spec, conditioned)
     k = read_width(spec)
     masses, norm = _product_law(spec, range(spec.num_variables))
-    mass = math.prod(mass_i[column] for mass_i, column in zip(masses, values.T))
+    mass = math.prod(mass_i[row] for mass_i, row in zip(masses, values))
     divergence = max(_kl_sum(conditioned.probs, mass.tolist(), norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     cells = [
-        _group_sums(_table_positions(spec, j, values.T), conditioned.probs, len(table))
+        _group_sums(_table_positions(spec, j, values), conditioned.probs, len(table))
         for j, table in enumerate(spec.tables)
     ]
     rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))
@@ -153,7 +153,7 @@ def conditional_law(
     kept: list[np.ndarray] = []
     for digits, _, sums, masses in _scan(spec, guard):
         mask = _in_tail(sums, query)
-        outcomes.extend(map(tuple, digits.T[mask].tolist()))
+        outcomes.extend(zip(*digits[:, mask].tolist()))
         kept.append(masses[mask])
     weights = np.concatenate(kept)
     z = float(weights.sum())

@@ -27,7 +27,7 @@ _EDGE_TOL = 1e-12
 def _check_rkp(r: int, k: int, p: float) -> None:
     """DomainError unless ``r`` and ``k`` are positive ints and ``p`` lies in [0, 1]."""
     for name, n in (("r", r), ("k", k)):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise DomainError(f"{name} must be a positive int, got {n!r}")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p!r}")

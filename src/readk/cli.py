@@ -109,7 +109,7 @@ def _cmd_verify(args) -> int:
     k = max(read_width(spec), 1)
     p = function_marginals(spec).mean
     rows = []
-    for tail, direction in (("upper", "ge"), ("lower", "le")):
+    for tail, direction in _TAIL_TO_DIRECTION.items():
         for t in range(0, r + 1):
             eps = t / r - p if tail == "upper" else p - t / r
             if eps <= 0:
@@ -206,11 +206,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="human-aligned output")
+    family = argparse.ArgumentParser(add_help=False, parents=[pretty])
+    family.add_argument("family", help="family file (JSON)")
+    event = argparse.ArgumentParser(add_help=False, parents=[family])
+    event.add_argument("--t", type=float, required=True)
+    event.add_argument("--tail", choices=("upper", "lower"), required=True)
 
-    def add_pretty(p):
-        p.add_argument("--pretty", action="store_true", help="human-aligned output")
-
-    p = sub.add_parser("bound", help="closed-form tail bound for (r, k, p, eps)")
+    p = sub.add_parser("bound", parents=[pretty], help="closed-form tail bound for (r, k, p, eps)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
@@ -219,46 +223,32 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--t", type=float, help="raw threshold; converted via eps = t/r - p")
     p.add_argument("--tail", choices=("upper", "lower"), required=True)
     p.add_argument("--simplified", action="store_true", help="use exp(-2 eps^2 r/k)")
-    add_pretty(p)
     p.set_defaults(fn=_cmd_bound)
 
-    p = sub.add_parser("exact", help="exact pmf of the function sum; optional tail")
-    p.add_argument("family", help="family file (JSON)")
+    p = sub.add_parser("exact", parents=[family],
+                       help="exact pmf of the function sum; optional tail")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--tail", choices=("upper", "lower"), default="upper")
-    add_pretty(p)
     p.set_defaults(fn=_cmd_exact)
 
-    p = sub.add_parser("mc", help="seeded Monte Carlo tail estimate")
-    p.add_argument("family")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tail", choices=("upper", "lower"), required=True)
+    p = sub.add_parser("mc", parents=[event], help="seeded Monte Carlo tail estimate")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add_pretty(p)
     p.set_defaults(fn=_cmd_mc)
 
-    p = sub.add_parser("verify", help="exact tail vs bound at every integer threshold")
-    p.add_argument("family")
+    p = sub.add_parser("verify", parents=[family],
+                       help="exact tail vs bound at every integer threshold")
     p.add_argument("--tol", type=float, default=1e-9, help="relative slack allowed")
-    add_pretty(p)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("trace", help="proof-chain quantities for one tail event")
-    p.add_argument("family")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tail", choices=("upper", "lower"), required=True)
-    add_pretty(p)
+    p = sub.add_parser("trace", parents=[event], help="proof-chain quantities for one tail event")
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser("shearer", help="entropy inequality and its divergence corollary")
-    p.add_argument("family")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tail", choices=("upper", "lower"), required=True)
-    add_pretty(p)
+    p = sub.add_parser("shearer", parents=[event],
+                       help="entropy inequality and its divergence corollary")
     p.set_defaults(fn=_cmd_shearer)
 
-    p = sub.add_parser("gen", help="write a generated family file")
+    p = sub.add_parser("gen", parents=[pretty], help="write a generated family file")
     p.add_argument("--preset", choices=("block-tight", "random"), required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--blocks", type=int)
@@ -268,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, dest="max_arity")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output family file")
-    add_pretty(p)
     p.set_defaults(fn=_cmd_gen)
     return parser
 

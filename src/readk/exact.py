@@ -156,13 +156,13 @@ def _cell_masses(masses: list[np.ndarray], lead: float = 1.0) -> np.ndarray:
     return cells
 
 
-def _table_positions(spec: FamilySpec, j: int, columns: np.ndarray) -> np.ndarray:
-    """Mixed-radix truth-table position of function j; ``columns[i]`` holds variable i's values."""
+def _table_positions(spec: FamilySpec, j: int, values: np.ndarray) -> np.ndarray:
+    """Mixed-radix truth-table position of function j; ``values`` holds one row per variable."""
     read = spec.functions[j].vars
-    positions = columns[read[0]].copy() if read else np.zeros_like(columns[0])
+    positions = values[read[0]].copy() if read else np.zeros_like(values[0])
     for i in read[1:]:
         positions *= spec.variables[i].support_size
-        positions += columns[i]
+        positions += values[i]
     return positions
 
 

@@ -43,7 +43,7 @@ class Variable:
 
     def __post_init__(self) -> None:
         n = self.support_size
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValidationError(f"support_size must be a positive int, got {n!r}")
         probs = _prob_vector(self.probs or (1.0 / n,) * n, f"variable {self.name!r}", n)
         object.__setattr__(self, "probs", probs)
@@ -84,7 +84,7 @@ class FamilySpec:
             if len(set(fn.vars)) != len(fn.vars):
                 raise ValidationError(f"function {fn.name!r}: duplicate variable indices")
             for i in fn.vars:
-                if not isinstance(i, int) or not (0 <= i < m):
+                if isinstance(i, bool) or not isinstance(i, int) or not (0 <= i < m):
                     raise ValidationError(f"function {fn.name!r}: variable index {i!r} out of range")
             expected = math.prod(self.variables[i].support_size for i in fn.vars)
             if len(fn.truth_table) != expected:

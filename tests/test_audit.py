@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ class TestKlGap:
         lhs, rhs = shearer_kl_gap(spec, law)
         assert lhs == math.inf
         assert rhs == pytest.approx(0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25))
+
+    @pytest.mark.parametrize(
+        "outcomes, message",
+        [
+            (((0, 1, 0), (1, 0, 1)), "outcomes are not assignments of 2 variables"),
+            (((0,), (1,)), "outcomes are not assignments of 2 variables"),
+            (((0, 1.0), (1, 0)), "outcome values must be integers"),
+            (((0, 1.5), (1, 0)), "outcome values must be integers"),
+            (((1, 2), (0, -1)), "outcome (0, -1): value -1 out of range at position 1"),
+            (((1, 2), (2, 0)), "outcome (2, 0): value 2 out of range at position 0"),
+            # two bad outcomes: the first outcome is reported, not the lowest position
+            (((0, 5), (2, 0)), "outcome (0, 5): value 5 out of range at position 1"),
+        ],
+        ids=["too-wide", "too-narrow", "integral-float", "float", "negative", "too-large",
+             "two-bad-outcomes"],
+    )
+    def test_rejects_laws_that_are_not_assignments(self, outcomes, message):
+        spec = FamilySpec(
+            (Variable("a", 2), Variable("b", 3)), (ReadFunction("f", (0, 1), "010101"),)
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            shearer_kl_gap(spec, Distribution(outcomes, (0.5, 0.5)))
 
 
 class TestConditionalLaw:

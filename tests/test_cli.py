@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,40 @@ def test_unknown_subcommand_is_exit_two():
     assert run_cli("frobnicate").returncode == 2
 
 
+#: Every option each subcommand accepts, ``family`` being the positional.
+SUBCOMMAND_OPTIONS = {
+    "bound": {"--r", "--k", "--p", "--eps", "--t", "--tail", "--simplified", "--pretty"},
+    "exact": {"family", "--t", "--tail", "--pretty"},
+    "mc": {"family", "--t", "--tail", "--samples", "--seed", "--pretty"},
+    "verify": {"family", "--tol", "--pretty"},
+    "trace": {"family", "--t", "--tail", "--pretty"},
+    "shearer": {"family", "--t", "--tail", "--pretty"},
+    "gen": {"--preset", "--k", "--blocks", "--p", "--m", "--r", "--max-arity", "--seed",
+            "--out", "--pretty"},
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_OPTIONS))
+def test_help_names_every_option(command):
+    res = run_cli(command, "--help")
+    assert res.returncode == 0, res.stderr
+    options = SUBCOMMAND_OPTIONS[command]
+    flags = {o for o in options if o.startswith("--")} | {"--help"}
+    assert set(re.findall(r"--[\w-]+", res.stdout)) == flags
+    assert ("family" in options) == bool(re.search(r"^  family\b", res.stdout, re.M))
+
+
+@pytest.mark.parametrize("command", ["mc", "trace", "shearer"])
+@pytest.mark.parametrize("missing", ["family", "--t"])
+def test_tail_event_arguments_are_required(block_file, command, missing):
+    given = {"family": [block_file], "--t": ["--t", 4]}
+    argv = [a for name, args in given.items() if name != missing for a in args]
+    extra = ["--samples", 100, "--seed", 1] if command == "mc" else []
+    res = run_cli(command, *argv, "--tail", "upper", *extra)
+    assert res.returncode == 2
+    assert f"the following arguments are required: {missing}" in res.stderr
+
+
 def test_guard_env_variable_is_honored(tmp_path):
     xor = tmp_path / "xor.json"
     xor.write_text(
@@ -366,6 +401,22 @@ GOLDEN_STDOUT = {
         '"bound": 9.4048240346126877e-01, "slack": 5.1548240346126872e-01, '
         '"ok": true}\n'
         '{"result": "PASS", "r": 4, "k": 3, "thresholds": 5, "violations": 0}\n'
+    ),
+    ('random', ('mc', '--t', 3, '--tail', 'upper', '--samples', 20000, '--seed', 7)): (
+        '{"estimate": 5.1315000000000000e-01, "samples": 20000, '
+        '"ci_low": 5.0164096293499316e-01, "ci_high": 5.2465903706500683e-01, "seed": 7}\n'
+    ),
+    ('random', ('mc', '--t', 1, '--tail', 'lower', '--samples', 20000, '--seed', 7)): (
+        '{"estimate": 1.6800000000000001e-01, "samples": 20000, '
+        '"ci_low": 1.5649096293499318e-01, "ci_high": 1.7950903706500684e-01, "seed": 7}\n'
+    ),
+    ('weighted', ('mc', '--t', 2, '--tail', 'upper', '--samples', 20000, '--seed', 7)): (
+        '{"estimate": 5.7355000000000000e-01, "samples": 20000, '
+        '"ci_low": 5.6204096293499317e-01, "ci_high": 5.8505903706500684e-01, "seed": 7}\n'
+    ),
+    ('weighted', ('mc', '--t', 1, '--tail', 'lower', '--samples', 20000, '--seed', 7)): (
+        '{"estimate": 4.2645000000000000e-01, "samples": 20000, '
+        '"ci_low": 4.1494096293499316e-01, "ci_high": 4.3795903706500683e-01, "seed": 7}\n'
     ),
 }
 

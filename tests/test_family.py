@@ -1,8 +1,12 @@
 import itertools
+import re
 
 import pytest
 
+from readk.audit import shearer_entropy_gap
+from readk.bounds import BoundQuery
 from readk.errors import DomainError, ValidationError
+from readk.exact import TailQuery
 from readk.family import (
     FamilySpec,
     ReadFunction,
@@ -13,6 +17,8 @@ from readk.family import (
     family_to_json,
     read_width,
 )
+from readk.info_theory import Distribution
+from readk.sampler import estimate_tail
 
 
 def spec_of(pattern, m=None):
@@ -123,6 +129,36 @@ class TestValidation:
     def test_var_index_out_of_range(self):
         with pytest.raises(ValidationError):
             FamilySpec((Variable("x", 2),), (ReadFunction("y", (1,), "01"),))
+
+
+_BITS = FamilySpec((Variable("x", 2), Variable("z", 2)), (ReadFunction("y", (0, 1), "0110"),))
+_LAW = Distribution(((0, 0), (1, 1)), (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Variable("x", True), ValidationError,
+         "support_size must be a positive int, got True"),
+        (lambda: FamilySpec(_BITS.variables, (ReadFunction("y", (True,), "01"),)),
+         ValidationError, "function 'y': variable index True out of range"),
+        (lambda: BoundQuery(True, 1, 0.5, 0.5), DomainError, "r must be a positive int, got True"),
+        (lambda: BoundQuery(4, True, 0.5, 0.25), DomainError, "k must be a positive int, got True"),
+        (lambda: shearer_entropy_gap(_LAW, [(0,), (1,)], True), DomainError,
+         "k must be a non-negative int, got True"),
+        (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), True, 0), DomainError,
+         "samples must be >= 1, got True"),
+        (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), 2.5, 0), DomainError,
+         "samples must be >= 1, got 2.5"),
+    ],
+    ids=["support", "read-index", "bound-r", "bound-k", "shearer-k", "samples-bool",
+         "samples-float"],
+)
+def test_booleans_and_non_ints_are_rejected_where_ints_belong(call, error, message):
+    # bool is a subclass of int: True would otherwise pass as 1
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is error
 
 
 #: One well-formed variable, for cases whose fault is in the functions.
