@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AuditError, DomainError
+from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
 from .exact import _cell_masses, _in_tail, _product_law, _scan, _scan_tail, _table_positions
 from .exact import _tail_marginals
@@ -72,8 +72,7 @@ def shearer_entropy_gap(
     Requires every coordinate to be covered at least ``k`` times. Raises
     :class:`AuditError` if the inequality fails beyond ``GAP_TOL``.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise DomainError(f"k must be a non-negative int, got {k!r}")
+    _check_int(k, "k", minimum=0)
     width = _require_tuple_outcomes(joint)
     sets = [tuple(sorted(set(p))) for p in cover]
     multiplicity = cover_multiplicity(sets, width)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .info_theory import Nats, kl_binary
 
 Direction = Literal["upper", "lower"]
@@ -26,9 +26,8 @@ _EDGE_TOL = 1e-12
 
 def _check_rkp(r: int, k: int, p: float) -> None:
     """DomainError unless ``r`` and ``k`` are positive ints and ``p`` lies in [0, 1]."""
-    for name, n in (("r", r), ("k", k)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise DomainError(f"{name} must be a positive int, got {n!r}")
+    _check_int(r, "r")
+    _check_int(k, "k")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
 

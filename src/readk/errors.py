@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one integer-argument check."""
 
 
 class ReadkError(Exception):
@@ -19,3 +19,13 @@ class ResourceError(ReadkError, RuntimeError):
 
 class AuditError(ReadkError, AssertionError):
     """A numeric inequality that must hold was violated beyond tolerance."""
+
+
+def _check_int(value, name: str, minimum: int = 1, error: type[ReadkError] = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` (not a ``bool``) of at least ``minimum``.
+
+    ``minimum`` is 1 (a positive int) or 0 (a non-negative int).
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise error(f"{name} must be a {kind} int, got {value!r}")

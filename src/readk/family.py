@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _check_int
 from .info_theory import _prob_vector
 
 
@@ -43,8 +43,7 @@ class Variable:
 
     def __post_init__(self) -> None:
         n = self.support_size
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"support_size must be a positive int, got {n!r}")
+        _check_int(n, "support_size", error=ValidationError)
         probs = _prob_vector(self.probs or (1.0 / n,) * n, f"variable {self.name!r}", n)
         object.__setattr__(self, "probs", probs)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .family import FamilySpec, ReadFunction, Variable
 
 #: Deterministic retry budget for rejected random draws.
@@ -43,8 +43,8 @@ def gen_block_tight(k: int, blocks: int, p) -> FamilySpec:
     times a binomial count. ``p`` is parsed as an exact rational with
     denominator at most 64.
     """
-    if k < 1 or blocks < 1:
-        raise DomainError("k and blocks must be >= 1")
+    _check_int(k, "k")
+    _check_int(blocks, "blocks")
     frac = _as_rational(p)
     probs = (float(1 - frac), float(frac))
     variables = tuple(Variable(f"x{b}", 2, probs) for b in range(blocks))
@@ -64,8 +64,9 @@ def gen_random_family(m: int, r: int, k: int, max_arity: int, seed: int) -> Fami
     per-variable capacity k (draws that cannot fit are rejected and
     retried, up to a fixed budget); truth tables are uniformly random.
     """
-    if m < 1 or r < 1 or k < 1 or max_arity < 1:
-        raise DomainError("m, r, k and max_arity must be >= 1")
+    for name, n in (("m", m), ("r", r), ("k", k), ("max_arity", max_arity)):
+        _check_int(n, name)
+    _check_int(seed, "seed", minimum=0)
     if max_arity > m:
         raise DomainError(f"max_arity {max_arity} exceeds the number of variables {m}")
     if r * max_arity > m * k:

@@ -207,6 +207,12 @@ class TestMc:
         out = json.loads(a.stdout)
         assert out["ci_low"] <= 0.25 <= out["ci_high"]
 
+    def test_negative_seed_is_exit_two(self, block_file):
+        res = run_cli("mc", block_file, "--t", 4, "--tail", "upper",
+                      "--samples", 100, "--seed", -1)
+        assert res.returncode == 2
+        assert res.stderr == "error: seed must be a non-negative int, got -1\n"
+
 
 class TestGen:
     def test_written_file_round_trips(self, tmp_path):

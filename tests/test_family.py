@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from readk.audit import shearer_entropy_gap
@@ -17,6 +18,7 @@ from readk.family import (
     family_to_json,
     read_width,
 )
+from readk.generators import gen_block_tight, gen_random_family
 from readk.info_theory import Distribution
 from readk.sampler import estimate_tail
 
@@ -147,12 +149,31 @@ _LAW = Distribution(((0, 0), (1, 1)), (0.5, 0.5))
         (lambda: shearer_entropy_gap(_LAW, [(0,), (1,)], True), DomainError,
          "k must be a non-negative int, got True"),
         (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), True, 0), DomainError,
-         "samples must be >= 1, got True"),
+         "samples must be a positive int, got True"),
         (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), 2.5, 0), DomainError,
-         "samples must be >= 1, got 2.5"),
+         "samples must be a positive int, got 2.5"),
+        (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), np.int64(10), 0), DomainError,
+         "samples must be a positive int, got np.int64(10)"),
+        (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), 10, True), DomainError,
+         "seed must be a non-negative int, got True"),
+        (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), 10, 1.5), DomainError,
+         "seed must be a non-negative int, got 1.5"),
+        (lambda: estimate_tail(_BITS, TailQuery(1, "ge"), 10, -1), DomainError,
+         "seed must be a non-negative int, got -1"),
+        (lambda: gen_block_tight(True, 2, "1/2"), DomainError, "k must be a positive int, got True"),
+        (lambda: gen_block_tight(2, 2.0, "1/2"), DomainError,
+         "blocks must be a positive int, got 2.0"),
+        (lambda: gen_random_family(True, 1, 1, 1, 0), DomainError,
+         "m must be a positive int, got True"),
+        (lambda: gen_random_family(4, 3, True, 2, 0), DomainError,
+         "k must be a positive int, got True"),
+        (lambda: gen_random_family(4, 3, 2, 2, -1), DomainError,
+         "seed must be a non-negative int, got -1"),
     ],
     ids=["support", "read-index", "bound-r", "bound-k", "shearer-k", "samples-bool",
-         "samples-float"],
+         "samples-float", "samples-numpy", "seed-bool", "seed-float", "seed-negative",
+         "block-k-bool", "block-count-float", "random-m-bool", "random-k-bool",
+         "random-seed-negative"],
 )
 def test_booleans_and_non_ints_are_rejected_where_ints_belong(call, error, message):
     # bool is a subclass of int: True would otherwise pass as 1

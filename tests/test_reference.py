@@ -41,6 +41,7 @@ from readk.info_theory import (
     project,
     push_forward,
 )
+from readk.sampler import _draw_values, _inverse_cdf
 
 from conftest import weighted_variant
 
@@ -341,3 +342,53 @@ def read_structures(draw):
 @given(read_structures())
 def test_dependency_components_match_brute_force_connectivity(spec):
     assert dependency_components(spec) == reference_components(spec)
+
+
+def reference_draw_values(spec, uniforms):
+    """The former inverse CDF: a clamped right ``searchsorted`` per variable, one row each."""
+    values = np.empty(uniforms.shape[::-1], dtype=np.int64)
+    for i, v in enumerate(spec.variables):
+        cum = np.cumsum(np.asarray(v.probs))
+        values[i] = np.minimum(np.searchsorted(cum, uniforms[:, i], side="right"), len(cum) - 1)
+    return values
+
+
+@st.composite
+def families_and_uniforms(draw):
+    """Supports 1-300, on both sides of a uint8 count, zero masses, and edge uniforms.
+
+    Each uniform is 0.0, the largest double below 1, one of its variable's
+    cumulative thresholds or a neighbour of one, or an ordinary draw.
+    """
+    sizes = draw(st.lists(
+        st.integers(1, 8) | st.sampled_from([20, 255, 256, 257]) | st.integers(1, 300),
+        min_size=1, max_size=6,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    variables = []
+    for i, size in enumerate(sizes):
+        raw = rng.random(size) * (rng.random(size) >= zero_share)
+        raw[rng.integers(size)] += 1.0
+        variables.append(Variable(f"x{i}", size, tuple((raw / raw.sum()).tolist())))
+    spec = FamilySpec(tuple(variables), (ReadFunction("y", (), "0"),))
+    n = draw(st.integers(1, 40))
+    uniforms = rng.random((n, len(sizes)))
+    for i, v in enumerate(spec.variables):
+        cum = np.cumsum(np.asarray(v.probs))
+        edges = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)
+        ])
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        pick = rng.random(n) < 0.7
+        uniforms[pick, i] = rng.choice(edges, size=int(pick.sum()))
+    return spec, uniforms
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_and_uniforms())
+def test_draw_values_is_bit_identical_to_searchsorted_reference(case):
+    spec, uniforms = case
+    stale = np.full(uniforms.shape[::-1], 7)
+    got = _draw_values(_inverse_cdf(spec), uniforms, stale)
+    assert np.array_equal(got, reference_draw_values(spec, uniforms))

@@ -102,3 +102,12 @@ def test_interval_coverage_over_many_seeds():
         )
     )
     assert misses <= 6
+
+
+def test_wide_table_positions_do_not_overflow():
+    # Positions into this 400-cell table reach 399, and every cell from 256
+    # on is 1, so a position held in 8 bits would wrap and read 0. Pinned to
+    # an earlier version's estimate (the exact tail is 0.36).
+    table = "".join("1" if cell >= 256 else "0" for cell in range(400))
+    spec = FamilySpec((Variable("x", 20), Variable("z", 20)), (ReadFunction("y", (0, 1), table),))
+    assert estimate_tail(spec, TailQuery(1, "ge"), 100_000, seed=5).estimate == 0.35897
