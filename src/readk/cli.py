@@ -13,6 +13,10 @@ the exact engine's guard (default ``2**24``). For ``exact`` and ``verify``
 it bounds the cells of the largest factor formed while eliminating one
 dependency component; for ``trace`` and ``shearer``, which enumerate the
 full assignment space, it bounds the number of assignments.
+
+Each subcommand imports only the modules it uses, when it runs: ``bound``
+loads ``bounds``, ``info_theory`` and ``errors`` and never numpy, and
+``exact`` loads neither the audits, the sampler nor the generators.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .audit import conditional_law, proof_trace, shearer_entropy_gap, shearer_kl_gap
-from .bounds import BoundQuery, _check_rkp, read_k_tail_bound, simplified_tail_bound
-from .errors import AuditError, ReadkError
-from .exact import TailQuery, function_marginals, sum_pmf, tail_prob
-from .family import cover_multiplicity, load_family, read_width, save_family
-from .generators import gen_block_tight, gen_random_family
-from .sampler import estimate_tail
+from .errors import AuditError, DomainError, ReadkError
 
 _TAIL_TO_DIRECTION = {"upper": "ge", "lower": "le"}
 
@@ -62,11 +60,16 @@ def _emit(obj: dict, pretty: bool = False) -> None:
         print(f"{key:>14} = {_fmt(value)}")
 
 
-def _tail_query(args) -> TailQuery:
+def _tail_query(args):
+    """The ``--t``/``--tail`` pair as an ``exact.TailQuery``."""
+    from .exact import TailQuery
+
     return TailQuery(args.t, _TAIL_TO_DIRECTION[args.tail])
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import BoundQuery, _check_rkp, read_k_tail_bound, simplified_tail_bound
+
     _check_rkp(args.r, args.k, args.p)
     if args.t is not None:
         ratio = args.t / args.r
@@ -85,6 +88,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .exact import sum_pmf, tail_prob
+    from .family import load_family
+
     spec = load_family(args.family)
     pmf = sum_pmf(spec)
     out = {"pmf": list(pmf.probs)}
@@ -96,6 +102,9 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from .family import load_family
+    from .sampler import estimate_tail
+
     spec = load_family(args.family)
     est = estimate_tail(spec, _tail_query(args), args.samples, args.seed)
     _emit(asdict(est), args.pretty)
@@ -103,6 +112,12 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .bounds import BoundQuery, read_k_tail_bound
+    from .exact import TailQuery, function_marginals, sum_pmf, tail_prob
+    from .family import load_family, read_width
+
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {args.tol!r}")
     spec = load_family(args.family)
     pmf = sum_pmf(spec)
     r = spec.num_functions
@@ -140,6 +155,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .audit import proof_trace
+    from .family import load_family
+
     spec = load_family(args.family)
     trace = proof_trace(spec, _tail_query(args), check=False)
     ok = trace.chain_holds()
@@ -148,6 +166,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_shearer(args) -> int:
+    from .audit import conditional_law, shearer_entropy_gap, shearer_kl_gap
+    from .family import cover_multiplicity, load_family, read_width
+
     spec = load_family(args.family)
     law = conditional_law(spec, _tail_query(args))
     cover = [fn.vars for fn in spec.functions]
@@ -180,6 +201,9 @@ def _cmd_shearer(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .family import save_family
+    from .generators import gen_block_tight, gen_random_family
+
     if args.preset == "block-tight":
         if args.k is None or args.blocks is None or args.p is None:
             raise ReadkError("gen --preset block-tight needs --k, --blocks and --p")

@@ -22,8 +22,6 @@ import operator
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ValidationError
 
 # Finite entropy / divergence values, in natural-log units.
@@ -176,6 +174,8 @@ def _require_tuple_outcomes(d: Distribution) -> int:
 
 def _group_sums(keys: Sequence[int], probs: Sequence[float], n: int) -> list[float]:
     """``math.fsum`` of ``probs`` per key in ``range(n)``: one rounding, whatever the order."""
+    import numpy as np  # the module's only numpy use: the closed-form bounds load without it
+
     keys = np.asarray(keys, dtype=np.intp)
     order = np.argsort(keys, kind="stable")
     ordered = np.asarray(probs, dtype=np.float64)[order].tolist()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -143,12 +144,30 @@ class TestVerify:
         assert res.returncode == 0
         assert "result: PASS" in res.stdout
 
-    def test_violations_exit_one(self, block_file):
-        # a negative tolerance makes every comparison fail, driving the
+    def test_violations_exit_one(self, block_file, monkeypatch, capsys):
+        # a zero bound under every nonzero exact tail drives the
         # violation-reporting path without needing an unsound oracle
-        res = run_cli("verify", block_file, "--tol", -1)
-        assert res.returncode == 1
-        assert json.loads(res.stdout.splitlines()[-1])["result"] == "FAIL"
+        from readk import bounds, cli
+
+        real = bounds.read_k_tail_bound
+        monkeypatch.setattr(bounds, "read_k_tail_bound",
+                            lambda query: dataclasses.replace(real(query), bound=0.0))
+        assert cli.main(["verify", str(block_file)]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert lines[-1]["result"] == "FAIL"
+        assert lines[-1]["violations"] == len(lines) - 1 > 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_outside_finite_non_negative_is_exit_two(self, block_file, tol):
+        res = run_cli("verify", block_file, "--tol", tol)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
+
+    def test_zero_tol_runs(self, block_file):
+        res = run_cli("verify", block_file, "--tol", 0)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1])["result"] == "PASS"
 
     def test_weighted_family_passes(self, tmp_path):
         fam = tmp_path / "weighted.json"
@@ -270,6 +289,48 @@ def test_tail_event_arguments_are_required(block_file, command, missing):
     res = run_cli(command, *argv, "--tail", "upper", *extra)
     assert res.returncode == 2
     assert f"the following arguments are required: {missing}" in res.stderr
+
+
+def _imported_modules(*args):
+    """Run ``python -X importtime *args``; its stdout and the modules it imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    log = re.findall(r"^import time:.*\|\s*(\S+)$", res.stderr, re.M)
+    return res.stdout, set(log)
+
+
+BOUND_ARGS = ("bound", "--r", "4", "--k", "2", "--p", "0.5", "--tail", "upper")
+
+
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (("-c", "import readk"), ""),
+        (("-c", "import readk.cli"), ""),
+        (("-m", "readk", *BOUND_ARGS, "--eps", "0.5"),
+         '{"log_bound": -1.3862943611198906e+00, "bound": 2.5000000000000000e-01}\n'),
+        (("-m", "readk", *BOUND_ARGS, "--t", "4"),
+         '{"log_bound": -1.3862943611198906e+00, "bound": 2.5000000000000000e-01}\n'),
+        (("-m", "readk", *BOUND_ARGS, "--eps", "0.5", "--simplified"),
+         '{"log_bound": -1.0000000000000000e+00, "bound": 3.6787944117144233e-01}\n'),
+    ],
+    ids=["import-readk", "import-readk-cli", "bound-eps", "bound-t", "bound-simplified"],
+)
+def test_start_up_leaves_numpy_unloaded(args, stdout):
+    out, modules = _imported_modules(*args)
+    assert "readk" in modules
+    assert "numpy" not in modules
+    assert out == stdout
+
+
+def test_exact_loads_only_its_own_modules(block_file):
+    out, modules = _imported_modules("-m", "readk", "exact", str(block_file))
+    assert json.loads(out)["pmf"] == [0.25, 0.0, 0.5, 0.0, 0.25]
+    assert {"readk.exact", "readk.family", "numpy"} <= modules
+    assert not modules & {"readk.audit", "readk.sampler", "readk.generators"}
 
 
 def test_guard_env_variable_is_honored(tmp_path):
