@@ -32,10 +32,9 @@ import numpy as np
 
 from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
-from .exact import _cell_masses, _in_tail, _product_law, _scan, _scan_tail, _table_positions
-from .exact import _tail_marginals
-from .family import FamilySpec, cover_multiplicity, read_width
-from .info_theory import Distribution, Nats, _group_sums, _kl_sum, _require_tuple_outcomes
+from .exact import _in_tail, _scan, _scan_tail, _table_positions, _tail_marginals
+from .family import FamilySpec, _product_law, read_width
+from .info_theory import Distribution, Nats, _group_sums, _kl_sum, cover_multiplicity
 from .info_theory import entropy, kl_binary, project
 
 #: Relative slack allowed per chain step (chains many floating-point ops).
@@ -73,9 +72,8 @@ def shearer_entropy_gap(
     :class:`AuditError` if the inequality fails beyond ``GAP_TOL``.
     """
     _check_int(k, "k", minimum=0)
-    width = _require_tuple_outcomes(joint)
     sets = [tuple(sorted(set(p))) for p in cover]
-    multiplicity = cover_multiplicity(sets, width)
+    multiplicity = cover_multiplicity(sets, joint._tuple_width)
     short = [i for i, c in enumerate(multiplicity) if c < k]
     if short:
         raise DomainError(f"coordinates {short} are covered fewer than k={k} times")
@@ -89,7 +87,7 @@ def shearer_entropy_gap(
 def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     """The law's outcomes as in-range values, one row per variable (the scan's digits layout)."""
     m = spec.num_variables
-    if _require_tuple_outcomes(d) != m:
+    if d._tuple_width != m:
         raise DomainError(f"outcomes are not assignments of {m} variables")
     values = np.array(list(zip(*d.outcomes)))
     if values.dtype.kind not in "iu":
@@ -104,11 +102,7 @@ def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
 
 def _projected_divergences(spec: FamilySpec, cells: Sequence[Sequence[float]]) -> list[float]:
     """Unclamped ``D(cells[j] || product law of f_j's variables)``, over f_j's table cells."""
-    divergences = []
-    for fn, probs in zip(spec.functions, cells):
-        masses, norm = _product_law(spec, fn.vars)
-        divergences.append(_kl_sum(probs, _cell_masses(masses).tolist(), norm))
-    return divergences
+    return [_kl_sum(p, masses.tolist(), norm) for p, masses, norm in zip(cells, *spec._cell_laws)]
 
 
 def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, Nats]:
@@ -129,10 +123,8 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     divergence = max(_kl_sum(conditioned.probs, mass.tolist(), norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
-    cells = [
-        _group_sums(_table_positions(spec, j, values), conditioned.probs, len(table))
-        for j, table in enumerate(spec.tables)
-    ]
+    positions = _table_positions(spec, values)
+    cells = [_group_sums(pos, conditioned.probs, len(t)) for t, pos in zip(spec.tables, positions)]
     rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")
@@ -178,7 +170,7 @@ def proof_trace(
     t = query.effective_threshold()
 
     _, norm = _product_law(spec, range(spec.num_variables))
-    neg_log_tail = -math.log(mass / norm)
+    neg_log_tail = -math.log(mass / norm) + 0.0  # normalize -0.0 on a sure event
     projected = [(fn_cells / mass).tolist() for fn_cells in cells]
     shearer_term = math.fsum(_projected_divergences(spec, projected)) / k
 

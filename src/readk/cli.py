@@ -167,7 +167,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_shearer(args) -> int:
     from .audit import conditional_law, shearer_entropy_gap, shearer_kl_gap
-    from .family import cover_multiplicity, load_family, read_width
+    from .family import load_family, read_width
+    from .info_theory import cover_multiplicity
 
     spec = load_family(args.family)
     law = conditional_law(spec, _tail_query(args))

@@ -22,7 +22,11 @@ component. The flat enumerations, :func:`sum_pmf_enumerate`,
 :func:`conditional_function_marginals` and the audits ``conditional_law``
 and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
-number of assignments.
+number of assignments. The scan and the Monte Carlo sampler add up the
+functions through one loop, :func:`_function_sums`. Each function's product
+law on its own truth-table cells, which :func:`function_marginals` and the
+audits' projected divergences read, is built once per family and kept by
+the family (``FamilySpec._cell_laws``).
 
 Every reduction runs in a fixed order, so results are bit-reproducible
 for identical inputs.
@@ -37,12 +41,12 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .family import Component, FamilySpec, dependency_components
+from .family import Component, FamilySpec, _cell_masses, _product_law, dependency_components
 from .info_theory import _prob_vector
 
 DEFAULT_GUARD = 1 << 24
@@ -139,31 +143,22 @@ class Marginals(NamedTuple):
     mean: float
 
 
-def _product_law(spec: FamilySpec, var_indices: Sequence[int]) -> tuple[list[np.ndarray], int]:
-    """The listed variables' masses (see :attr:`FamilySpec.laws`) and the product of their norms."""
-    laws = [spec.laws[i] for i in var_indices]
-    return [masses for masses, _ in laws], math.prod(norm for _, norm in laws)
+def _table_positions(spec: FamilySpec, values: np.ndarray) -> Iterator[np.ndarray]:
+    """Each function's mixed-radix truth-table positions; ``values`` has one row per variable."""
+    for fn in spec.functions:
+        positions = values[fn.vars[0]].copy() if fn.vars else np.zeros_like(values[0])
+        for i in fn.vars[1:]:
+            positions *= spec.variables[i].support_size
+            positions += values[i]
+        yield positions
 
 
-def _cell_masses(masses: list[np.ndarray], lead: float = 1.0) -> np.ndarray:
-    """``lead`` times the mass of every mixed-radix cell, first variable most significant.
-
-    Multiplies in variable order, as a product over one assignment would.
-    """
-    cells = np.array([lead])
-    for m in masses:
-        cells = np.multiply.outer(cells, m).ravel()
-    return cells
-
-
-def _table_positions(spec: FamilySpec, j: int, values: np.ndarray) -> np.ndarray:
-    """Mixed-radix truth-table position of function j; ``values`` holds one row per variable."""
-    read = spec.functions[j].vars
-    positions = values[read[0]].copy() if read else np.zeros_like(values[0])
-    for i in read[1:]:
-        positions *= spec.variables[i].support_size
-        positions += values[i]
-    return positions
+def _function_sums(spec: FamilySpec, positions: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """The function sum of ``size`` assignments from each function's positions, read lazily."""
+    sums = np.zeros(size, dtype=np.int32)
+    for table, pos in zip(spec.tables, positions):
+        sums += table[pos]
+    return sums
 
 
 def _in_tail(sums: np.ndarray, query: TailQuery) -> np.ndarray:
@@ -200,10 +195,8 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
-        positions = [_table_positions(spec, j, digits) for j in range(spec.num_functions)]
-        sums = np.zeros(digits.shape[1], dtype=np.int32)
-        for table, pos in zip(spec.tables, positions):
-            sums += table[pos]
+        positions = list(_table_positions(spec, digits))
+        sums = _function_sums(spec, positions, digits.shape[1])
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
         yield digits, positions, sums, _cell_masses(masses[lead:], lead_mass)
 
@@ -414,10 +407,8 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
 
 def function_marginals(spec: FamilySpec) -> Marginals:
     """Exact ``p_j = Pr[f_j = 1]`` for every function, plus their average."""
-    per = []
-    for fn, table in zip(spec.functions, spec.tables):
-        masses, norm = _product_law(spec, fn.vars)
-        per.append(min(float(_cell_masses(masses)[table == 1].sum()) / norm, 1.0))
+    laws = zip(spec.tables, *spec._cell_laws)
+    per = [min(float(masses[table == 1].sum()) / norm, 1.0) for table, masses, norm in laws]
     return Marginals(tuple(per), math.fsum(per) / len(per))
 
 

@@ -11,10 +11,10 @@ The JSON file format used across the package::
     {"variables": [{"name": "x1", "support": 2, "probs": [0.5, 0.5]}, ...],
      "functions": [{"name": "y1", "vars": [0, 1], "truth_table": "0110"}, ...]}
 
-``probs`` may be omitted, meaning uniform. ``vars`` are 0-based indices
-into ``variables``. Parsers reject wrong-length tables, unnormalized
-probability vectors and fields of the wrong JSON type: a JSON boolean is
-not a number, and ``truth_table`` must be a string.
+``probs`` may be omitted (or ``[]``), meaning uniform. ``vars`` are 0-based
+indices into ``variables``. Parsers reject wrong-length tables,
+unnormalized probability vectors and fields of the wrong JSON type: a JSON
+boolean is not a number, and ``name`` and ``truth_table`` must be strings.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError, _check_int
-from .info_theory import _prob_vector
+from .info_theory import _prob_vector, cover_multiplicity
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,37 @@ class FamilySpec:
             laws.append((masses, v.support_size if uniform else 1))
         return tuple(laws)
 
+    @cached_property
+    def _cell_laws(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+        """Each function's product law on its truth-table cells: ``(masses, norms)``.
 
-def cover_multiplicity(cover: Iterable[Sequence[int]], width: int) -> list[int]:
-    """How many sets of ``cover`` hold each coordinate; DomainError outside ``[0, width)``."""
-    counts = [0] * width
-    for p in cover:
-        for i in p:
-            if not (0 <= i < width):
-                raise DomainError(f"cover coordinate {i} out of range")
-            counts[i] += 1
-    return counts
+        ``Pr[cell c of f_j] = masses[j][c] / norms[j]``. The masses are read-only
+        views of one buffer, so a family of many small functions keeps one array.
+        """
+        laws = [_product_law(self, fn.vars) for fn in self.functions]
+        bounds = list(itertools.accumulate(map(len, self.tables), initial=0))
+        flat = np.empty(bounds[-1])
+        for (masses, _), a, b in zip(laws, bounds, bounds[1:]):
+            flat[a:b] = _cell_masses(masses)
+        flat.flags.writeable = False
+        return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:])), tuple(n for _, n in laws)
+
+
+def _product_law(spec: FamilySpec, var_indices: Sequence[int]) -> tuple[list[np.ndarray], int]:
+    """The listed variables' masses (see :attr:`FamilySpec.laws`) and the product of their norms."""
+    laws = [spec.laws[i] for i in var_indices]
+    return [masses for masses, _ in laws], math.prod(norm for _, norm in laws)
+
+
+def _cell_masses(masses: list[np.ndarray], lead: float = 1.0) -> np.ndarray:
+    """``lead`` times the mass of every mixed-radix cell, first variable most significant.
+
+    Multiplies in variable order, as a product over one assignment would.
+    """
+    cells = np.array([lead])
+    for m in masses:
+        cells = np.multiply.outer(cells, m).ravel()
+    return cells
 
 
 def read_width(spec: FamilySpec) -> int:
@@ -267,16 +288,16 @@ def family_from_json(text: str) -> FamilySpec:
     variables = []
     for entry in _expect(obj["variables"], "family: variables", list):
         _expect_keys(entry, {"name", "support", "probs"}, {"name", "support"}, "variable")
-        name = str(entry["name"])
+        name = _expect(entry["name"], "variable: name", str)
         support = _expect(entry["support"], f"variable {name!r}: support", int)
-        probs = _expect(entry.get("probs") or [], f"variable {name!r}: probs", list, (int, float))
+        probs = _expect(entry.get("probs", []), f"variable {name!r}: probs", list, (int, float))
         variables.append(Variable(name, support, tuple(probs)))
     functions = []
     for entry in _expect(obj["functions"], "family: functions", list):
         _expect_keys(
             entry, {"name", "vars", "truth_table"}, {"name", "vars", "truth_table"}, "function"
         )
-        name = str(entry["name"])
+        name = _expect(entry["name"], "function: name", str)
         read = _expect(entry["vars"], f"function {name!r}: vars", list, int)
         table = _expect(entry["truth_table"], f"function {name!r}: truth_table", str)
         functions.append(ReadFunction(name, tuple(read), table))

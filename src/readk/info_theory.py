@@ -11,7 +11,11 @@ each merged probability is the correctly rounded sum of its group, equal
 to ``math.fsum`` over that group in any order. Every probability vector of
 the package (a variable's law, a :class:`Distribution`, a sum pmf) passes
 one check, and every divergence from an explicit law, here and in the
-audits, is one summation kernel.
+audits, is one summation kernel. Coordinates, of a projection, of a
+conditional entropy, of a Shearer cover or of the functions' read sets,
+pass one check, :func:`cover_multiplicity`, and a law's outcomes are
+checked to be tuples of one width once per law, by
+:attr:`Distribution._tuple_width`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import operator
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, ValidationError
 
@@ -98,6 +103,15 @@ class Distribution:
         except ValueError:
             raise DomainError(f"{outcome!r} is not among the outcomes") from None
 
+    @cached_property
+    def _tuple_width(self) -> int:
+        """The outcomes' common length, checked once per law: DomainError unless all are tuples."""
+        tuples = all(map(isinstance, self.outcomes, itertools.repeat(tuple)))
+        lengths = set(map(len, self.outcomes)) if tuples else ()
+        if len(lengths) != 1:
+            raise DomainError("outcomes must all be tuples of one common length")
+        return lengths.pop()
+
     def allclose(self, other: "Distribution", tol: float = PROB_SUM_TOL) -> bool:
         """Same ordered outcome set and probabilities equal within ``tol``."""
         return self.outcomes == other.outcomes and all(
@@ -164,12 +178,15 @@ def kl_binary(q: float, p: float) -> Nats:
     return max(head + (1.0 - q) * math.log((1.0 - q) / (1.0 - p)), 0.0)
 
 
-def _require_tuple_outcomes(d: Distribution) -> int:
-    tuples = all(map(isinstance, d.outcomes, itertools.repeat(tuple)))
-    lengths = set(map(len, d.outcomes)) if tuples else ()
-    if len(lengths) != 1:
-        raise DomainError("outcomes must all be tuples of one common length")
-    return lengths.pop()
+def cover_multiplicity(cover: Iterable[Sequence[int]], width: int) -> list[int]:
+    """How many sets of ``cover`` hold each coordinate; DomainError outside ``[0, width)``."""
+    counts = [0] * width
+    for p in cover:
+        for i in p:
+            if not (0 <= i < width):
+                raise DomainError(f"coordinate {i} out of range for width {width}")
+            counts[i] += 1
+    return counts
 
 
 def _group_sums(keys: Sequence[int], probs: Sequence[float], n: int) -> list[float]:
@@ -198,13 +215,9 @@ def project(d: Distribution, coords: Sequence[int]) -> Distribution:
     order and must contain distinct, in-range positions. Each probability
     is the correctly rounded sum of its group, whatever the outcome order.
     """
-    width = _require_tuple_outcomes(d)
     coords = tuple(coords)
-    if len(set(coords)) != len(coords):
+    if max(cover_multiplicity([coords], d._tuple_width), default=0) > 1:
         raise DomainError("projection coordinates must be distinct")
-    for c in coords:
-        if not (0 <= c < width):
-            raise DomainError(f"coordinate {c} out of range for width {width}")
     columns = [map(operator.itemgetter(c), d.outcomes) for c in coords]
     subs = list(zip(*columns)) if coords else [()] * len(d.outcomes)
     return _image_law(subs, d.probs)
@@ -231,16 +244,13 @@ def conditional_entropy(
     Averages the entropy of the conditional law of the target coordinates
     over the values of the conditioning coordinates. This is a genuinely
     different computation path from entropy differences of projections,
-    which makes it useful as a cross-check of the entropy chain rule.
+    which makes it useful as a cross-check of the entropy chain rule. The
+    target and conditioning coordinates must be in range and all distinct.
     """
-    width = _require_tuple_outcomes(joint)
     target = tuple(target)
     given = tuple(given)
-    if set(target) & set(given):
-        raise DomainError("target and conditioning coordinates overlap")
-    for c in (*target, *given):
-        if not (0 <= c < width):
-            raise DomainError(f"coordinate {c} out of range for width {width}")
+    if max(cover_multiplicity([target, given], joint._tuple_width), default=0) > 1:
+        raise DomainError("target and conditioning coordinates must all be distinct")
     groups: dict[tuple, dict[tuple, list[float]]] = {}
     for a, p in zip(joint.outcomes, joint.probs):
         if p == 0.0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_int
-from .exact import TailQuery, _in_tail, _table_positions
+from .exact import TailQuery, _function_sums, _in_tail, _table_positions
 from .family import FamilySpec
 
 #: Samples per chunk, few enough for a chunk's arrays to stay in cache: larger
@@ -100,13 +100,6 @@ def sample_assignment(spec: FamilySpec, rng: np.random.Generator) -> tuple[int, 
     return tuple(values[:, 0].tolist())
 
 
-def _sums_of_values(spec: FamilySpec, values: np.ndarray) -> np.ndarray:
-    sums = np.zeros(values.shape[1], dtype=np.int64)
-    for j, table in enumerate(spec.tables):
-        sums += table[_table_positions(spec, j, values)]
-    return sums
-
-
 def estimate_tail(
     spec: FamilySpec, query: TailQuery, samples: int, seed: int
 ) -> McEstimate:
@@ -126,8 +119,8 @@ def estimate_tail(
     while done < samples:
         n = min(chunk, samples - done)
         rng.random(out=uniforms[:n])
-        sums = _sums_of_values(spec, _draw_values(blocks, uniforms[:n], values[:, :n]))
-        successes += int(np.count_nonzero(_in_tail(sums, query)))
+        positions = _table_positions(spec, _draw_values(blocks, uniforms[:n], values[:, :n]))
+        successes += int(np.count_nonzero(_in_tail(_function_sums(spec, positions, n), query)))
         done += n
     estimate = successes / samples
     half = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))

@@ -210,6 +210,8 @@ class TestProofTrace:
     def test_whole_space_gives_zeros(self, xor_family):
         trace = proof_trace(xor_family, TailQuery(0, "ge"))
         assert trace.terms() == (0.0, 0.0, 0.0, 0.0, 0.0)
+        # a sure event's -ln 1 is +0.0, not -0.0
+        assert [math.copysign(1.0, term) for term in trace.terms()] == [1.0] * 5
 
     def test_first_term_inverts_tail_probability(self, xor_family):
         trace = proof_trace(xor_family, TailQuery(2, "ge"))

@@ -198,6 +198,11 @@ class TestTraceAndShearer:
         assert out["result"] == "PASS"
         assert out["neg_log_tail"] == pytest.approx(1.3862943611198906, rel=1e-12)
 
+    def test_trace_sure_event_prints_positive_zero(self, block_file):
+        res = run_cli("trace", block_file, "--t", 0, "--tail", "upper")
+        assert res.returncode == 0
+        assert res.stdout.startswith('{"neg_log_tail": 0.0000000000000000e+00, ')
+
     def test_trace_empty_tail_is_exit_two(self, block_file):
         res = run_cli("trace", block_file, "--t", 5, "--tail", "upper")
         assert res.returncode == 2

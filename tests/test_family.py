@@ -197,11 +197,12 @@ class TestFileFormat:
         assert family_to_json(again) == text
 
     def test_probs_optional_means_uniform(self):
-        spec = family_from_json(
-            '{"variables": [{"name": "x", "support": 4}],'
-            ' "functions": [{"name": "y", "vars": [0], "truth_table": "0101"}]}'
-        )
-        assert spec.variables[0].probs == (0.25, 0.25, 0.25, 0.25)
+        for variable in ('{"name": "x", "support": 4}', '{"name": "x", "support": 4, "probs": []}'):
+            spec = family_from_json(
+                f'{{"variables": [{variable}],'
+                ' "functions": [{"name": "y", "vars": [0], "truth_table": "0101"}]}'
+            )
+            assert spec.variables[0].probs == (0.25, 0.25, 0.25, 0.25)
 
     def test_rejects_wrong_length_table(self):
         with pytest.raises(ValidationError):
@@ -237,10 +238,22 @@ class TestFileFormat:
             ('[{"name": "x", "support": 2, "probs": [true, false]}]', ONE_FUNCTION),
             (TWO_VARIABLES, '[{"name": "y", "vars": [true], "truth_table": "01"}]'),
             (ONE_VARIABLE, '[{"name": "y", "vars": [0], "truth_table": 10}]'),
+            # Only a missing "probs" (or []) means uniform; a falsy non-list does not.
+            ('[{"name": "x", "support": 2, "probs": 0}]', ONE_FUNCTION),
+            ('[{"name": "x", "support": 2, "probs": false}]', ONE_FUNCTION),
+            ('[{"name": "x", "support": 2, "probs": ""}]', ONE_FUNCTION),
+            ('[{"name": "x", "support": 2, "probs": null}]', ONE_FUNCTION),
+            ('[{"name": true, "support": 2}]', ONE_FUNCTION),
+            ('[{"name": null, "support": 2}]', ONE_FUNCTION),
+            (ONE_VARIABLE, '[{"name": 7, "vars": [0], "truth_table": "01"}]'),
+            (ONE_VARIABLE, '[{"name": false, "vars": [0], "truth_table": "01"}]'),
         ],
         ids=["variables-number", "variable-number", "probs-null", "probs-string",
              "functions-object", "function-string", "vars-number", "vars-nested",
-             "support-bool", "probs-bool", "vars-bool", "table-number"],
+             "support-bool", "probs-bool", "vars-bool", "table-number",
+             "probs-zero", "probs-false", "probs-empty-string", "probs-is-null",
+             "variable-name-bool", "variable-name-null", "function-name-number",
+             "function-name-bool"],
     )
     def test_rejects_wrong_json_types(self, variables, functions):
         with pytest.raises(ValidationError) as info:

@@ -6,15 +6,18 @@ the defining sums at the exact float64 inputs used here.
 
 import itertools
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readk.audit import shearer_entropy_gap, shearer_kl_gap
 from readk.errors import DomainError, ValidationError
 from readk.exact import SumPmf
-from readk.family import Variable
+from readk.family import FamilySpec, ReadFunction, Variable
 from readk.info_theory import (
     Distribution,
     conditional_entropy,
@@ -160,6 +163,57 @@ class TestProject:
         d = Distribution.uniform(((0, 0), (0, 1)))
         with pytest.raises(DomainError):
             project(d, (2,))
+
+
+BITS2 = Distribution.uniform(tuple(itertools.product((0, 1), repeat=2)))
+SHAPELESS_LAWS = {
+    "scalars": Distribution.uniform((0, 1)),
+    "mixed-width": Distribution.uniform(((0,), (0, 1))),
+}
+ONE_BIT = FamilySpec((Variable("a", 2),), (ReadFunction("f", (0,), "01"),))
+#: Each call on a law, made with coordinates that would be valid on a 1-tuple law.
+LAW_CALLS = {
+    "project": lambda law: project(law, (0,)),
+    "conditional_entropy": lambda law: conditional_entropy(law, (0,), ()),
+    "shearer_entropy_gap": lambda law: shearer_entropy_gap(law, [(0,)], 1),
+    "shearer_kl_gap": lambda law: shearer_kl_gap(ONE_BIT, law),
+}
+REJECTED_CALLS = {
+    "project-repeated": (
+        lambda: project(BITS2, (1, 1)), "projection coordinates must be distinct"
+    ),
+    "entropy-target-out-of-range": (
+        lambda: conditional_entropy(BITS2, (2,), ()), "coordinate 2 out of range for width 2"
+    ),
+    "entropy-given-out-of-range": (
+        lambda: conditional_entropy(BITS2, (0,), (-1,)), "coordinate -1 out of range for width 2"
+    ),
+    "entropy-overlap": (
+        lambda: conditional_entropy(BITS2, (0,), (0, 1)),
+        "target and conditioning coordinates must all be distinct",
+    ),
+    "entropy-target-repeated": (
+        lambda: conditional_entropy(BITS2, (1, 1), (0,)),
+        "target and conditioning coordinates must all be distinct",
+    ),
+    "entropy-given-repeated": (
+        lambda: conditional_entropy(BITS2, (1,), (0, 0)),
+        "target and conditioning coordinates must all be distinct",
+    ),
+    **{
+        f"{name}-{shape}": (partial(call, law), "outcomes must all be tuples of one common length")
+        for name, call in LAW_CALLS.items()
+        for shape, law in SHAPELESS_LAWS.items()
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", REJECTED_CALLS.values(), ids=REJECTED_CALLS
+)
+def test_bad_coordinates_and_outcome_shapes_rejected(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_push_forward_merges_labels():
