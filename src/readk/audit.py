@@ -72,7 +72,7 @@ def shearer_entropy_gap(
     :class:`AuditError` if the inequality fails beyond ``GAP_TOL``.
     """
     _check_int(k, "k", minimum=0)
-    sets = [tuple(sorted(set(p))) for p in cover]
+    sets = [tuple(dict.fromkeys(p)) for p in cover]
     multiplicity = cover_multiplicity(sets, joint._tuple_width)
     short = [i for i, c in enumerate(multiplicity) if c < k]
     if short:
@@ -124,7 +124,8 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     positions = _table_positions(spec, values)
-    cells = [_group_sums(pos, conditioned.probs, len(t)) for t, pos in zip(spec.tables, positions)]
+    sums = [_group_sums(pos.tolist(), conditioned.probs) for pos in positions]
+    cells = [[s.get(c, 0.0) for c in range(len(t))] for s, t in zip(sums, spec.tables)]
     rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _check_int
 from .family import Component, FamilySpec, _cell_masses, _product_law, dependency_components
 from .info_theory import _prob_vector
 
@@ -59,11 +59,22 @@ CHUNK = 1 << 20
 
 
 def enumeration_guard(guard: int | None = None) -> int:
-    """Resolve the effective guard: explicit arg, else env override, else default."""
-    if guard is not None:
-        return int(guard)
-    env = os.environ.get("READK_ENUM_GUARD")
-    return int(env) if env else DEFAULT_GUARD
+    """Resolve the effective guard: explicit arg, else env override, else default.
+
+    Raises :class:`DomainError`, naming its source, unless the guard is a positive int.
+    """
+    name = "guard"
+    if guard is None:
+        env = os.environ.get("READK_ENUM_GUARD")
+        if not env:
+            return DEFAULT_GUARD
+        name = "READK_ENUM_GUARD"
+        try:
+            guard = int(env)
+        except ValueError:
+            guard = env
+    _check_int(guard, name)
+    return guard
 
 
 @dataclass(frozen=True)

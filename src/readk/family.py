@@ -42,9 +42,11 @@ class Variable:
     probs: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValidationError(f"variable name {self.name!r} is not a str")
         n = self.support_size
         _check_int(n, "support_size", error=ValidationError)
-        probs = _prob_vector(self.probs or (1.0 / n,) * n, f"variable {self.name!r}", n)
+        probs = _prob_vector(tuple(self.probs) or (1.0 / n,) * n, f"variable {self.name!r}", n)
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -80,11 +82,19 @@ class FamilySpec:
             raise ValidationError("family needs at least one function")
         m = len(self.variables)
         for fn in self.functions:
+            if not isinstance(fn.name, str):
+                raise ValidationError(f"function name {fn.name!r} is not a str")
+            table = fn.truth_table
+            if not isinstance(table, str):
+                raise ValidationError(f"function {fn.name!r}: truth table {table!r} is not a str")
+            for i in fn.vars:
+                what = f"function {fn.name!r}: variable index {i!r}"
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise ValidationError(f"{what} is not an int")
+                if not 0 <= i < m:
+                    raise ValidationError(f"{what} out of range")
             if len(set(fn.vars)) != len(fn.vars):
                 raise ValidationError(f"function {fn.name!r}: duplicate variable indices")
-            for i in fn.vars:
-                if isinstance(i, bool) or not isinstance(i, int) or not (0 <= i < m):
-                    raise ValidationError(f"function {fn.name!r}: variable index {i!r} out of range")
             expected = math.prod(self.variables[i].support_size for i in fn.vars)
             if len(fn.truth_table) != expected:
                 raise ValidationError(

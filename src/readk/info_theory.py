@@ -6,16 +6,16 @@ divergence where the first argument has mass outside the support of the
 second is ``+inf`` (an explicit ``math.inf``, never a NaN). Entropies are
 finite and non-negative; divergences are non-negative or ``+inf``.
 
-Projections and push-forwards merge outcomes through one group-by kernel:
-each merged probability is the correctly rounded sum of its group, equal
-to ``math.fsum`` over that group in any order. Every probability vector of
-the package (a variable's law, a :class:`Distribution`, a sum pmf) passes
-one check, and every divergence from an explicit law, here and in the
-audits, is one summation kernel. Coordinates, of a projection, of a
-conditional entropy, of a Shearer cover or of the functions' read sets,
-pass one check, :func:`cover_multiplicity`, and a law's outcomes are
-checked to be tuples of one width once per law, by
-:attr:`Distribution._tuple_width`.
+Projections, push-forwards and the audits' cell masses merge outcomes
+through one plain-Python group-by, :func:`_group_sums`, with one
+``math.fsum`` per group: each merged probability is correctly rounded,
+whatever the outcome order. Every probability vector of the package (a
+variable's law, a :class:`Distribution`, a sum pmf) passes one check,
+and every divergence from an explicit law, here and in the audits, is
+one summation kernel. Coordinates, of a projection, of a conditional
+entropy, of a Shearer cover or of the functions' read sets, pass one
+check, :func:`cover_multiplicity`, and a law's outcomes are checked to
+be tuples of one width once per law, by :attr:`Distribution._tuple_width`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,32 +180,31 @@ def kl_binary(q: float, p: float) -> Nats:
 
 
 def cover_multiplicity(cover: Iterable[Sequence[int]], width: int) -> list[int]:
-    """How many sets of ``cover`` hold each coordinate; DomainError outside ``[0, width)``."""
+    """How many sets of ``cover`` hold each coordinate; DomainError unless ints in [0, width)."""
     counts = [0] * width
     for p in cover:
         for i in p:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise DomainError(f"coordinate {i!r} is not an int")
             if not (0 <= i < width):
                 raise DomainError(f"coordinate {i} out of range for width {width}")
             counts[i] += 1
     return counts
 
 
-def _group_sums(keys: Sequence[int], probs: Sequence[float], n: int) -> list[float]:
-    """``math.fsum`` of ``probs`` per key in ``range(n)``: one rounding, whatever the order."""
-    import numpy as np  # the module's only numpy use: the closed-form bounds load without it
-
-    keys = np.asarray(keys, dtype=np.intp)
-    order = np.argsort(keys, kind="stable")
-    ordered = np.asarray(probs, dtype=np.float64)[order].tolist()
-    bounds = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-    return [math.fsum(ordered[a:b]) for a, b in zip([0] + bounds, bounds)]
+def _group_sums(keys: Iterable[Hashable], probs: Iterable[float]) -> dict[Hashable, float]:
+    """``math.fsum`` of ``probs`` per distinct key: one rounding, whatever the order."""
+    groups: defaultdict[Hashable, list[float]] = defaultdict(list)
+    for key, p in zip(keys, probs):
+        groups[key].append(p)
+    return {key: math.fsum(ps) for key, ps in groups.items()}
 
 
-def _image_law(images: list[Hashable], probs: Sequence[float]) -> Distribution:
+def _image_law(images: Iterable[Hashable], probs: Sequence[float]) -> Distribution:
     """The law of the images: equal images merge, outcomes sorted."""
-    labels = sorted(dict.fromkeys(images))
-    keys = list(map({b: i for i, b in enumerate(labels)}.__getitem__, images))
-    return Distribution(tuple(labels), tuple(_group_sums(keys, probs, len(labels))))
+    sums = _group_sums(images, probs)
+    labels = sorted(sums)
+    return Distribution(tuple(labels), tuple(map(sums.__getitem__, labels)))
 
 
 def project(d: Distribution, coords: Sequence[int]) -> Distribution:
@@ -219,7 +219,7 @@ def project(d: Distribution, coords: Sequence[int]) -> Distribution:
     if max(cover_multiplicity([coords], d._tuple_width), default=0) > 1:
         raise DomainError("projection coordinates must be distinct")
     columns = [map(operator.itemgetter(c), d.outcomes) for c in coords]
-    subs = list(zip(*columns)) if coords else [()] * len(d.outcomes)
+    subs = zip(*columns) if coords else itertools.repeat(())
     return _image_law(subs, d.probs)
 
 
@@ -233,7 +233,7 @@ def push_forward(
     are correctly rounded sums, as in :func:`project`.
     """
     fn = phi.__getitem__ if isinstance(phi, Mapping) else phi
-    return _image_law(list(map(fn, d.outcomes)), d.probs)
+    return _image_law(map(fn, d.outcomes), d.probs)
 
 
 def conditional_entropy(

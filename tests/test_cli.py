@@ -308,6 +308,15 @@ def _imported_modules(*args):
 
 
 BOUND_ARGS = ("bound", "--r", "4", "--k", "2", "--p", "0.5", "--tail", "upper")
+#: Projections, a push-forward and the entropies of a three-outcome law, without numpy.
+INFO_THEORY_CALLS = (
+    "from readk.info_theory import Distribution, conditional_entropy, entropy, kl_divergence, "
+    "project, push_forward\n"
+    "d = Distribution.uniform([(0, 0), (0, 1), (1, 1)])\n"
+    "print(entropy(project(d, (0,))), "
+    "kl_divergence(project(d, (1,)), push_forward(d, lambda a: a[:1])), "
+    "conditional_entropy(d, (1,), (0,)))"
+)
 
 
 @pytest.mark.parametrize(
@@ -321,8 +330,11 @@ BOUND_ARGS = ("bound", "--r", "4", "--k", "2", "--p", "0.5", "--tail", "upper")
          '{"log_bound": -1.3862943611198906e+00, "bound": 2.5000000000000000e-01}\n'),
         (("-m", "readk", *BOUND_ARGS, "--eps", "0.5", "--simplified"),
          '{"log_bound": -1.0000000000000000e+00, "bound": 3.6787944117144233e-01}\n'),
+        (("-c", INFO_THEORY_CALLS),
+         "0.6365141682948128 0.23104906018664842 0.46209812037329684\n"),
     ],
-    ids=["import-readk", "import-readk-cli", "bound-eps", "bound-t", "bound-simplified"],
+    ids=["import-readk", "import-readk-cli", "bound-eps", "bound-t", "bound-simplified",
+         "info-theory"],
 )
 def test_start_up_leaves_numpy_unloaded(args, stdout):
     out, modules = _imported_modules(*args)
@@ -354,6 +366,19 @@ def test_guard_env_variable_is_honored(tmp_path):
     )
     assert res.returncode == 2
     assert "guard" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["1e6", "-5"])
+def test_invalid_guard_env_variable_is_named(block_file, value):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["READK_ENUM_GUARD"] = value
+    res = subprocess.run(
+        [sys.executable, "-m", "readk", "exact", str(block_file)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 2
+    assert "READK_ENUM_GUARD must be a positive int" in res.stderr
 
 
 WEIGHTED_FAMILY = {

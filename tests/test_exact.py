@@ -353,6 +353,17 @@ class TestGuard:
         with pytest.raises(ResourceError):
             conditional_function_marginals(xor_family, TailQuery(0, "ge"), guard=3)
 
+    @pytest.mark.parametrize("guard", [2.7, "100", 0, -5, True])
+    def test_guard_must_be_a_positive_int(self, xor_family, guard):
+        with pytest.raises(DomainError, match=f"^guard must be a positive int, got {guard!r}$"):
+            sum_pmf(xor_family, guard=guard)
+
+    @pytest.mark.parametrize("env", ["1e6", "-5", "0", "many"])
+    def test_env_guard_must_be_a_positive_int(self, xor_family, monkeypatch, env):
+        monkeypatch.setenv("READK_ENUM_GUARD", env)
+        with pytest.raises(DomainError, match="^READK_ENUM_GUARD must be a positive int, got "):
+            sum_pmf(xor_family)
+
 
 class TestSumPmfValidation:
     def test_rejects_negative(self):

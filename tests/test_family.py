@@ -132,6 +132,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FamilySpec((Variable("x", 2),), (ReadFunction("y", (1,), "01"),))
 
+    def test_numpy_probs_equal_tuple_probs(self):
+        assert Variable("x", 2, np.array([0.3, 0.7])) == Variable("x", 2, (0.3, 0.7))
+
+    def test_empty_probs_array_means_uniform(self):
+        assert Variable("x", 2, np.array([])) == Variable("x", 2)
+
 
 _BITS = FamilySpec((Variable("x", 2), Variable("z", 2)), (ReadFunction("y", (0, 1), "0110"),))
 _LAW = Distribution(((0, 0), (1, 1)), (0.5, 0.5))
@@ -143,7 +149,9 @@ _LAW = Distribution(((0, 0), (1, 1)), (0.5, 0.5))
         (lambda: Variable("x", True), ValidationError,
          "support_size must be a positive int, got True"),
         (lambda: FamilySpec(_BITS.variables, (ReadFunction("y", (True,), "01"),)),
-         ValidationError, "function 'y': variable index True out of range"),
+         ValidationError, "function 'y': variable index True is not an int"),
+        (lambda: FamilySpec(_BITS.variables, (ReadFunction("y", (np.int64(0),), "01"),)),
+         ValidationError, "function 'y': variable index np.int64(0) is not an int"),
         (lambda: BoundQuery(True, 1, 0.5, 0.5), DomainError, "r must be a positive int, got True"),
         (lambda: BoundQuery(4, True, 0.5, 0.25), DomainError, "k must be a positive int, got True"),
         (lambda: shearer_entropy_gap(_LAW, [(0,), (1,)], True), DomainError,
@@ -170,9 +178,9 @@ _LAW = Distribution(((0, 0), (1, 1)), (0.5, 0.5))
         (lambda: gen_random_family(4, 3, 2, 2, -1), DomainError,
          "seed must be a non-negative int, got -1"),
     ],
-    ids=["support", "read-index", "bound-r", "bound-k", "shearer-k", "samples-bool",
-         "samples-float", "samples-numpy", "seed-bool", "seed-float", "seed-negative",
-         "block-k-bool", "block-count-float", "random-m-bool", "random-k-bool",
+    ids=["support", "read-index", "read-index-numpy", "bound-r", "bound-k", "shearer-k",
+         "samples-bool", "samples-float", "samples-numpy", "seed-bool", "seed-float",
+         "seed-negative", "block-k-bool", "block-count-float", "random-m-bool", "random-k-bool",
          "random-seed-negative"],
 )
 def test_booleans_and_non_ints_are_rejected_where_ints_belong(call, error, message):
@@ -180,6 +188,24 @@ def test_booleans_and_non_ints_are_rejected_where_ints_belong(call, error, messa
     with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
         call()
     assert type(raised.value) is error
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Variable(1, 2), "variable name 1 is not a str"),
+        (lambda: FamilySpec(_BITS.variables, (ReadFunction(1, (0,), "01"),)),
+         "function name 1 is not a str"),
+        (lambda: FamilySpec(_BITS.variables, (ReadFunction("y", (0,), [0, 1]),)),
+         "function 'y': truth table [0, 1] is not a str"),
+        (lambda: FamilySpec(_BITS.variables, (ReadFunction("y", (2,), "01"),)),
+         "function 'y': variable index 2 out of range"),
+    ],
+    ids=["variable-name", "function-name", "table-list", "read-index-range"],
+)
+def test_library_path_rejects_what_the_file_format_rejects(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 #: One well-formed variable, for cases whose fault is in the functions.

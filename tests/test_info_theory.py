@@ -200,6 +200,14 @@ REJECTED_CALLS = {
         lambda: conditional_entropy(BITS2, (1,), (0, 0)),
         "target and conditioning coordinates must all be distinct",
     ),
+    "project-float": (lambda: project(BITS2, (0.5,)), "coordinate 0.5 is not an int"),
+    "project-bool": (lambda: project(BITS2, (True,)), "coordinate True is not an int"),
+    "entropy-float": (
+        lambda: conditional_entropy(BITS2, (1.0,), ()), "coordinate 1.0 is not an int"
+    ),
+    "shearer-str": (
+        lambda: shearer_entropy_gap(BITS2, [(0, "1")], 1), "coordinate '1' is not an int"
+    ),
     **{
         f"{name}-{shape}": (partial(call, law), "outcomes must all be tuples of one common length")
         for name, call in LAW_CALLS.items()
