@@ -11,7 +11,10 @@ elimination order is greedy min-degree, ties broken by variable index, so
 the cost grows with a component's treewidth rather than its assignment
 count. Components of uniform variables with fewer than ``2**62``
 assignments carry exact integer counts and divide by the total at the
-end; the rest carry float64 weights. The component pmfs are then
+end; the rest carry float64 weights. Components equal up to variable
+labels (same read tuples relabelled by rank, truth tables and variable
+laws) are solved once and share their pmf, so a family of thousands of
+identical blocks costs one elimination. The component pmfs are then
 convolved in order of smallest function index.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
@@ -361,22 +364,46 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
     return np.array([1 - value, value], dtype=np.float64)
 
 
+def _component_key(spec: FamilySpec, comp: Component) -> tuple:
+    """Everything :func:`_eliminate_pmf` reads of a component, up to variable labels.
+
+    Each function's read tuple, with every variable relabelled to its rank
+    in ``comp.variables``, and its truth table, in function order; then each
+    variable's probabilities, which also fix its support and uniformity.
+    Relabelling keeps the order of indices, so components with equal keys
+    take the same elimination order and give bit-identical pmfs.
+    Probabilities compare by value, so ``0.0`` and ``-0.0`` give one key;
+    a zero's sign never reaches the pmf, since each elimination adds in a
+    value of positive probability.
+    """
+    rank = {i: n for n, i in enumerate(comp.variables)}
+    fns = [spec.functions[j] for j in comp.functions]
+    reads = tuple((tuple([rank[i] for i in fn.vars]), fn.truth_table) for fn in fns)
+    return reads, tuple([spec.variables[i].probs for i in comp.variables])
+
+
 def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """Exact pmf of the family's function sum, component by component.
 
     Each dependency component is solved by variable elimination (unread
-    variables contribute weight one) and the component pmfs are convolved
-    in order of smallest function index. Raises :class:`ResourceError`
-    naming the offending component when an intermediate product factor
-    would exceed the guard in cells.
+    variables contribute weight one), once per distinct
+    :func:`_component_key`: a component equal to an earlier one up to
+    variable labels reuses its pmf. The component pmfs are convolved in
+    order of smallest function index. Raises :class:`ResourceError`
+    naming the first component whose elimination would form a product
+    factor of more cells than the guard.
     """
     guard = enumeration_guard(guard)
     acc: np.ndarray | None = None
+    solved: dict[tuple, np.ndarray] = {}
     for comp in dependency_components(spec):
-        try:
-            part = _eliminate_pmf(spec, comp, guard)
-        except ResourceError as e:
-            raise ResourceError(f"{_component_name(spec, comp)}: {e}") from None
+        key = _component_key(spec, comp)
+        part = solved.get(key)
+        if part is None:
+            try:
+                part = solved[key] = _eliminate_pmf(spec, comp, guard)
+            except ResourceError as e:
+                raise ResourceError(f"{_component_name(spec, comp)}: {e}") from None
         acc = part if acc is None else np.convolve(acc, part)
     assert acc is not None and len(acc) == spec.num_functions + 1
     return SumPmf(tuple(float(p) for p in acc))

@@ -333,6 +333,55 @@ def test_convolution_equals_full_enumeration_on_random_corpus():
             assert a == pytest.approx(b, abs=EXACT_TOL)
 
 
+def counting_eliminations(monkeypatch):
+    """Wrap ``exact._eliminate_pmf``; the returned list grows by one entry per call."""
+    calls = []
+    eliminate = exact._eliminate_pmf
+
+    def counted(spec, comp, guard):
+        calls.append(comp)
+        return eliminate(spec, comp, guard)
+
+    monkeypatch.setattr(exact, "_eliminate_pmf", counted)
+    return calls
+
+
+class TestSharedSolves:
+    """sum_pmf eliminates one component per distinct signature."""
+
+    @pytest.mark.parametrize("k, blocks, p", [(1, 5000, "1/3"), (3, 200, "1/2")])
+    def test_block_family_is_solved_once(self, monkeypatch, k, blocks, p):
+        spec = gen_block_tight(k, blocks, p)
+        calls = counting_eliminations(monkeypatch)
+        pmf = sum_pmf(spec)
+        assert calls == [dependency_components(spec)[0]]
+        assert len(pmf.probs) == k * blocks + 1
+
+    def test_distinct_components_are_each_solved(self, monkeypatch):
+        spec = gen_random_family(40, 30, 3, 2, 0)
+        comps = dependency_components(spec)
+        assert len({exact._component_key(spec, c) for c in comps}) == len(comps)
+        calls = counting_eliminations(monkeypatch)
+        sum_pmf(spec)
+        assert calls == list(comps)
+
+    def test_guard_names_the_first_of_many_equal_components(self, monkeypatch):
+        # y0 alone fits the guard; 50 equal blocks of three copies of a bit do not.
+        copies = gen_block_tight(3, 50, "1/2")
+        spec = FamilySpec(
+            (Variable("x", 2),) + copies.variables,
+            (ReadFunction("y", (0,), "01"),)
+            + tuple(ReadFunction(f.name, (f.vars[0] + 1,), "01") for f in copies.functions),
+        )
+        calls = counting_eliminations(monkeypatch)
+        with pytest.raises(ResourceError) as raised:
+            sum_pmf(spec, guard=7)
+        assert str(raised.value) == (
+            "component [y0, y1, y2]: an elimination factor spans 8 cells, exceeding the guard 7"
+        )
+        assert len(calls) == 2
+
+
 class TestGuard:
     def test_exceeding_guard_names_component(self, xor_family):
         with pytest.raises(ResourceError, match="exceeding the guard 2"):

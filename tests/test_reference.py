@@ -18,7 +18,9 @@ from readk.audit import conditional_law, proof_trace, shearer_entropy_gap, shear
 from readk.errors import DomainError
 from readk.exact import (
     TailQuery,
+    _eliminate_pmf,
     conditional_function_marginals,
+    enumeration_guard,
     function_marginals,
     sum_pmf,
     sum_pmf_enumerate,
@@ -107,6 +109,85 @@ def test_elimination_matches_enumeration_and_scalar_reference(spec):
     assert len(got) == len(flat) == len(want)
     assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, flat))
     assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, want))
+
+
+def per_component_reference(spec):
+    """Every component eliminated on its own, then the same sequential convolution."""
+    acc = None
+    for comp in dependency_components(spec):
+        part = _eliminate_pmf(spec, comp, enumeration_guard())
+        acc = part if acc is None else np.convolve(acc, part)
+    return tuple(float(p) for p in acc)
+
+
+# A block is ``(probs per variable, (read, table) per function)``, in local indices.
+# Each look-alike differs from its original in one thing, so it must not share its solve.
+ASYMMETRIC = (((0.9, 0.1), (0.3, 0.7)), (((0, 1), "0100"),))
+UNIFORM_BIT = (((0.5, 0.5),), (((0,), "01"),))
+LOOK_ALIKES = (
+    ASYMMETRIC,
+    (ASYMMETRIC[0], (((1, 0), "0100"),)),  # read order
+    (((0.9, 0.1), (0.4, 0.6)), ASYMMETRIC[1]),  # one probability
+    UNIFORM_BIT,
+    (((1 / 3,) * 3,), (((0,), "010"),)),  # support size (the table grows with it)
+    # Equal keys: 0.0 == -0.0, and a zero's sign never reaches the pmf.
+    (((0.0, 1.0), (0.25, 0.75)), (((0, 1), "0111"),)),
+    (((-0.0, 1.0), (0.25, 0.75)), (((0, 1), "0111"),)),
+)
+
+
+@st.composite
+def blocks(draw):
+    """One random block: up to 3 variables, weighted or uniform, and up to 3 functions."""
+    probs = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            probs.append((1 / support,) * support)
+        else:
+            raw = draw(st.lists(st.floats(0.05, 1.0), min_size=support, max_size=support))
+            probs.append(tuple(x / math.fsum(raw) for x in raw))
+    functions = []
+    for _ in range(draw(st.integers(1, 3))):
+        read = draw(st.lists(st.integers(0, len(probs) - 1), unique=True, max_size=len(probs)))
+        size = math.prod(len(probs[i]) for i in read)
+        functions.append((tuple(read), draw(st.text(alphabet="01", min_size=size, max_size=size))))
+    return tuple(probs), tuple(functions)
+
+
+@st.composite
+def repeated_block_unions(draw):
+    """Disjoint unions of random blocks, some repeated, plus the look-alikes, in any order.
+
+    Each copy of a block reads its own variables, scattered over the family
+    by a random permutation; a copy either keeps its variables' relative
+    order (equal signature) or takes them in permuted order.
+    """
+    originals = draw(st.lists(blocks(), min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(originals), max_size=6))
+    instances = draw(st.permutations(originals + repeats + list(LOOK_ALIKES)))
+    places = draw(st.permutations(range(sum(len(probs) for probs, _ in instances))))
+    variables = [None] * len(places)
+    functions = []
+    start = 0
+    for probs, reads in instances:
+        mine = places[start:start + len(probs)]
+        start += len(probs)
+        if draw(st.booleans()):
+            mine = sorted(mine)
+        for i, p in zip(mine, probs):
+            variables[i] = Variable(f"x{i}", len(p), p)
+        for read, table in reads:
+            functions.append(ReadFunction(f"y{len(functions)}", tuple(mine[i] for i in read), table))
+    return FamilySpec(tuple(variables), tuple(functions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_block_unions())
+def test_shared_solves_are_bit_identical_to_per_component_elimination(spec):
+    got = sum_pmf(spec).probs
+    want = per_component_reference(spec)
+    assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
 @pytest.mark.parametrize("seed", range(6))
