@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
-from .exact import _in_tail, _scan, _scan_tail, _table_positions, _tail_marginals
+from .exact import _in_tail, _row_reads, _scan, _scan_tail, _table_positions, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _group_sums, _kl_sum, cover_multiplicity
 from .info_theory import entropy, kl_binary, project
@@ -123,7 +123,9 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     divergence = max(_kl_sum(conditioned.probs, mass.tolist(), norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
-    positions = _table_positions(spec, values)
+    reads = _row_reads(spec, range(spec.num_variables))
+    out = np.empty((spec.num_functions, values.shape[1]), dtype=values.dtype)
+    positions = _table_positions(reads, values, out)
     sums = [_group_sums(pos.tolist(), conditioned.probs) for pos in positions]
     cells = [[s.get(c, 0.0) for c in range(len(t))] for s, t in zip(sums, spec.tables)]
     rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))

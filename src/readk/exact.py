@@ -25,11 +25,14 @@ component. The flat enumerations, :func:`sum_pmf_enumerate`,
 :func:`conditional_function_marginals` and the audits ``conditional_law``
 and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
-number of assignments. The scan and the Monte Carlo sampler add up the
-functions through one loop, :func:`_function_sums`. Each function's product
-law on its own truth-table cells, which :func:`function_marginals` and the
-audits' projected divergences read, is built once per family and kept by
-the family (``FamilySpec._cell_laws``).
+number of assignments. The scan and the Monte Carlo sampler find each
+function's truth-table positions through one loop,
+:func:`_table_positions`, and add up the functions through another,
+:func:`_function_sums`. The scan passes its digits in variable order, the
+sampler its values in its own row order (see :func:`_row_reads`). Each
+function's product law on its own truth-table cells, which
+:func:`function_marginals` and the audits' projected divergences read, is
+built once per family and kept by the family (``FamilySpec._cell_laws``).
 
 Every reduction runs in a fixed order, so results are bit-reproducible
 for identical inputs.
@@ -157,19 +160,41 @@ class Marginals(NamedTuple):
     mean: float
 
 
-def _table_positions(spec: FamilySpec, values: np.ndarray) -> Iterator[np.ndarray]:
-    """Each function's mixed-radix truth-table positions; ``values`` has one row per variable."""
-    for fn in spec.functions:
-        positions = values[fn.vars[0]].copy() if fn.vars else np.zeros_like(values[0])
-        for i in fn.vars[1:]:
-            positions *= spec.variables[i].support_size
-            positions += values[i]
+def _row_reads(spec: FamilySpec, rows: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Each function's read tuple as ``(row, support)`` pairs.
+
+    They index values held one variable per row, variable ``i`` in row
+    ``rows[i]``.
+    """
+    sizes = [v.support_size for v in spec.variables]
+    return [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
+
+
+def _table_positions(
+    reads: list[list[tuple[int, int]]], values: np.ndarray, out: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Each function's mixed-radix truth-table positions, written into the next buffer of ``out``.
+
+    ``reads`` comes from :func:`_row_reads` for the row layout of ``values``.
+    When ``out`` repeats one buffer, a yielded array holds its function's
+    positions only until the next one is written.
+    """
+    for read, positions in zip(reads, out):
+        positions[...] = values[read[0][0]] if read else 0
+        for row, size in read[1:]:
+            positions *= size
+            positions += values[row]
         yield positions
 
 
 def _function_sums(spec: FamilySpec, positions: Iterable[np.ndarray], size: int) -> np.ndarray:
-    """The function sum of ``size`` assignments from each function's positions, read lazily."""
-    sums = np.zeros(size, dtype=np.int32)
+    """The function sum of ``size`` assignments from each function's positions, read lazily.
+
+    Sums are held in the narrowest unsigned type that holds the number of
+    functions: with fewer than 256 functions, each add is of two ``uint8``
+    arrays.
+    """
+    sums = np.zeros(size, dtype=np.min_scalar_type(len(spec.tables)))
     for table, pos in zip(spec.tables, positions):
         sums += table[pos]
     return sums
@@ -190,10 +215,11 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """Every full assignment in lexicographic order, by chunks.
 
     Yields ``(digits, positions, sums, masses)`` per chunk: each variable's
-    values (one row per variable, in a buffer the next chunk overwrites),
-    each function's truth-table positions, and each assignment's function
-    sum and product-law mass. Raises :class:`ResourceError` when the family
-    spans more assignments than the guard (see :func:`enumeration_guard`).
+    values and each function's truth-table positions (one row per variable
+    and per function, in buffers the next chunk overwrites), and each
+    assignment's function sum and product-law mass. Raises
+    :class:`ResourceError` when the family spans more assignments than the
+    guard (see :func:`enumeration_guard`).
     """
     sizes = [v.support_size for v in spec.variables]
     total = math.prod(sizes)
@@ -207,10 +233,11 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     dtype = np.int32 if total <= 2**31 - 1 else np.int64
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
+    positions = np.empty((spec.num_functions, digits.shape[1]), dtype=dtype)
+    reads = _row_reads(spec, range(len(sizes)))
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
-        positions = list(_table_positions(spec, digits))
-        sums = _function_sums(spec, positions, digits.shape[1])
+        sums = _function_sums(spec, _table_positions(reads, digits, positions), digits.shape[1])
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
         yield digits, positions, sums, _cell_masses(masses[lead:], lead_mass)
 

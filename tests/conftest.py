@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from readk.family import FamilySpec, ReadFunction, Variable
+
+# Hypothesis imports this module (and through it libcst) only to report a
+# failing property, inside pytest's report hook. libcst warns a
+# DeprecationWarning on import, which the session's filterwarnings turns
+# into an error that ends the session before the falsifying example is
+# shown. Importing it here, with that warning silenced, keeps the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

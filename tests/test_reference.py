@@ -43,7 +43,7 @@ from readk.info_theory import (
     project,
     push_forward,
 )
-from readk.sampler import _draw_values, _inverse_cdf
+from readk.sampler import _SAMPLE_CHUNK, _draw_values, _inverse_cdf, estimate_tail
 
 from conftest import weighted_variant
 
@@ -435,12 +435,8 @@ def reference_draw_values(spec, uniforms):
 
 
 @st.composite
-def families_and_uniforms(draw):
-    """Supports 1-300, on both sides of a uint8 count, zero masses, and edge uniforms.
-
-    Each uniform is 0.0, the largest double below 1, one of its variable's
-    cumulative thresholds or a neighbour of one, or an ordinary draw.
-    """
+def mixed_variables(draw):
+    """A seeded numpy generator, and 1-6 variables of supports 1-300 with some zero masses."""
     sizes = draw(st.lists(
         st.integers(1, 8) | st.sampled_from([20, 255, 256, 257]) | st.integers(1, 300),
         min_size=1, max_size=6,
@@ -452,7 +448,19 @@ def families_and_uniforms(draw):
         raw = rng.random(size) * (rng.random(size) >= zero_share)
         raw[rng.integers(size)] += 1.0
         variables.append(Variable(f"x{i}", size, tuple((raw / raw.sum()).tolist())))
-    spec = FamilySpec(tuple(variables), (ReadFunction("y", (), "0"),))
+    return rng, tuple(variables)
+
+
+@st.composite
+def families_and_uniforms(draw):
+    """Supports 1-300, on both sides of a uint8 count, zero masses, and edge uniforms.
+
+    Each uniform is 0.0, the largest double below 1, one of its variable's
+    cumulative thresholds or a neighbour of one, or an ordinary draw.
+    """
+    rng, variables = draw(mixed_variables())
+    spec = FamilySpec(variables, (ReadFunction("y", (), "0"),))
+    sizes = [v.support_size for v in variables]
     n = draw(st.integers(1, 40))
     uniforms = rng.random((n, len(sizes)))
     for i, v in enumerate(spec.variables):
@@ -470,6 +478,51 @@ def families_and_uniforms(draw):
 @given(families_and_uniforms())
 def test_draw_values_is_bit_identical_to_searchsorted_reference(case):
     spec, uniforms = case
-    stale = np.full(uniforms.shape[::-1], 7)
-    got = _draw_values(_inverse_cdf(spec), uniforms, stale)
+    cdf = _inverse_cdf(spec)
+    stale = np.full(uniforms.shape[::-1], 7, dtype=cdf.dtype)
+    # the sampler holds variable i in row cdf.rows[i]; back to variable order
+    got = _draw_values(cdf, uniforms, stale)[cdf.rows]
     assert np.array_equal(got, reference_draw_values(spec, uniforms))
+
+
+def reference_estimate(spec, query, samples, seed):
+    """Tail fraction over samples drawn by the former inverse CDF, each looked up scalar-style."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = reference_draw_values(spec, rng.random((samples, spec.num_variables)))
+    t = query.effective_threshold()
+    hits = 0
+    for assignment in zip(*values.tolist()):
+        total = sum(eval_function(spec, j, assignment) for j in range(spec.num_functions))
+        hits += total >= t if query.direction == "ge" else total <= t
+    return hits / samples
+
+
+@st.composite
+def estimator_cases(draw):
+    """Mixed supports in one family, reads in any order, repeated or reordered
+    read tuples, constant functions, and sample counts across a chunk boundary."""
+    rng, variables = draw(mixed_variables())
+    sizes = [v.support_size for v in variables]
+    reads = []
+    for _ in range(draw(st.integers(1, 6))):
+        if reads and draw(st.booleans()):
+            read = draw(st.permutations(draw(st.sampled_from(reads))))
+        else:
+            read = draw(st.lists(st.integers(0, len(sizes) - 1), max_size=3, unique=True))
+        while math.prod(sizes[i] for i in read) > 4096:
+            read = read[:-1]
+        reads.append(tuple(read))
+    functions = []
+    for j, read in enumerate(reads):
+        table = rng.choice(["0", "1"], math.prod(sizes[i] for i in read))
+        functions.append(ReadFunction(f"y{j}", read, "".join(table)))
+    query = TailQuery(draw(st.integers(-1, len(reads) + 1)), draw(st.sampled_from(["ge", "le"])))
+    samples = draw(st.sampled_from([1, 2, 97, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1]))
+    return FamilySpec(variables, tuple(functions)), query, samples, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(estimator_cases())
+def test_estimate_matches_reference_sampler(case):
+    spec, query, samples, seed = case
+    assert estimate_tail(spec, query, samples, seed).estimate == reference_estimate(*case)
