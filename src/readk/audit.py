@@ -20,10 +20,22 @@ loose. Shearer's entropy inequality and its divergence corollary are also
 exposed directly for arbitrary joints and covers. Every audit holds for
 any product law, uniform or weighted: the divergence corollary needs only
 independent coordinates, each read at most k times.
+
+Both Shearer audits merge probabilities on integer keys: the divergence
+corollary on each function's truth-table positions, the entropy
+inequality on mixed-radix codes of each cover set's coordinates. The keys
+are grouped by one numpy group-by, :func:`_key_sums`: a stable sort of the
+keys, a gather of the probabilities, and one ``math.fsum`` per key, so
+every merged mass is correctly rounded and equals what the label group-by
+of :mod:`readk.info_theory` gives on the same outcomes. The law that
+:func:`conditional_law` returns keeps the scan's digits, so its outcomes
+are never parsed back from tuples; any other law is coded from its
+outcomes, equal values (``1``, ``1.0`` and ``True``) sharing a code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
@@ -34,14 +46,17 @@ from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
 from .exact import _in_tail, _row_reads, _scan, _scan_tail, _table_positions, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
-from .info_theory import Distribution, Nats, _group_sums, _kl_sum, cover_multiplicity
-from .info_theory import entropy, kl_binary, project
+from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
+from .info_theory import entropy, kl_binary
 
 #: Relative slack allowed per chain step (chains many floating-point ops).
 CHAIN_REL_TOL = 1e-9
 
 #: Absolute slack for the standalone entropy/divergence inequalities.
 GAP_TOL = 1e-9
+
+#: Largest number of mixed-radix codes a cover key may span: int64 holds them.
+_KEY_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -78,10 +93,69 @@ def shearer_entropy_gap(
     if short:
         raise DomainError(f"coordinates {short} are covered fewer than k={k} times")
     lhs = k * entropy(joint)
-    rhs = math.fsum(entropy(project(joint, p)) for p in sets)
+    codes = _coordinate_codes(joint, sorted({i for p in sets for i in p}))
+    probs = np.array(joint.probs)
+    masses = (_key_sums(_cover_keys(codes, p, len(probs)), probs)[1] for p in sets)
+    rhs = math.fsum(map(_entropy_sum, masses))
     if lhs > rhs + GAP_TOL:
         raise AuditError(f"entropy inequality violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
+
+
+def _key_sums(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The distinct ``keys``, ascending, and the ``math.fsum`` of ``probs`` over each.
+
+    The one group-by on integer keys: a stable sort of the keys, a gather of
+    the probabilities in that order and one correctly rounded sum per run of
+    equal keys, so the sums do not depend on the outcome order.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
+    # a memoryview yields each float as fsum reads it: no list of them all
+    gathered = memoryview(probs[order])
+    return ordered[bounds[:-1]], [math.fsum(gathered[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _coordinate_codes(
+    joint: Distribution, coords: Sequence[int]
+) -> dict[int, tuple[np.ndarray, int]]:
+    """Each listed coordinate's values as ``(codes, radix)``, codes in ``[0, radix)``.
+
+    Equal values get equal codes, and only they do. The kept digits of a
+    conditioned law are codes already. Any other law's values are coded in
+    order of first appearance, through a dict, so they group by equality as
+    tuples do.
+    """
+    if joint._digits is not None:
+        return {c: (joint._digits[c], int(joint._digits[c].max()) + 1) for c in coords}
+    codes = {}
+    for c in coords:
+        index: dict = {}
+        column = [index.setdefault(a[c], len(index)) for a in joint.outcomes]
+        codes[c] = (np.array(column, dtype=np.int64), len(index))
+    return codes
+
+
+def _cover_keys(
+    codes: dict[int, tuple[np.ndarray, int]], coords: Sequence[int], size: int
+) -> np.ndarray:
+    """Mixed-radix int64 keys of the outcomes' values on ``coords``: equal keys, equal values.
+
+    When the codes would span more than ``_KEY_LIMIT`` keys, the key so far
+    is re-coded to the ranks of its distinct values, which keeps it in int64.
+    """
+    key = np.zeros(size, dtype=np.int64)
+    span = 1
+    for c in coords:
+        column, radix = codes[c]
+        if span * radix > _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key *= radix
+        key += column
+        span *= radix
+    return key
 
 
 def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
@@ -89,7 +163,7 @@ def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     m = spec.num_variables
     if d._tuple_width != m:
         raise DomainError(f"outcomes are not assignments of {m} variables")
-    values = np.array(list(zip(*d.outcomes)))
+    values = d._digits if d._digits is not None else np.array(list(zip(*d.outcomes)))
     if values.dtype.kind not in "iu":
         raise DomainError("outcome values must be integers")
     bad = np.argwhere(((values < 0) | (values >= [[v.support_size] for v in spec.variables])).T)
@@ -124,10 +198,16 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     reads = _row_reads(spec, range(spec.num_variables))
-    out = np.empty((spec.num_functions, values.shape[1]), dtype=values.dtype)
-    positions = _table_positions(reads, values, out)
-    sums = [_group_sums(pos.tolist(), conditioned.probs) for pos in positions]
-    cells = [[s.get(c, 0.0) for c in range(len(t))] for s, t in zip(sums, spec.tables)]
+    # One positions buffer, reused by every function in turn.
+    buffer = np.empty(values.shape[1], dtype=values.dtype)
+    probs = np.array(conditioned.probs)
+    cells = []
+    for pos, table in zip(_table_positions(reads, values, itertools.repeat(buffer)), spec.tables):
+        fn_cells = [0.0] * len(table)
+        keys, sums = _key_sums(pos, probs)
+        for c, mass_c in zip(keys.tolist(), sums):
+            fn_cells[c] = mass_c
+        cells.append(fn_cells)
     rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")
@@ -139,21 +219,29 @@ def conditional_law(
 ) -> Distribution:
     """Exact law of the full assignment conditioned on the tail event.
 
-    Outcomes are the surviving assignment tuples in lexicographic order.
-    Raises :class:`ResourceError` when the family spans more assignments
+    Outcomes are the surviving assignment tuples in lexicographic order;
+    the law also keeps them as the scan's digits, which the Shearer audits
+    read. Raises :class:`ResourceError` when the family spans more assignments
     than the guard.
     """
-    outcomes: list[tuple[int, ...]] = []
-    kept: list[np.ndarray] = []
+    kept_digits: list[np.ndarray] = []
+    kept_masses: list[np.ndarray] = []
     for digits, _, sums, masses in _scan(spec, guard):
         mask = _in_tail(sums, query)
-        outcomes.extend(zip(*digits[:, mask].tolist()))
-        kept.append(masses[mask])
-    weights = np.concatenate(kept)
+        kept_digits.append(digits[:, mask])
+        kept_masses.append(masses[mask])
+    weights = np.concatenate(kept_masses)
     z = float(weights.sum())
     if z <= 0.0:
         raise DomainError("conditioning event has probability zero")
-    return Distribution(tuple(outcomes), tuple((weights / z).tolist()))
+    values = np.concatenate(kept_digits, axis=1)
+    values.flags.writeable = False
+    del kept_digits  # the chunks' copies go before the outcome tuples are built
+    # The scan yields distinct assignments, and weights / z are finite and
+    # non-negative with a sum of one up to rounding: nothing left to check.
+    outcomes = tuple(zip(*values.tolist()))
+    probs = tuple((weights / z).tolist())
+    return Distribution._trusted(outcomes, probs, values)
 
 
 def proof_trace(

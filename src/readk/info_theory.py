@@ -6,16 +6,23 @@ divergence where the first argument has mass outside the support of the
 second is ``+inf`` (an explicit ``math.inf``, never a NaN). Entropies are
 finite and non-negative; divergences are non-negative or ``+inf``.
 
-Projections, push-forwards and the audits' cell masses merge outcomes
-through one plain-Python group-by, :func:`_group_sums`, with one
-``math.fsum`` per group: each merged probability is correctly rounded,
-whatever the outcome order. Every probability vector of the package (a
+Projections and push-forwards merge outcomes through a plain-Python
+group-by, :func:`_group_sums`, with one ``math.fsum`` per group: each
+merged probability is correctly rounded, whatever the outcome order. It
+groups hashable labels by equality, so ``1``, ``1.0`` and ``True`` are
+one label, and it keeps this module free of numpy. The audits hold their
+laws as integer keys and group those with numpy instead
+(``audit._key_sums``); both group-bys round each group once, so they give
+the same bits. Every probability vector given to the package (a
 variable's law, a :class:`Distribution`, a sum pmf) passes one check,
 and every divergence from an explicit law, here and in the audits, is
-one summation kernel. Coordinates, of a projection, of a conditional
-entropy, of a Shearer cover or of the functions' read sets, pass one
-check, :func:`cover_multiplicity`, and a law's outcomes are checked to
-be tuples of one width once per law, by :attr:`Distribution._tuple_width`.
+one summation kernel. Laws the package derives from laws that passed it
+(projections, push-forwards, conditioned laws) are built by
+:meth:`Distribution._trusted`, which does not check them again.
+Coordinates, of a projection, of a conditional entropy, of a Shearer
+cover or of the functions' read sets, pass one check,
+:func:`cover_multiplicity`, and a law's outcomes are checked to be tuples
+of one width once per law, by :attr:`Distribution._tuple_width`.
 """
 
 from __future__ import annotations
@@ -71,12 +78,36 @@ class Distribution:
     outcomes: tuple[Hashable, ...]
     probs: tuple[float, ...]
 
+    #: The outcomes as integer digits, one read-only numpy row per
+    #: coordinate, on laws that ``audit.conditional_law`` builds; ``None``
+    #: otherwise. Not a field: equality, ``repr`` and ``asdict`` ignore it.
+    _digits = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         probs = _prob_vector(self.probs, "distribution", len(self.outcomes))
         object.__setattr__(self, "probs", probs)
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValidationError("outcome labels must be distinct")
+
+    @classmethod
+    def _trusted(
+        cls, outcomes: tuple[Hashable, ...], probs: tuple[float, ...], digits: object = None
+    ) -> "Distribution":
+        """A law the package derived from checked input, built without checking it again.
+
+        The caller vouches for what ``__post_init__`` would check: a tuple
+        of distinct outcomes and a tuple of as many finite non-negative
+        floats summing to one. ``digits``, when given, are the outcomes as
+        in :attr:`_digits`, and their rows fix :attr:`_tuple_width`.
+        """
+        law = object.__new__(cls)
+        object.__setattr__(law, "outcomes", outcomes)
+        object.__setattr__(law, "probs", probs)
+        if digits is not None:
+            law.__dict__["_digits"] = digits
+            law.__dict__["_tuple_width"] = len(digits)
+        return law
 
     @classmethod
     def uniform(cls, outcomes: Sequence[Hashable]) -> "Distribution":
@@ -125,8 +156,12 @@ def entropy(d: Distribution) -> Nats:
 
     Lies in ``[0, ln(len(d.outcomes))]``.
     """
-    h = math.fsum(-p * math.log(p) for p in d.probs if p > 0.0)
-    return max(h, 0.0)
+    return _entropy_sum(d.probs)
+
+
+def _entropy_sum(probs: Iterable[float]) -> Nats:
+    """``max(fsum(-p ln p), 0)`` over the positive entries of ``probs``."""
+    return max(math.fsum(-p * math.log(p) for p in probs if p > 0.0), 0.0)
 
 
 def kl_divergence(d1: Distribution, d2: Distribution) -> Nats:
@@ -201,10 +236,16 @@ def _group_sums(keys: Iterable[Hashable], probs: Iterable[float]) -> dict[Hashab
 
 
 def _image_law(images: Iterable[Hashable], probs: Sequence[float]) -> Distribution:
-    """The law of the images: equal images merge, outcomes sorted."""
+    """The law of the images: equal images merge, outcomes sorted.
+
+    ``probs`` is a checked law's vector, so the merged one needs no check:
+    its labels are distinct dict keys, and each entry is the correctly
+    rounded sum of its group's finite non-negative terms, so the entries
+    add up to the same total within a relative ``2**-52``.
+    """
     sums = _group_sums(images, probs)
     labels = sorted(sums)
-    return Distribution(tuple(labels), tuple(map(sums.__getitem__, labels)))
+    return Distribution._trusted(tuple(labels), tuple(map(sums.__getitem__, labels)))
 
 
 def project(d: Distribution, coords: Sequence[int]) -> Distribution:

@@ -46,6 +46,10 @@ from .family import FamilySpec
 #: stream nor the estimate.
 _SAMPLE_CHUNK = 1 << 12
 
+#: Uniforms per chunk: a family of many variables takes fewer samples per
+#: chunk, so a chunk's buffers stay bounded whatever the number of variables.
+_UNIFORM_CHUNK = 1 << 21
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -134,7 +138,7 @@ def estimate_tail(
     # One uniform, one values and one positions buffer for every chunk: fresh
     # ones fault in their pages anew. Filled C-contiguous, the uniform buffer
     # takes the stream in the order rng.random((n, m)) would.
-    chunk = min(_SAMPLE_CHUNK, samples)
+    chunk = min(_SAMPLE_CHUNK, max(1, _UNIFORM_CHUNK // spec.num_variables), samples)
     uniforms = np.empty((chunk, spec.num_variables))
     values = np.empty((spec.num_variables, chunk), dtype=cdf.dtype)
     positions = np.empty(chunk, dtype=np.intp)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -183,6 +184,27 @@ class TestConditionalLaw:
     def test_empty_event_rejected(self, xor_family):
         with pytest.raises(DomainError):
             conditional_law(xor_family, TailQuery(3, "ge"))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_is_the_distribution_its_outcomes_and_probs_build(self, seed):
+        spec = gen_random_family(m=5, r=4, k=2, max_arity=2, seed=seed)
+        if seed % 2:
+            spec = weighted_variant(spec, np.random.default_rng(seed))
+        law = conditional_law(spec, TailQuery(2, "ge"))
+        plain = Distribution(law.outcomes, law.probs)
+        assert law == plain and hash(law) == hash(plain)
+        assert repr(law) == repr(plain)
+        assert dataclasses.asdict(law) == dataclasses.asdict(plain)
+        assert type(law.outcomes) is tuple and type(law.probs) is tuple
+        assert all(type(a) is tuple and len(a) == 5 for a in law.outcomes)
+        assert all(type(v) is int for a in law.outcomes for v in a)
+        assert all(type(p) is float for p in law.probs)
+        # the kept digits: the outcomes, one read-only row per variable
+        assert law._digits.T.tolist() == [list(a) for a in law.outcomes]
+        assert not law._digits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            law._digits[0, 0] = 1
+        assert plain._digits is None
 
     def test_uniform_law_is_exactly_one_over_count(self):
         for seed in range(10):

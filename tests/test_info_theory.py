@@ -89,6 +89,32 @@ def test_bad_probability_vectors_rejected_alike(make, probs):
         assert f"invalid probability {probs[0]!r}" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "outcomes, probs, message",
+    [
+        (("a", "b"), (0.6, 0.6), "distribution: probabilities sum to 1.2, not 1"),
+        (("a", "b"), (1.5, -0.5), "distribution: invalid probability -0.5"),
+        (("a", "b"), (1.0,), "distribution: 1 probabilities for 2 outcomes"),
+        ((), (), "distribution: empty probability vector"),
+        (("a", "a"), (0.5, 0.5), "outcome labels must be distinct"),
+        (((0, 1), (0, 1)), (0.5, 0.5), "outcome labels must be distinct"),
+    ],
+    ids=["unnormalised", "negative", "short", "empty", "duplicate", "duplicate-tuples"],
+)
+def test_public_constructor_still_checks_everything(outcomes, probs, message):
+    # laws the package derives skip these checks; a law built by hand does not
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Distribution(outcomes, probs)
+
+
+def test_derived_laws_equal_their_checked_rebuilds():
+    joint = random_distribution(np.random.default_rng(4), list(itertools.product(range(3), "ab")))
+    for law in (project(joint, [1]), project(joint, [1, 0]), project(joint, []),
+                push_forward(joint, lambda a: a[0] % 2)):
+        assert law == Distribution(law.outcomes, law.probs)
+        assert type(law.outcomes) is tuple and type(law.probs) is tuple
+
+
 class TestKlDivergence:
     def test_identical_is_zero(self):
         assert kl_divergence(skewed4(), skewed4()) == 0.0

@@ -7,6 +7,7 @@ so it shares no indexing or reduction code with the numpy engine.
 
 import itertools
 import math
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -34,10 +35,12 @@ from readk.family import (
     dependency_components,
     eval_function,
     read_width,
+    table_index,
 )
 from readk.generators import gen_random_family
 from readk.info_theory import (
     Distribution,
+    entropy,
     kl_binary,
     kl_divergence,
     project,
@@ -360,6 +363,133 @@ def test_entropy_gap_rejects_mixed_tuple_and_scalar_outcomes():
     joint = Distribution(((0, 0), 1), (0.5, 0.5))
     with pytest.raises(DomainError, match="outcomes must all be tuples of one common length"):
         shearer_entropy_gap(joint, [[0]], 1)
+
+
+def reference_kl_sum(probs, masses, norm):
+    """``sum p ln(p * norm / mass)`` over ``p > 0``, ``+inf`` off the support of ``masses``."""
+    terms = []
+    for p, mass in zip(probs, masses):
+        if p > 0.0:
+            if mass == 0.0:
+                return math.inf
+            terms.append(p * math.log(p * norm / mass))
+    return math.fsum(terms)
+
+
+def reference_shearer_kl_gap(spec, law):
+    """The divergence corollary by scalar table positions, merged through a dict of lists."""
+    k = read_width(spec)
+    masses = [m for m, _ in spec.laws]
+    norm = math.prod(n for _, n in spec.laws)
+    mass = [math.prod(float(masses[i][v]) for i, v in enumerate(a)) for a in law.outcomes]
+    lhs = k * max(reference_kl_sum(law.probs, mass, norm), 0.0) if k else 0.0
+    terms = []
+    for j, (cell_masses, cell_norm) in enumerate(zip(*spec._cell_laws)):
+        acc = {}
+        for a, p in zip(law.outcomes, law.probs):
+            acc.setdefault(table_index(spec, j, a), []).append(p)
+        cells = [math.fsum(acc.get(c, [])) for c in range(len(spec.tables[j]))]
+        terms.append(max(reference_kl_sum(cells, cell_masses.tolist(), cell_norm), 0.0))
+    return lhs, math.fsum(terms)
+
+
+def reference_shearer_entropy_gap(joint, cover, k):
+    """Shearer's inequality through dict-of-lists projections, one per cover set."""
+    sets = [tuple(dict.fromkeys(p)) for p in cover]
+    return k * entropy(joint), math.fsum(entropy(reference_project(joint, p)) for p in sets)
+
+
+def hex_pair(pair):
+    return tuple(x.hex() for x in pair)
+
+
+def assert_gaps_match_oracle(spec, law, cover, k):
+    for joint in (law, Distribution(law.outcomes, law.probs)):  # kept digits, then none
+        assert hex_pair(shearer_kl_gap(spec, joint)) == hex_pair(
+            reference_shearer_kl_gap(spec, joint)
+        )
+        assert hex_pair(shearer_entropy_gap(joint, cover, k)) == hex_pair(
+            reference_shearer_entropy_gap(joint, cover, k)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    uniform_families() | weighted_families(),
+    st.integers(0, 5),
+    st.sampled_from(["ge", "le"]),
+    st.data(),
+)
+def test_shearer_gaps_are_bit_identical_to_dict_oracle(spec, t, direction, data):
+    query = TailQuery(t, direction)
+    assume(tail_prob(sum_pmf(spec), query) > 0.0)
+    law = conditional_law(spec, query)
+    assert law._digits is not None
+    # the read sets, and some sets of any coordinates, repeats included
+    coords = st.integers(0, spec.num_variables - 1)
+    extra = data.draw(st.lists(st.lists(coords, max_size=4), max_size=3))
+    cover = [fn.vars for fn in spec.functions] + extra
+    k = min(sum(i in p for p in cover) for i in range(spec.num_variables))
+    assert_gaps_match_oracle(spec, law, cover, k)
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        (("a", "x"), ("b", "x"), ("a", "y"), ("c", "z"), ("b", "y")),
+        # 1, 1.0 and True are one value, as are 0 and False: tuples compare equal by value
+        ((1, "a"), (1.0, "b"), (True, "c"), (0, "a"), (False, "b"), (2, "a")),
+    ],
+    ids=["strings", "mixed-int-float-bool"],
+)
+def test_entropy_gap_groups_labels_by_equality(outcomes):
+    rng = np.random.default_rng(3)
+    raw = rng.random(len(outcomes)) + 0.1
+    joint = Distribution(outcomes, tuple((raw / raw.sum()).tolist()))
+    for cover in ([[0], [1]], [[0, 1], [0]], [[1, 0], [1]], [[], [0], [1]]):
+        assert hex_pair(shearer_entropy_gap(joint, cover, 1)) == hex_pair(
+            reference_shearer_entropy_gap(joint, cover, 1)
+        )
+    # three labels of coordinate 0 merge into one, so its projection has three outcomes
+    if isinstance(outcomes[0][0], int):
+        assert len(project(joint, [0]).outcomes) == 3
+
+
+def with_digits(law):
+    """The same law carrying its outcomes as digits, as a conditioned law does."""
+    digits = np.array(law.outcomes, dtype=np.int32).T.copy()
+    digits.flags.writeable = False
+    return Distribution._trusted(law.outcomes, law.probs, digits)
+
+
+def test_entropy_gap_on_a_cover_set_wider_than_int64_keys():
+    # 70 binary coordinates span 2**70 keys. The outcomes differ only in
+    # their first 6 bits, whose place values 2**64..2**69 wrap to 0 in
+    # int64, so an unchecked key would merge all 64 of them into one.
+    rng = np.random.default_rng(70)
+    tail = tuple(rng.integers(0, 2, 64).tolist())
+    outcomes = [tuple(bits) + tail for bits in itertools.product((0, 1), repeat=6)]
+    outcomes += [tuple(rng.integers(0, 2, 70).tolist()) for _ in range(40)]
+    outcomes = list(dict.fromkeys(outcomes))
+    raw = rng.random(len(outcomes)) + 0.1
+    joint = Distribution(tuple(outcomes), tuple((raw / raw.sum()).tolist()))
+    cover = [list(range(70)), list(range(69, -1, -1)), list(range(3, 70))]
+    want = reference_shearer_entropy_gap(joint, cover, 2)
+    for law in (joint, with_digits(joint)):
+        lhs, rhs = shearer_entropy_gap(law, cover, 2)
+        assert hex_pair((lhs, rhs)) == hex_pair(want)
+        # the full cover sets keep every outcome apart: each adds H(joint)
+        assert rhs >= lhs
+
+
+def test_law_of_another_family_of_the_same_width_is_out_of_range():
+    wide = FamilySpec((Variable("a", 3), Variable("b", 3)), (ReadFunction("f", (0, 1), "0" * 9),))
+    narrow = FamilySpec((Variable("a", 2), Variable("b", 2)), (ReadFunction("f", (0, 1), "0110"),))
+    law = conditional_law(wide, TailQuery(0, "ge"))
+    message = "outcome (0, 2): value 2 out of range at position 1"
+    for joint in (law, Distribution(law.outcomes, law.probs)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            shearer_kl_gap(narrow, joint)
 
 
 def reference_kl_divergence(d1, d2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from readk import sampler
 from readk.errors import DomainError
 from readk.exact import TailQuery
 from readk.family import FamilySpec, ReadFunction, Variable
@@ -111,3 +112,13 @@ def test_wide_table_positions_do_not_overflow():
     table = "".join("1" if cell >= 256 else "0" for cell in range(400))
     spec = FamilySpec((Variable("x", 20), Variable("z", 20)), (ReadFunction("y", (0, 1), table),))
     assert estimate_tail(spec, TailQuery(1, "ge"), 100_000, seed=5).estimate == 0.35897
+
+
+@pytest.mark.parametrize("budget", [1, 79, 80, 40 * 97, 40 * 512])
+def test_estimates_bit_identical_across_uniform_budgets(monkeypatch, budget):
+    # 40 variables: chunks of 1, 1, 2, 97 and 512 samples, against one of 1000
+    spec = gen_random_family(40, 30, 3, 2, 1)
+    query = TailQuery(15, "ge")
+    want = [estimate_tail(spec, query, 1000, seed) for seed in range(2)]
+    monkeypatch.setattr(sampler, "_UNIFORM_CHUNK", budget)
+    assert [estimate_tail(spec, query, 1000, seed) for seed in range(2)] == want
