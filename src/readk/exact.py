@@ -13,9 +13,13 @@ count. Components of uniform variables with fewer than ``2**62``
 assignments carry exact integer counts and divide by the total at the
 end; the rest carry float64 weights. Components equal up to variable
 labels (same read tuples relabelled by rank, truth tables and variable
-laws) are solved once and share their pmf, so a family of thousands of
-identical blocks costs one elimination. The component pmfs are then
-convolved in order of smallest function index.
+laws) form one class, solved once per call by eliminating its
+representative, so a family of thousands of identical blocks costs one
+elimination. The component pmfs are then convolved in order of smallest
+function index. The family keeps the partition into components and
+their classes (``FamilySpec._partition`` and ``FamilySpec._classes``);
+no pmf and no tail sum is kept across calls, so every call eliminates
+each representative and runs the whole convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -32,7 +36,9 @@ function's truth-table positions through one loop,
 sampler its values in its own row order (see :func:`_row_reads`). Each
 function's product law on its own truth-table cells, which
 :func:`function_marginals` and the audits' projected divergences read, is
-built once per family and kept by the family (``FamilySpec._cell_laws``).
+built once per family and distinct tuple of read-variable laws and kept
+by the family (``FamilySpec._cell_laws``), and so are the marginals, once
+per distinct truth table and cell law (``FamilySpec._one_probs``).
 
 Every reduction runs in a fixed order, so results are bit-reproducible
 for identical inputs.
@@ -52,7 +58,7 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError, _check_int
-from .family import Component, FamilySpec, _cell_masses, _product_law, dependency_components
+from .family import Component, FamilySpec, _cell_masses, _product_law
 from .info_theory import _prob_vector
 
 DEFAULT_GUARD = 1 << 24
@@ -139,18 +145,16 @@ def _exact_running_sums(probs: Sequence[float]) -> tuple[float, ...]:
 
     Every double is a multiple of a power of two no smaller than
     ``2**-1074``, so scaling by the largest denominator among the bins
-    makes each bin an exact integer. Int/int true division rounds
-    correctly, so each entry equals ``math.fsum`` of the same prefix,
-    subnormals included.
+    makes each bin an exact integer; as every denominator is a power of
+    two, the scaling is a shift. Int/int true division rounds correctly,
+    so each entry equals ``math.fsum`` of the same prefix, subnormals
+    included.
     """
-    ratios = [p.as_integer_ratio() for p in probs]
-    scale = max(den for _, den in ratios)
-    acc = 0
-    out = []
-    for num, den in ratios:
-        acc += num * (scale // den)
-        out.append(acc / scale)
-    return tuple(out)
+    ratios = list(map(float.as_integer_ratio, probs))
+    top = max(den for _, den in ratios).bit_length()
+    scale = 1 << (top - 1)
+    terms = [num << (top - den.bit_length()) for num, den in ratios]
+    return tuple([acc / scale for acc in itertools.accumulate(terms)])
 
 
 class Marginals(NamedTuple):
@@ -391,47 +395,32 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
     return np.array([1 - value, value], dtype=np.float64)
 
 
-def _component_key(spec: FamilySpec, comp: Component) -> tuple:
-    """Everything :func:`_eliminate_pmf` reads of a component, up to variable labels.
-
-    Each function's read tuple, with every variable relabelled to its rank
-    in ``comp.variables``, and its truth table, in function order; then each
-    variable's probabilities, which also fix its support and uniformity.
-    Relabelling keeps the order of indices, so components with equal keys
-    take the same elimination order and give bit-identical pmfs.
-    Probabilities compare by value, so ``0.0`` and ``-0.0`` give one key;
-    a zero's sign never reaches the pmf, since each elimination adds in a
-    value of positive probability.
-    """
-    rank = {i: n for n, i in enumerate(comp.variables)}
-    fns = [spec.functions[j] for j in comp.functions]
-    reads = tuple((tuple([rank[i] for i in fn.vars]), fn.truth_table) for fn in fns)
-    return reads, tuple([spec.variables[i].probs for i in comp.variables])
-
-
 def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """Exact pmf of the family's function sum, component by component.
 
-    Each dependency component is solved by variable elimination (unread
-    variables contribute weight one), once per distinct
-    :func:`_component_key`: a component equal to an earlier one up to
-    variable labels reuses its pmf. The component pmfs are convolved in
-    order of smallest function index. Raises :class:`ResourceError`
-    naming the first component whose elimination would form a product
-    factor of more cells than the guard.
+    Walks the components of the family's dependency partition in order
+    of smallest function index, by their classes (``FamilySpec._classes``).
+    Each class of components equal up to variable labels is solved once,
+    by variable elimination of its representative (unread variables
+    contribute weight one), and every component of the class convolves in
+    that pmf. Nothing is kept across calls: every call eliminates each
+    representative and runs the whole convolution. Raises
+    :class:`ResourceError` naming the first component whose elimination
+    would form a product factor of more cells than the guard.
     """
     guard = enumeration_guard(guard)
+    classes = spec._classes
+    solved: list[np.ndarray | None] = [None] * len(classes.representatives)
     acc: np.ndarray | None = None
-    solved: dict[tuple, np.ndarray] = {}
-    for comp in dependency_components(spec):
-        key = _component_key(spec, comp)
-        part = solved.get(key)
-        if part is None:
+    for c in classes.component_class.tolist():
+        pmf = solved[c]
+        if pmf is None:
+            comp = classes.representatives[c]
             try:
-                part = solved[key] = _eliminate_pmf(spec, comp, guard)
+                pmf = solved[c] = _eliminate_pmf(spec, comp, guard)
             except ResourceError as e:
                 raise ResourceError(f"{_component_name(spec, comp)}: {e}") from None
-        acc = part if acc is None else np.convolve(acc, part)
+        acc = pmf if acc is None else np.convolve(acc, pmf)
     assert acc is not None and len(acc) == spec.num_functions + 1
     return SumPmf(tuple(float(p) for p in acc))
 
@@ -471,10 +460,13 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
 
 
 def function_marginals(spec: FamilySpec) -> Marginals:
-    """Exact ``p_j = Pr[f_j = 1]`` for every function, plus their average."""
-    laws = zip(spec.tables, *spec._cell_laws)
-    per = [min(float(masses[table == 1].sum()) / norm, 1.0) for table, masses, norm in laws]
-    return Marginals(tuple(per), math.fsum(per) / len(per))
+    """Exact ``p_j = Pr[f_j = 1]`` for every function, plus their average.
+
+    The ``p_j`` are computed once per distinct truth table and read-variable
+    laws, and kept by the family (``FamilySpec._one_probs``).
+    """
+    per = spec._one_probs
+    return Marginals(per, math.fsum(per) / len(per))
 
 
 def conditional_function_marginals(

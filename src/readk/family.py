@@ -15,6 +15,19 @@ The JSON file format used across the package::
 indices into ``variables``. Parsers reject wrong-length tables,
 unnormalized probability vectors and fields of the wrong JSON type: a JSON
 boolean is not a number, and ``name`` and ``truth_table`` must be strings.
+
+A :class:`FamilySpec` is immutable, and keeps what is derived from its
+structure the first time it is asked for: the decoded truth tables
+(``tables``), the variable laws (``laws``, one read-only array per distinct
+law), each function's law on its truth-table cells (``_cell_laws``, one per
+distinct tuple of read-variable laws), the marginals ``Pr[f_j = 1]``
+(``_one_probs``, one per distinct truth table and cell law), and the
+dependency partition (``_partition``: one union-find pass gives arrays
+from function and variable to component, and the read width) and its
+classes (``_classes``: an array from component to class of components
+equal up to variable labels, and one representative component per
+class). It never keeps a pmf or a tail sum, nor the per-component tuples
+that :func:`dependency_components` returns.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -30,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError, _check_int
-from .info_theory import _prob_vector, cover_multiplicity
+from .info_theory import _prob_vector
 
 
 @dataclass(frozen=True)
@@ -126,35 +140,103 @@ class FamilySpec:
         return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
+    def _law_index(self) -> tuple[tuple[tuple[np.ndarray, int], ...], tuple[int, ...]]:
+        """The distinct variable laws (see :attr:`laws`), and each variable's index among them.
+
+        A uniform law is keyed by its support, a weighted one by the bits of
+        its probabilities, so two variables share a law only when their
+        masses are equal bit for bit, the sign of a zero included.
+        """
+        ids: dict[int | bytes, int] = {}
+        distinct = []
+        index = []
+        for v in self.variables:
+            n = v.support_size
+            uniform = v.is_uniform
+            key = n if uniform else struct.pack(f"{n}d", *v.probs)
+            k = ids.get(key)
+            if k is None:
+                k = ids[key] = len(distinct)
+                masses = np.ones(n) if uniform else np.array(v.probs)
+                masses.flags.writeable = False
+                distinct.append((masses, n if uniform else 1))
+            index.append(k)
+        return tuple(distinct), tuple(index)
+
+    @cached_property
     def laws(self) -> tuple[tuple[np.ndarray, int], ...]:
         """Each variable's law as ``(masses, norm)``: ``Pr[x = v] = masses[v] / norm``.
 
         A uniform variable has unit masses over ``norm = support``, so sums
         of products of masses count assignments exactly in float64; a
         weighted one has its probabilities as masses over ``norm = 1``.
+        Variables of the same law share one read-only array.
         """
-        laws = []
-        for v in self.variables:
-            uniform = v.is_uniform
-            masses = np.ones(v.support_size) if uniform else np.array(v.probs)
-            masses.flags.writeable = False
-            laws.append((masses, v.support_size if uniform else 1))
-        return tuple(laws)
+        distinct, index = self._law_index
+        return tuple([distinct[k] for k in index])
+
+    @cached_property
+    def _cell_law_index(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], tuple[int, ...]]:
+        """The distinct product laws on truth-table cells, and each function's index among them.
+
+        ``(masses, norms, index)``: function j's cells have the law
+        ``masses[index[j]] / norms[index[j]]``. One law is built per
+        distinct tuple of read-variable laws; the masses are read-only
+        views of one buffer.
+        """
+        distinct, law_of = self._law_index
+        ids: dict[tuple[int, ...], int] = {}
+        index = tuple([ids.setdefault(tuple([law_of[i] for i in fn.vars]), len(ids))
+                       for fn in self.functions])
+        laws = [([distinct[k][0] for k in key], math.prod(distinct[k][1] for k in key))
+                for key in ids]
+        sizes = (math.prod(map(len, masses)) for masses, _ in laws)
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        flat = np.empty(bounds[-1])
+        for (masses, _), a, b in zip(laws, bounds, bounds[1:]):
+            flat[a:b] = _cell_masses(masses)
+        flat.flags.writeable = False
+        cells = tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+        return cells, tuple(norm for _, norm in laws), index
 
     @cached_property
     def _cell_laws(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
         """Each function's product law on its truth-table cells: ``(masses, norms)``.
 
-        ``Pr[cell c of f_j] = masses[j][c] / norms[j]``. The masses are read-only
-        views of one buffer, so a family of many small functions keeps one array.
+        ``Pr[cell c of f_j] = masses[j][c] / norms[j]``. Functions whose read
+        variables have the same laws, in order, share one read-only array
+        (see :attr:`_cell_law_index`).
         """
-        laws = [_product_law(self, fn.vars) for fn in self.functions]
-        bounds = list(itertools.accumulate(map(len, self.tables), initial=0))
-        flat = np.empty(bounds[-1])
-        for (masses, _), a, b in zip(laws, bounds, bounds[1:]):
-            flat[a:b] = _cell_masses(masses)
-        flat.flags.writeable = False
-        return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:])), tuple(n for _, n in laws)
+        masses, norms, index = self._cell_law_index
+        return tuple([masses[k] for k in index]), tuple([norms[k] for k in index])
+
+    @cached_property
+    def _one_probs(self) -> tuple[float, ...]:
+        """Each function's ``Pr[f_j = 1]``, the mass of its one-cells over its norm.
+
+        Computed once per distinct truth table and cell law: functions of the
+        same shape share the value, bit for bit.
+        """
+        masses, norms, index = self._cell_law_index
+        memo: dict[tuple[int, str], float] = {}
+        per = []
+        for fn, table, k in zip(self.functions, self.tables, index):
+            key = (k, fn.truth_table)
+            p = memo.get(key)
+            if p is None:
+                p = memo[key] = min(float(masses[k][table == 1].sum()) / norms[k], 1.0)
+            per.append(p)
+        return tuple(per)
+
+    @cached_property
+    def _partition(self) -> _Partition:
+        """The dependency partition and the read width (see :func:`_partition`)."""
+        return _partition(self)
+
+    @cached_property
+    def _classes(self) -> _Classes:
+        """The classes of equal components and their representatives (see :func:`_classes`)."""
+        return _classes(self)
 
 
 def _product_law(spec: FamilySpec, var_indices: Sequence[int]) -> tuple[list[np.ndarray], int]:
@@ -178,10 +260,10 @@ def read_width(spec: FamilySpec) -> int:
     """Smallest k such that every variable is read by at most k functions.
 
     Equals the maximum, over variables, of how many functions list that
-    variable; 0 when no function reads anything.
+    variable; 0 when no function reads anything. Counted once per family,
+    in the pass that builds the dependency partition.
     """
-    cover = (fn.vars for fn in spec.functions)
-    return max(cover_multiplicity(cover, spec.num_variables), default=0)
+    return spec._partition.read_width
 
 
 def table_index(spec: FamilySpec, j: int, assignment: Sequence[int]) -> int:
@@ -217,37 +299,128 @@ class Component(NamedTuple):
     variables: tuple[int, ...]
 
 
+class _Partition(NamedTuple):
+    """A family's dependency partition in compact form, kept by the family.
+
+    Components are numbered by their smallest function index.
+    """
+
+    function_component: np.ndarray  # function -> component
+    variable_component: np.ndarray  # variable -> component, -1 when unread
+    components: int
+    read_width: int
+
+
+class _Classes(NamedTuple):
+    """The partition's components grouped into classes, kept by the family.
+
+    Two components are in one class when they are equal up to variable
+    labels: the same read tuples, each variable relabelled to its rank
+    among the component's variables, the same truth tables in function
+    order, and the same variable probabilities by value (a zero's sign
+    never reaches a pmf, since each elimination adds in a value of positive
+    probability). Components of one class take the same elimination order
+    and give bit-identical pmfs. Classes are numbered by their first
+    component, which is kept as the class's representative.
+    """
+
+    component_class: np.ndarray  # component -> class
+    representatives: tuple[Component, ...]  # the first component of each class
+
+
+def _index_array(values: list[int]) -> np.ndarray:
+    array = np.array(values, dtype=np.int32)
+    array.flags.writeable = False
+    return array
+
+
+def _partition(spec: FamilySpec) -> _Partition:
+    """One union-find pass over the functions' read tuples, with path halving.
+
+    A function that reads nothing is a component of its own.
+    """
+    reads = [fn.vars for fn in spec.functions]
+    parent = list(range(spec.num_variables))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for read in reads:
+        if len(read) > 1:
+            a = root(read[0])
+            for i in read[1:]:
+                b = root(i)
+                if b != a:
+                    parent[b] = a
+    counts = [0] * spec.num_variables
+    for i in itertools.chain.from_iterable(reads):
+        counts[i] += 1
+    roots = list(map(root, range(spec.num_variables)))
+    # A function that reads nothing keys its own component by -1 - j.
+    ids: dict[int, int] = {}
+    function_component = [
+        ids.setdefault(roots[read[0]] if read else -1 - j, len(ids)) for j, read in enumerate(reads)
+    ]
+    variable_component = [ids[r] if n else -1 for r, n in zip(roots, counts)]
+    return _Partition(
+        _index_array(function_component),
+        _index_array(variable_component),
+        len(ids),
+        max(counts, default=0),
+    )
+
+
+def _members(part: _Partition) -> tuple[list[list[int]], list[list[int]]]:
+    """Each component's function and variable indices, in increasing order."""
+    functions: list[list[int]] = [[] for _ in range(part.components)]
+    variables: list[list[int]] = [[] for _ in range(part.components)]
+    for j, c in enumerate(part.function_component.tolist()):
+        functions[c].append(j)
+    for i, c in enumerate(part.variable_component.tolist()):
+        if c >= 0:
+            variables[c].append(i)
+    return functions, variables
+
+
+def _classes(spec: FamilySpec) -> _Classes:
+    """One pass over the components of :attr:`FamilySpec._partition`, keying each by its class."""
+    functions, variables = _members(spec._partition)
+    rank = [0] * spec.num_variables
+    for members in variables:
+        for n, i in enumerate(members):
+            rank[i] = n
+    laws: dict[tuple[float, ...], int] = {}
+    law_of = [laws.setdefault(v.probs, len(laws)) for v in spec.variables]
+    reads = [fn.vars for fn in spec.functions]
+    tables = [fn.truth_table for fn in spec.functions]
+    classes: dict[tuple, int] = {}
+    component_class = []
+    representatives = []
+    for fns, vs in zip(functions, variables):
+        key = (
+            tuple([(tuple([rank[i] for i in reads[j]]), tables[j]) for j in fns]),
+            tuple([law_of[i] for i in vs]),
+        )
+        c = classes.setdefault(key, len(classes))
+        if c == len(representatives):
+            representatives.append(Component(tuple(fns), tuple(vs)))
+        component_class.append(c)
+    return _Classes(_index_array(component_class), tuple(representatives))
+
+
 def dependency_components(spec: FamilySpec) -> tuple[Component, ...]:
     """Partition functions into blocks that share no variables.
 
     Two functions land in the same block iff their variable sets are
     connected through shared variables. Each read variable belongs to
     exactly one block; unread variables belong to none. Blocks are ordered
-    by their smallest function index.
+    by their smallest function index. Built from the partition the family
+    keeps (:attr:`FamilySpec._partition`); the blocks themselves are not kept.
     """
-    readers: list[list[int]] = [[] for _ in spec.variables]
-    for j, fn in enumerate(spec.functions):
-        for i in fn.vars:
-            readers[i].append(j)
-    seen = [False] * spec.num_functions
-    components = []
-    for start in range(spec.num_functions):
-        if seen[start]:
-            continue
-        # Walk the block from its smallest function, so blocks come out in order.
-        seen[start] = True
-        stack, block, block_vars = [start], [], set()
-        while stack:
-            j = stack.pop()
-            block.append(j)
-            for i in set(spec.functions[j].vars) - block_vars:
-                block_vars.add(i)
-                for reader in readers[i]:
-                    if not seen[reader]:
-                        seen[reader] = True
-                        stack.append(reader)
-        components.append(Component(tuple(sorted(block)), tuple(sorted(block_vars))))
-    return tuple(components)
+    functions, variables = _members(spec._partition)
+    return tuple([Component(tuple(f), tuple(v)) for f, v in zip(functions, variables)])
 
 
 # --- file format ------------------------------------------------------------

@@ -16,10 +16,19 @@ from readk.exact import (
     sum_pmf_enumerate,
     tail_prob,
 )
-from readk.family import FamilySpec, ReadFunction, Variable, dependency_components
+from readk.family import (
+    FamilySpec,
+    ReadFunction,
+    Variable,
+    dependency_components,
+    family_from_json,
+    family_to_json,
+    read_width,
+)
 from readk.generators import gen_block_tight, gen_random_family
 
 from conftest import weighted_variant
+from test_reference import component_key
 
 EXACT_TOL = 1e-12
 
@@ -356,11 +365,14 @@ class TestSharedSolves:
         pmf = sum_pmf(spec)
         assert calls == [dependency_components(spec)[0]]
         assert len(pmf.probs) == k * blocks + 1
+        # nothing is kept across calls: a second call solves the block again
+        assert sum_pmf(spec) == pmf
+        assert calls == [dependency_components(spec)[0]] * 2
 
     def test_distinct_components_are_each_solved(self, monkeypatch):
         spec = gen_random_family(40, 30, 3, 2, 0)
         comps = dependency_components(spec)
-        assert len({exact._component_key(spec, c) for c in comps}) == len(comps)
+        assert len({component_key(spec, c) for c in comps}) == len(comps)
         calls = counting_eliminations(monkeypatch)
         sum_pmf(spec)
         assert calls == list(comps)
@@ -380,6 +392,35 @@ class TestSharedSolves:
             "component [y0, y1, y2]: an elimination factor spans 8 cells, exceeding the guard 7"
         )
         assert len(calls) == 2
+
+
+def structure_outputs(spec):
+    """The pmf, marginals and read width, floats as ``float.hex``."""
+    marginals = function_marginals(spec)
+    return (
+        [p.hex() for p in sum_pmf(spec).probs],
+        [p.hex() for p in marginals.per_function],
+        marginals.mean.hex(),
+        read_width(spec),
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_block_tight(1, 300, "1/3"),
+    lambda: gen_block_tight(3, 40, "1/2"),
+    lambda: gen_random_family(40, 30, 3, 2, 0),
+    lambda: weighted_variant(gen_random_family(12, 8, 2, 3, 5), np.random.default_rng(5)),
+    lambda: FamilySpec(
+        (Variable("a", 2, (0.5, 0.5)), Variable("b", 2, (0.5000000000000001, 0.4999999999999999)),
+         Variable("c", 2, (0.0, 1.0)), Variable("d", 2, (-0.0, 1.0))),
+        tuple(ReadFunction(f"y{j}", (j % 4,), "10") for j in range(8)),
+    ),
+])
+def test_structure_is_the_same_cold_warm_and_on_a_json_copy(make):
+    spec = make()
+    first = structure_outputs(spec)
+    assert structure_outputs(spec) == first
+    assert structure_outputs(family_from_json(family_to_json(spec))) == first
 
 
 class TestGuard:

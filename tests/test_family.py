@@ -111,6 +111,50 @@ class TestDependencyComponents:
         assert 5 not in seen_vars  # unread variable attached to no component
 
 
+class TestKeptStructure:
+    """What a family keeps: shared read-only laws of unchanged values, and the compact partition."""
+
+    LAWS = ((0.5, 0.5), (0.5000000000000001, 0.4999999999999999), (0.0, 1.0), (-0.0, 1.0), (0.5, 0.5))
+
+    def spec(self):
+        variables = tuple(Variable(f"x{i}", 2, law) for i, law in enumerate(self.LAWS))
+        functions = tuple(ReadFunction(f"y{j}", (j % 5, (j + 1) % 5), "0111") for j in range(10))
+        return FamilySpec(variables, functions)
+
+    def test_laws_keep_every_bit_and_share_equal_ones(self):
+        spec = self.spec()
+        for v, (masses, norm) in zip(spec.variables, spec.laws):
+            want = [1.0, 1.0] if v.is_uniform else list(v.probs)
+            assert [x.hex() for x in masses.tolist()] == [x.hex() for x in want]
+            assert norm == (2 if v.is_uniform else 1)
+            assert not masses.flags.writeable
+        assert spec.laws[0] is spec.laws[4]
+        assert len({id(law) for law in spec.laws}) == 4
+
+    def test_cell_laws_keep_every_bit(self):
+        spec = self.spec()
+        cells, norms = spec._cell_laws
+        for fn, masses, norm in zip(spec.functions, cells, norms):
+            (a, na), (b, nb) = (spec.laws[i] for i in fn.vars)
+            want = np.multiply.outer(np.multiply.outer([1.0], a).ravel(), b).ravel()
+            assert [x.hex() for x in masses.tolist()] == [x.hex() for x in want.tolist()]
+            assert norm == na * nb
+            assert not masses.flags.writeable
+        assert cells[0] is cells[5]  # y0 and y5 read (x0, x1) and (x0, x1)
+
+    def test_partition_is_compact_and_read_only(self):
+        spec = spec_of([(0, 1), (2,), (1, 3), (4,), ()], m=6)
+        part, classes = spec._partition, spec._classes
+        assert part.function_component.tolist() == [0, 1, 0, 2, 3]
+        assert part.variable_component.tolist() == [0, 0, 1, 0, 2, -1]
+        assert (part.components, part.read_width) == (4, 2)
+        # y1 and y3 each read one fair bit through "01": one class
+        assert classes.component_class.tolist() == [0, 1, 1, 2]
+        assert [c.functions for c in classes.representatives] == [(0, 2), (1,), (4,)]
+        for array in (part.function_component, part.variable_component, classes.component_class):
+            assert not array.flags.writeable
+
+
 class TestValidation:
     def test_wrong_table_length(self):
         with pytest.raises(ValidationError):

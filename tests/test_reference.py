@@ -123,6 +123,24 @@ def per_component_reference(spec):
     return tuple(float(p) for p in acc)
 
 
+def component_key(spec, comp):
+    """Everything ``_eliminate_pmf`` reads of a component, up to variable labels.
+
+    Each function's read tuple, with every variable relabelled to its rank
+    in ``comp.variables``, and its truth table, in function order; then each
+    variable's probabilities, which also fix its support and uniformity.
+    Relabelling keeps the order of indices, so components with equal keys
+    take the same elimination order and give bit-identical pmfs.
+    Probabilities compare by value, so ``0.0`` and ``-0.0`` give one key;
+    a zero's sign never reaches the pmf, since each elimination adds in a
+    value of positive probability.
+    """
+    rank = {i: n for n, i in enumerate(comp.variables)}
+    fns = [spec.functions[j] for j in comp.functions]
+    reads = tuple((tuple(rank[i] for i in fn.vars), fn.truth_table) for fn in fns)
+    return reads, tuple(spec.variables[i].probs for i in comp.variables)
+
+
 # A block is ``(probs per variable, (read, table) per function)``, in local indices.
 # Each look-alike differs from its original in one thing, so it must not share its solve.
 ASYMMETRIC = (((0.9, 0.1), (0.3, 0.7)), (((0, 1), "0100"),))
@@ -191,6 +209,105 @@ def test_shared_solves_are_bit_identical_to_per_component_elimination(spec):
     got = sum_pmf(spec).probs
     want = per_component_reference(spec)
     assert [p.hex() for p in got] == [p.hex() for p in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_block_unions())
+def test_component_classes_match_oracle_keys(spec):
+    comps = dependency_components(spec)
+    classes = spec._classes.component_class.tolist()
+    keys = [component_key(spec, c) for c in comps]
+    assert len(classes) == len(comps)
+    for a in range(len(comps)):
+        for b in range(len(comps)):
+            assert (classes[a] == classes[b]) == (keys[a] == keys[b])
+    # each class is represented by its first component, classes numbered in that order
+    firsts = [classes.index(c) for c in range(len(spec._classes.representatives))]
+    assert firsts == sorted(firsts)
+    assert spec._classes.representatives == tuple(comps[a] for a in firsts)
+
+
+def per_function_marginal(spec, j):
+    """``Pr[f_j = 1]`` by the one-function formula, on cell masses built for f_j alone."""
+    masses, norm = np.array([1.0]), 1
+    for i in spec.functions[j].vars:
+        v = spec.variables[i]
+        uniform = v.is_uniform
+        law = np.ones(v.support_size) if uniform else np.array(v.probs)
+        masses = np.multiply.outer(masses, law).ravel()
+        norm *= v.support_size if uniform else 1
+    table = np.frombuffer(spec.functions[j].truth_table.encode("ascii"), dtype=np.uint8) - ord("0")
+    return min(float(masses[table == 1].sum()) / norm, 1.0)
+
+
+#: Laws equal, near-equal or equal only by value: uniform beside one ulp off it, signed zeros.
+SHAPE_LAWS = (
+    (0.5, 0.5),
+    (0.5000000000000001, 0.4999999999999999),
+    (0.0, 1.0),
+    (-0.0, 1.0),
+    (1 / 3, 1 / 3, 1 / 3),
+    (0.2, 0.3, 0.5),
+)
+
+
+@st.composite
+def repeated_shapes(draw):
+    """Functions drawn from a few shapes, so truth tables and read laws repeat, together or apart.
+
+    Tables include all-zero ones and ones with more than 8 ones (up to 27 cells).
+    """
+    variables = tuple(
+        Variable(f"x{i}", len(law), law)
+        for i, law in enumerate(draw(st.lists(st.sampled_from(SHAPE_LAWS), min_size=1, max_size=8)))
+    )
+    indices = st.integers(0, len(variables) - 1)
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        read = draw(st.lists(indices, unique=True, max_size=min(3, len(variables))))
+        size = math.prod(variables[i].support_size for i in read)
+        kind = draw(st.sampled_from(["zeros", "ones", "any"]))
+        table = "0" * size if kind == "zeros" else "1" * size if kind == "ones" else draw(
+            st.text(alphabet="01", min_size=size, max_size=size)
+        )
+        shapes.append((tuple(read), table))
+    picks = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=12))
+    # A permuted read keeps the table's length but may change the laws it is read under.
+    functions = tuple(
+        ReadFunction(f"y{j}", tuple(draw(st.permutations(read))), table)
+        for j, (read, table) in enumerate(picks)
+    )
+    return FamilySpec(variables, functions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_shapes())
+def test_marginals_are_bit_identical_to_per_function_formula(spec):
+    got = function_marginals(spec).per_function
+    want = [per_function_marginal(spec, j) for j in range(spec.num_functions)]
+    assert [p.hex() for p in got] == [p.hex() for p in want]
+
+
+def test_marginals_per_shape_on_wide_tables_and_near_equal_laws():
+    # x0 uniform, x1 one ulp off uniform, x2 and x4 of support 3: tables of 12 cells, 9 and 12 ones
+    variables = (
+        Variable("x0", 2, (0.5, 0.5)),
+        Variable("x1", 2, (0.5000000000000001, 0.4999999999999999)),
+        Variable("x2", 3, (0.2, 0.3, 0.5)),
+        Variable("x3", 2, (0.5, 0.5)),
+        Variable("x4", 3, (1 / 3, 1 / 3, 1 / 3)),
+    )
+    shapes = [((0, 1, 2), "111011101100"), ((3, 1, 2), "111011101100"),
+              ((0, 1, 2), "1" * 12), ((1, 0, 2), "0" * 12), ((0, 2), "110111"),
+              ((2,), "011"), ((4,), "011")]
+    spec = FamilySpec(variables, tuple(
+        ReadFunction(f"y{j}", read, table) for j, (read, table) in enumerate(shapes * 3)
+    ))
+    got = function_marginals(spec).per_function
+    want = [per_function_marginal(spec, j) for j in range(spec.num_functions)]
+    assert [p.hex() for p in got] == [p.hex() for p in want]
+    assert got[0] == got[1] and got[2] == 1.0 and got[3] == 0.0
+    assert got[5] == 0.8 and got[6] == 2 / 3  # one table read under two laws
 
 
 @pytest.mark.parametrize("seed", range(6))
