@@ -35,7 +35,6 @@ outcomes, equal values (``1``, ``1.0`` and ``True``) sharing a code.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
@@ -198,11 +197,12 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     reads = _row_reads(spec, range(spec.num_variables))
-    # One positions buffer, reused by every function in turn.
-    buffer = np.empty(values.shape[1], dtype=values.dtype)
+    # One positions buffer, reused by every function in turn; narrow digits
+    # cannot hold table positions.
+    buffer = np.empty(values.shape[1], dtype=np.intp)
     probs = np.array(conditioned.probs)
     cells = []
-    for pos, table in zip(_table_positions(reads, values, itertools.repeat(buffer)), spec.tables):
+    for pos, table in zip(_table_positions(reads, values, buffer), spec.tables):
         fn_cells = [0.0] * len(table)
         keys, sums = _key_sums(pos, probs)
         for c, mass_c in zip(keys.tolist(), sums):
@@ -226,7 +226,7 @@ def conditional_law(
     """
     kept_digits: list[np.ndarray] = []
     kept_masses: list[np.ndarray] = []
-    for digits, _, sums, masses in _scan(spec, guard):
+    for digits, sums, masses in _scan(spec, guard):
         mask = _in_tail(sums, query)
         kept_digits.append(digits[:, mask])
         kept_masses.append(masses[mask])

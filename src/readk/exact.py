@@ -29,7 +29,10 @@ component. The flat enumerations, :func:`sum_pmf_enumerate`,
 :func:`conditional_function_marginals` and the audits ``conditional_law``
 and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
-number of assignments. The scan and the Monte Carlo sampler find each
+number of assignments. The scan holds one chunk of at most ``CHUNK``
+(``2**20``) assignments: one row per variable, in the narrowest unsigned
+type that holds the largest support, plus one ``intp`` position buffer,
+the Monte Carlo sampler's layout. The scan and the sampler find each
 function's truth-table positions through one loop,
 :func:`_table_positions`, and add up the functions through another,
 :func:`_function_sums`. The scan passes its digits in variable order, the
@@ -175,15 +178,15 @@ def _row_reads(spec: FamilySpec, rows: Sequence[int]) -> list[list[tuple[int, in
 
 
 def _table_positions(
-    reads: list[list[tuple[int, int]]], values: np.ndarray, out: Iterable[np.ndarray]
+    reads: list[list[tuple[int, int]]], values: np.ndarray, positions: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Each function's mixed-radix truth-table positions, written into the next buffer of ``out``.
+    """Each function's mixed-radix truth-table positions, in turn, in one ``intp`` buffer.
 
-    ``reads`` comes from :func:`_row_reads` for the row layout of ``values``.
-    When ``out`` repeats one buffer, a yielded array holds its function's
-    positions only until the next one is written.
+    ``reads`` comes from :func:`_row_reads` for the row layout of ``values``,
+    and ``positions`` is as long as a row of ``values``. A yielded buffer
+    holds its function's positions only until the next one is written.
     """
-    for read, positions in zip(reads, out):
+    for read in reads:
         positions[...] = values[read[0][0]] if read else 0
         for row, size in read[1:]:
             positions *= size
@@ -218,32 +221,32 @@ def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") ->
 def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """Every full assignment in lexicographic order, by chunks.
 
-    Yields ``(digits, positions, sums, masses)`` per chunk: each variable's
-    values and each function's truth-table positions (one row per variable
-    and per function, in buffers the next chunk overwrites), and each
-    assignment's function sum and product-law mass. Raises
+    Yields ``(digits, sums, masses)`` per chunk: each variable's values,
+    one row per variable in the narrowest unsigned type that holds the
+    largest support, and each assignment's function sum and product-law
+    mass, in buffers the next chunk overwrites. Table positions go through
+    one reused ``intp`` buffer, as in the sampler. Raises
     :class:`ResourceError` when the family spans more assignments than the
     guard (see :func:`enumeration_guard`).
     """
     sizes = [v.support_size for v in spec.variables]
-    total = math.prod(sizes)
-    _check_guard(total, enumeration_guard(guard), "family")
+    _check_guard(math.prod(sizes), enumeration_guard(guard), "family")
     masses, _ = _product_law(spec, range(len(sizes)))
     # A chunk fixes the leading variables and runs through every value of
     # the trailing ones, at most CHUNK assignments unless one variable has more.
     lead = len(sizes) - 1
     while lead and math.prod(sizes[lead - 1:]) <= CHUNK:
         lead -= 1
-    dtype = np.int32 if total <= 2**31 - 1 else np.int64
+    dtype = np.min_scalar_type(max(sizes) - 1)
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
-    positions = np.empty((spec.num_functions, digits.shape[1]), dtype=dtype)
+    positions = np.empty(digits.shape[1], dtype=np.intp)
     reads = _row_reads(spec, range(len(sizes)))
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
         sums = _function_sums(spec, _table_positions(reads, digits, positions), digits.shape[1])
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
-        yield digits, positions, sums, _cell_masses(masses[lead:], lead_mass)
+        yield digits, sums, _cell_masses(masses[lead:], lead_mass)
 
 
 def _scan_tail(
@@ -251,17 +254,23 @@ def _scan_tail(
 ) -> tuple[float, list[np.ndarray]]:
     """Product-law mass of a tail event, and its mass on each cell of each truth table.
 
-    Both are before division by the norm. Raises :class:`DomainError` when
-    the event has probability zero.
+    Both are before division by the norm. Table positions are found for
+    the tail's assignments only. Raises :class:`DomainError` when the event
+    has probability zero.
     """
     mass = 0.0
     cells = [np.zeros(len(table)) for table in spec.tables]
-    for _, positions, sums, masses in _scan(spec, guard):
+    reads = _row_reads(spec, range(spec.num_variables))
+    buffer = None
+    for digits, sums, masses in _scan(spec, guard):
+        if buffer is None:
+            buffer = np.empty(len(sums), dtype=np.intp)
         mask = _in_tail(sums, query)
         w = masses[mask]
         mass += float(w.sum())
-        for cell, pos in zip(cells, positions):
-            cell += np.bincount(pos[mask], weights=w, minlength=len(cell))
+        tail = digits[:, mask]
+        for cell, pos in zip(cells, _table_positions(reads, tail, buffer[:len(w)])):
+            cell += np.bincount(pos, weights=w, minlength=len(cell))
     if mass <= 0.0:
         raise DomainError("conditioning event has probability zero")
     return mass, cells
@@ -433,7 +442,7 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """
     _, norm = _product_law(spec, range(spec.num_variables))
     pmf = np.zeros(spec.num_functions + 1)
-    for _, _, sums, masses in _scan(spec, guard):
+    for _, sums, masses in _scan(spec, guard):
         pmf += np.bincount(sums, weights=masses, minlength=len(pmf))
     return SumPmf(tuple(float(p) for p in pmf / norm))
 

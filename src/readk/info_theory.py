@@ -6,23 +6,23 @@ divergence where the first argument has mass outside the support of the
 second is ``+inf`` (an explicit ``math.inf``, never a NaN). Entropies are
 finite and non-negative; divergences are non-negative or ``+inf``.
 
-Projections and push-forwards merge outcomes through a plain-Python
-group-by, :func:`_group_sums`, with one ``math.fsum`` per group: each
-merged probability is correctly rounded, whatever the outcome order. It
-groups hashable labels by equality, so ``1``, ``1.0`` and ``True`` are
-one label, and it keeps this module free of numpy. The audits hold their
-laws as integer keys and group those with numpy instead
-(``audit._key_sums``); both group-bys round each group once, so they give
-the same bits. Every probability vector given to the package (a
-variable's law, a :class:`Distribution`, a sum pmf) passes one check,
-and every divergence from an explicit law, here and in the audits, is
-one summation kernel. Laws the package derives from laws that passed it
-(projections, push-forwards, conditioned laws) are built by
-:meth:`Distribution._trusted`, which does not check them again.
+Projections, push-forwards and conditional entropies merge outcomes
+through a plain-Python group-by, :func:`_group_sums`, with one
+``math.fsum`` per group: each merged probability is correctly rounded,
+whatever the outcome order. It groups hashable labels by equality, so
+``1``, ``1.0`` and ``True`` are one label, and it keeps this module free
+of numpy. The audits hold their laws as integer keys and group those
+with numpy instead (``audit._key_sums``); both group-bys round each
+group once, so they give the same bits. Every probability vector given
+to the package (a variable's law, a :class:`Distribution`, a sum pmf)
+passes one check, and every divergence from an explicit law, here and in
+the audits, is one summation kernel. Laws the package derives from laws
+that passed it (projections, push-forwards, conditioned laws) are built
+by :meth:`Distribution._trusted`, which does not check them again.
 Coordinates, of a projection, of a conditional entropy, of a Shearer
 cover or of the functions' read sets, pass one check,
-:func:`cover_multiplicity`, and a law's outcomes are checked to be tuples
-of one width once per law, by :attr:`Distribution._tuple_width`.
+:func:`cover_multiplicity`, and a law's outcomes are checked to be
+tuples of one width once per law, by :attr:`Distribution._tuple_width`.
 """
 
 from __future__ import annotations
@@ -292,16 +292,15 @@ def conditional_entropy(
     given = tuple(given)
     if max(cover_multiplicity([target, given], joint._tuple_width), default=0) > 1:
         raise DomainError("target and conditioning coordinates must all be distinct")
-    groups: dict[tuple, dict[tuple, list[float]]] = {}
-    for a, p in zip(joint.outcomes, joint.probs):
-        if p == 0.0:
-            continue
-        g = tuple(a[c] for c in given)
-        t = tuple(a[c] for c in target)
-        groups.setdefault(g, {}).setdefault(t, []).append(p)
+    # Zero-mass outcomes are dropped before grouping: the sum runs over the
+    # conditioning values in order of their first outcome of positive mass.
+    kept = [(a, p) for a, p in zip(joint.outcomes, joint.probs) if p != 0.0]
+    keys = ((tuple(a[c] for c in given), tuple(a[c] for c in target)) for a, _ in kept)
+    cases: dict[tuple, list[float]] = {}
+    for (g, _), mass in _group_sums(keys, (p for _, p in kept)).items():
+        cases.setdefault(g, []).append(mass)
     total = 0.0
-    for cases in groups.values():
-        masses = [math.fsum(ps) for ps in cases.values()]
+    for masses in cases.values():
         z = math.fsum(masses)
         total += z * math.fsum(-(m / z) * math.log(m / z) for m in masses if m > 0.0)
     return max(total, 0.0)

@@ -30,7 +30,6 @@ intervals with half-width ``sqrt(ln(2/0.01) / (2 n))``, clamped to [0, 1].
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -148,7 +147,7 @@ def estimate_tail(
         n = min(chunk, samples - done)
         rng.random(out=uniforms[:n])
         drawn = _draw_values(cdf, uniforms[:n], values[:, :n])
-        found = _table_positions(reads, drawn, itertools.repeat(positions[:n]))
+        found = _table_positions(reads, drawn, positions[:n])
         successes += int(np.count_nonzero(_in_tail(_function_sums(spec, found, n), query)))
         done += n
     estimate = successes / samples

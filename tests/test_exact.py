@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,28 @@ def test_chunked_scan_matches_one_chunk(weighted, monkeypatch):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     else:
         assert chunked == whole
+
+
+@pytest.mark.parametrize("run", ["proof_trace", "sum_pmf_enumerate"])
+def test_scan_memory_does_not_grow_with_the_number_of_functions(run):
+    # 2^16 assignments and 200 functions: a table of positions per function
+    # and assignment would take 200 * 2^16 * 4 bytes, about 50 MB. numpy's
+    # buffers are traced, so the peak counts the scan's arrays.
+    tables = ("0110", "0111", "0001", "1011")
+    functions = [ReadFunction(f"y{j}", (j % 16, (j + 1) % 16), tables[j % 4]) for j in range(200)]
+    spec = FamilySpec(tuple(Variable(f"x{i}", 2) for i in range(16)), tuple(functions))
+    query = TailQuery(100, "ge")
+    calls = {
+        "proof_trace": lambda: proof_trace(spec, query),
+        "sum_pmf_enumerate": lambda: sum_pmf_enumerate(spec),
+    }
+    tracemalloc.start()
+    try:
+        calls[run]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_convolution_equals_full_enumeration_on_random_corpus():

@@ -7,6 +7,7 @@ so it shares no indexing or reduction code with the numpy engine.
 
 import itertools
 import math
+import random
 import re
 from collections.abc import Mapping
 
@@ -40,6 +41,7 @@ from readk.family import (
 from readk.generators import gen_random_family
 from readk.info_theory import (
     Distribution,
+    conditional_entropy,
     entropy,
     kl_binary,
     kl_divergence,
@@ -351,13 +353,17 @@ def test_weighted_trace_terms_match_distribution_level_reference(seed):
     check_trace_terms(weighted_variant(spec, np.random.default_rng(seed)), t=3)
 
 
-def check_trace_terms(spec, t):
-    """All five trace terms against the product law materialized scalar-style."""
+def check_trace_terms(spec, t, rows=None):
+    """All five trace terms against the product law materialized scalar-style.
+
+    ``rows`` is ``list(reference_rows(spec))``, computed here when not given.
+    """
     r = spec.num_functions
     k = read_width(spec)
     trace = proof_trace(spec, TailQuery(t, "ge"))
 
-    rows = list(reference_rows(spec))
+    if rows is None:
+        rows = list(reference_rows(spec))
     outcomes = tuple(a for a, _, _ in rows)
     mu = Distribution(outcomes, tuple(w for _, w, _ in rows))
     mass = math.fsum(w for _, w, total in rows if total >= t)
@@ -385,6 +391,35 @@ def check_trace_terms(spec, t):
     assert trace.final_term == pytest.approx(
         (r / k) * kl_binary(max(t / r, p_bar), p_bar), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_scan_on_supports_wider_than_a_byte(weighted):
+    # Variable 0 takes values up to 256, so the digits need two bytes, and
+    # y3's table has 257 * 256 cells, so its positions need more than two.
+    rng = np.random.default_rng(257)
+    sizes = (257, 256, 2)
+    functions = []
+    for j, read in enumerate([(0,), (1, 2), (2, 0), (0, 1)]):
+        table = rng.choice(["0", "1"], math.prod(sizes[i] for i in read))
+        functions.append(ReadFunction(f"y{j}", read, "".join(table)))
+    spec = FamilySpec(tuple(Variable(f"x{i}", s) for i, s in enumerate(sizes)), tuple(functions))
+    if weighted:
+        spec = weighted_variant(spec, rng)
+    got = sum_pmf_enumerate(spec).probs
+    assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, sum_pmf(spec).probs))
+
+    t = 2
+    law = conditional_law(spec, TailQuery(t, "ge"))
+    rows = list(reference_rows(spec))
+    tail = [(a, w) for a, w, total in rows if total >= t]
+    assert law._digits.dtype == np.uint16
+    assert law.outcomes == tuple(a for a, _ in tail)
+    assert law._digits.T.tolist() == [list(a) for a, _ in tail]
+    mass = math.fsum(w for _, w in tail)
+    assert law.probs == pytest.approx([w / mass for _, w in tail], rel=1e-12)
+    assert hex_pair(shearer_kl_gap(spec, law)) == hex_pair(reference_shearer_kl_gap(spec, law))
+    check_trace_terms(spec, t, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -448,6 +483,54 @@ def test_push_forward_is_bit_identical_to_dict_reference(law, data):
     phi = {a: data.draw(image) for a in law.outcomes}  # a merging map
     assert_same_law(push_forward(law, phi), reference_push_forward(law, phi))
     assert_same_law(push_forward(law, phi.get), reference_push_forward(law, phi.get))
+
+
+def reference_conditional_entropy(joint, target, given):
+    """Outcomes of positive mass merged through a dict of dicts of lists:
+    conditioning values, then target values, each in first-seen order."""
+    groups = {}
+    for a, p in zip(joint.outcomes, joint.probs):
+        if p == 0.0:
+            continue
+        g = tuple(a[c] for c in given)
+        t = tuple(a[c] for c in target)
+        groups.setdefault(g, {}).setdefault(t, []).append(p)
+    total = 0.0
+    for cases in groups.values():
+        masses = [math.fsum(ps) for ps in cases.values()]
+        z = math.fsum(masses)
+        total += z * math.fsum(-(m / z) * math.log(m / z) for m in masses if m > 0.0)
+    return max(total, 0.0)
+
+
+@st.composite
+def conditioned_laws(draw):
+    """A law with many zero masses, target and conditioning coordinates.
+
+    Labels include 1, 1.0 and True, which are one value. The law and the
+    coordinates come from a seeded generator: conditioning values whose
+    order changes the rounding show up on such cases far more often than
+    on the short lists and simple floats hypothesis prefers.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = rng.randint(2, 4)
+    labels = [0, 1, 1.0, True, False, 2]
+    drawn = [tuple(rng.choices(labels, k=width)) for _ in range(rng.randint(1, 100))]
+    outcomes = list(dict.fromkeys(drawn))  # equal tuples, 1 and True alike, count once
+    zero_share = rng.choice([0.3, 0.6])
+    raw = [0.0 if rng.random() < zero_share else rng.random() for _ in outcomes]
+    total = math.fsum(raw)
+    assume(total > 0.0)
+    coords = rng.sample(range(width), width)
+    cut = rng.randint(0, width - 1)
+    target, given = coords[:cut], coords[cut:rng.randint(cut + 1, width)]
+    return Distribution(tuple(outcomes), tuple(x / total for x in raw)), target, given
+
+
+@settings(max_examples=300, deadline=None)
+@given(conditioned_laws())
+def test_conditional_entropy_is_bit_identical_to_nested_dict_reference(case):
+    assert conditional_entropy(*case).hex() == reference_conditional_entropy(*case).hex()
 
 
 @st.composite
