@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DomainError, _check_int
+from .errors import DomainError, _check_int, _check_real
 from .info_theory import Nats, kl_binary
 
 Direction = Literal["upper", "lower"]
@@ -25,9 +25,10 @@ _EDGE_TOL = 1e-12
 
 
 def _check_rkp(r: int, k: int, p: float) -> None:
-    """DomainError unless ``r`` and ``k`` are positive ints and ``p`` lies in [0, 1]."""
+    """DomainError unless ``r`` and ``k`` are positive ints and ``p`` a real number in [0, 1]."""
     _check_int(r, "r")
     _check_int(k, "k")
+    _check_real(p, "p")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
 
@@ -44,6 +45,7 @@ class BoundQuery:
 
     def __post_init__(self) -> None:
         _check_rkp(self.r, self.k, self.p)
+        _check_real(self.eps, "eps")
         if not (self.eps > 0.0) or math.isinf(self.eps):
             raise DomainError(f"eps must be positive and finite, got {self.eps!r}")
         if self.direction not in ("upper", "lower"):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its one integer-argument check."""
+"""Exception hierarchy shared across the package, and its integer and real argument checks."""
 
 
 class ReadkError(Exception):
@@ -29,3 +29,18 @@ def _check_int(value, name: str, minimum: int = 1, error: type[ReadkError] = Dom
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         kind = "positive" if minimum == 1 else "non-negative"
         raise error(f"{name} must be a {kind} int, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a real number, numpy's too, not a bool.
+
+    A float passes on the first test, without the ``numbers`` import (which
+    the numpy-free ``readk bound`` would otherwise pay) or the ``numbers.Real``
+    test (about 0.5 us, and a verify sweep builds two queries per threshold).
+    """
+    if isinstance(value, float):
+        return
+    import numbers
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")

@@ -6,20 +6,22 @@ a factor with one axis per variable it reads, standing for the polynomial
 ``z**f`` in the partial sum, and products carry a trailing axis of
 polynomial coefficients. Multiplying factors broadcasts their variable
 axes and convolves their sum axes; eliminating a variable sums its axis
-out against that variable's probabilities. The
-elimination order is greedy min-degree, ties broken by variable index, so
-the cost grows with a component's treewidth rather than its assignment
-count. Components of uniform variables with fewer than ``2**62``
-assignments carry exact integer counts and divide by the total at the
-end; the rest carry float64 weights. Components equal up to variable
-labels (same read tuples relabelled by rank, truth tables and variable
-laws) form one class, solved once per call by eliminating its
-representative, so a family of thousands of identical blocks costs one
-elimination. The component pmfs are then convolved in order of smallest
-function index. The family keeps the partition into components and
-their classes (``FamilySpec._partition`` and ``FamilySpec._classes``);
-no pmf and no tail sum is kept across calls, so every call eliminates
-each representative and runs the whole convolution.
+out against that variable's probabilities. Order, then buckets:
+:func:`_min_degree_order` picks a greedy min-degree order from the read
+tuples alone, ties broken by variable index, and :func:`_eliminate_pmf`
+runs the buckets along it, so the cost grows with a component's
+treewidth rather than its assignment count. Components of uniform
+variables with fewer than ``2**62`` assignments carry exact integer
+counts and divide by the total at the end; the rest carry float64
+weights. Components equal up to variable labels (same read tuples
+relabelled by rank, truth tables and variable laws) form one class,
+solved once per call by eliminating its representative, so a family of
+thousands of identical blocks costs one elimination. The component pmfs
+are then convolved in order of smallest function index. The family keeps
+the partition into components and their classes
+(``FamilySpec._partition`` and ``FamilySpec._classes``); no pmf and no
+tail sum is kept across calls, so every call eliminates each
+representative and runs the whole convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -49,7 +51,6 @@ for identical inputs.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -60,7 +61,7 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _check_int
+from .errors import DomainError, ResourceError, _check_int, _check_real
 from .family import Component, FamilySpec, _cell_masses, _product_law
 from .info_theory import _prob_vector
 
@@ -102,6 +103,7 @@ class TailQuery:
     def __post_init__(self) -> None:
         if self.direction not in ("ge", "le"):
             raise DomainError(f"direction must be 'ge' or 'le', got {self.direction!r}")
+        _check_real(self.threshold, "threshold")
         try:
             finite = math.isfinite(self.threshold)
         except OverflowError:
@@ -289,11 +291,6 @@ def _tail_marginals(spec: FamilySpec, cells: list[np.ndarray]) -> tuple[float, .
     return tuple(q)
 
 
-def _component_name(spec: FamilySpec, comp: Component) -> str:
-    names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
-    return f"component [{names}{', ...' if len(comp.functions) > 4 else ''}]"
-
-
 def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Product of two aligned polynomial factors.
 
@@ -310,59 +307,79 @@ def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return out
 
 
-def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
-    """Exact pmf of one component's partial sum by variable elimination.
+def _min_degree_order(reads: Sequence[Sequence[int]]) -> list[int]:
+    """Greedy min-degree elimination order of the variables in ``reads``; builds no array.
 
-    A factor is ``(scope, array, length)``: ``scope`` lists its variables
-    in increasing order, one array axis each. A *sum* factor holds the
-    partial sum ``s`` of its functions, standing for the polynomial
-    ``z**s``, and has no further axis; a polynomial factor adds a trailing
-    axis of ``length`` coefficients. Functions enter as sum factors, so the
-    functions of one bucket are added, not convolved.
+    ``adj`` holds each variable's closed neighbourhood: the variables a read
+    tuple shares with it, itself included. Each step takes a variable of
+    fewest neighbours, ties by smallest index, from a heap with lazy deletion,
+    joins its neighbours, and stops at the first whose bucket spans all left.
+    """
+    adj = {i: set() for i in itertools.chain.from_iterable(reads)}
+    for read in reads:
+        for i in read:
+            adj[i].update(read)
+    heap = [(len(nbrs), i) for i, nbrs in adj.items()]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        size, v = heapq.heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or size != len(nbrs):  # eliminated, or stale
+            continue
+        if len(nbrs) == len(adj):
+            break
+        del adj[v]
+        order.append(v)
+        nbrs.discard(v)
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u].discard(v)
+            heapq.heappush(heap, (len(adj[u]), u))
+    return order
+
+
+def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
+    """Exact pmf of one component's partial sum by bucket elimination: order, then buckets.
+
+    A factor is ``(scope, array, length)``: ``scope`` lists its variables in
+    increasing order, one array axis each. A *sum* factor holds the partial
+    sum ``s`` of its functions, standing for the polynomial ``z**s``, and has
+    no further axis; a polynomial factor adds a trailing axis of ``length``
+    coefficients. Functions enter as sum factors, so the functions of one
+    bucket are added, not convolved. Each factor goes into the bucket of its
+    first variable in :func:`_min_degree_order`; the last bucket takes every
+    factor left and sums out every variable left.
     """
     variables = spec.variables
     sizes = {i: variables[i].support_size for i in comp.variables}
     total = math.prod(sizes.values())
     counting = total < _INT_COUNT_LIMIT and all(variables[i].is_uniform for i in comp.variables)
     dtype = np.int64 if counting else np.float64
+    names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
+    more = ", ..." if len(comp.functions) > 4 else ""
+    what = f"component [{names}{more}]: an elimination factor"
+    reads = [spec.functions[j].vars for j in comp.functions]
+    order = _min_degree_order(reads)
+    rank = {v: r for r, v in enumerate(order)}  # the variables left share the last bucket
+    buckets: list[list[tuple[list[int], np.ndarray, int]]] = [[] for _ in range(len(order) + 1)]
 
-    factors: dict[int, tuple[list[int], np.ndarray, int]] = {}
-    holders: dict[int, list[int]] = {i: [] for i in comp.variables}  # ids of factors reading i
-    adj: dict[int, set[int]] = {i: set() for i in comp.variables}  # interaction graph
-    for fid, j in enumerate(comp.functions):
-        read = spec.functions[j].vars
+    def place(factor: tuple[list[int], np.ndarray, int]) -> None:
+        first = min([rank.get(i, len(order)) for i in factor[0]], default=len(order))
+        buckets[first].append(factor)
+
+    for j, read in zip(comp.functions, reads):
         scope = sorted(read)
         table = spec.tables[j].reshape([sizes[i] for i in read])
         if scope != list(read):
             table = table.transpose(sorted(range(len(read)), key=read.__getitem__))
-        factors[fid] = (scope, table, 2)
-        for i in scope:
-            holders[i].append(fid)
-            adj[i].update(scope)
-    for i, nbrs in adj.items():
-        nbrs.discard(i)
-
-    # Greedy min-degree order with lazy deletion of stale heap entries.
-    next_id = len(factors)
-    heap = [(len(nbrs), i) for i, nbrs in adj.items()]
-    heapq.heapify(heap)
-    remaining = len(heap)
-    while remaining:
-        degree, v = heapq.heappop(heap)
-        if degree != len(adj[v]) or not holders[v]:  # stale, or v already eliminated
-            continue
-        nbrs = adj[v]
-        rest = sorted(nbrs)
-        axis = bisect.bisect(rest, v)
-        scope = rest[:axis] + [v] + rest[axis:]
-        # A bucket spanning every variable left takes every factor left
-        # and sums all of them out: the last elimination.
-        last = len(scope) == remaining
-        fids = list(factors) if last else holders[v]
-        bucket = [factors.pop(f) for f in fids]
+        place((scope, table, 2))
+    for r, bucket in enumerate(buckets):
+        last = r == len(order)
+        scope = sorted({i for vs, _, _ in bucket for i in vs})
         shape = tuple([sizes[i] for i in scope])
         length = 1 + sum([n for _, _, n in bucket]) - len(bucket)
-        _check_guard(math.prod(shape) * length, guard, "an elimination factor", "cells")
+        _check_guard(math.prod(shape) * length, guard, what, "cells")
         sums, sum_length, product = None, 1, None
         for vs, arr, n in bucket:
             if vs != scope:
@@ -376,8 +393,8 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
         if sums is not None:
             poly = (sums[..., np.newaxis] == np.arange(sum_length)).astype(dtype)
             product = poly if product is None else _times_poly(product, poly, shape)
-        summed = scope if last else [v]
-        axes = tuple(range(len(scope))) if last else (axis,)
+        summed = scope if last else [order[r]]
+        axes = tuple(map(scope.index, summed))
         if not counting:
             for i, a in zip(summed, axes):
                 weights = [1] * product.ndim
@@ -386,22 +403,8 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
         message = np.add.reduce(product, axis=axes)
         if last:
             return message / total if counting else message
-        remaining -= 1
-        holders[v] = []
-        factors[next_id] = (rest, message, length)
-        gone = set(fids)
-        for u in rest:
-            holders[u] = [f for f in holders[u] if f not in gone]
-            holders[u].append(next_id)
-            adj[u] |= nbrs
-            adj[u] -= {u, v}
-            heapq.heappush(heap, (len(adj[u]), u))
-        next_id += 1
-
-    # A component without variables is a single constant function.
-    ((_, table, _),) = factors.values()
-    value = int(table.reshape(()))
-    return np.array([1 - value, value], dtype=np.float64)
+        bucket.clear()  # frees the factors summed out
+        place(([i for i in scope if i != order[r]], message, length))
 
 
 def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
@@ -424,11 +427,7 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     for c in classes.component_class.tolist():
         pmf = solved[c]
         if pmf is None:
-            comp = classes.representatives[c]
-            try:
-                pmf = solved[c] = _eliminate_pmf(spec, comp, guard)
-            except ResourceError as e:
-                raise ResourceError(f"{_component_name(spec, comp)}: {e}") from None
+            pmf = solved[c] = _eliminate_pmf(spec, classes.representatives[c], guard)
         acc = pmf if acc is None else np.convolve(acc, pmf)
     assert acc is not None and len(acc) == spec.num_functions + 1
     return SumPmf(tuple(float(p) for p in acc))

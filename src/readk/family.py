@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError, _check_int
-from .info_theory import _prob_vector
+from .info_theory import _prob_vector, cover_multiplicity
 
 
 @dataclass(frozen=True)
@@ -354,9 +354,7 @@ def _partition(spec: FamilySpec) -> _Partition:
                 b = root(i)
                 if b != a:
                     parent[b] = a
-    counts = [0] * spec.num_variables
-    for i in itertools.chain.from_iterable(reads):
-        counts[i] += 1
+    counts = cover_multiplicity(reads, spec.num_variables)
     roots = list(map(root, range(spec.num_variables)))
     # A function that reads nothing keys its own component by -1 - j.
     ids: dict[int, int] = {}

@@ -20,9 +20,10 @@ the audits, is one summation kernel. Laws the package derives from laws
 that passed it (projections, push-forwards, conditioned laws) are built
 by :meth:`Distribution._trusted`, which does not check them again.
 Coordinates, of a projection, of a conditional entropy, of a Shearer
-cover or of the functions' read sets, pass one check,
-:func:`cover_multiplicity`, and a law's outcomes are checked to be
-tuples of one width once per law, by :attr:`Distribution._tuple_width`.
+cover or of the functions' read sets (for the read width), are checked
+and counted by one function, :func:`cover_multiplicity`, and a law's
+outcomes are checked to be tuples of one width once per law, by
+:attr:`Distribution._tuple_width`.
 """
 
 from __future__ import annotations

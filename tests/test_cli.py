@@ -365,7 +365,9 @@ def test_guard_env_variable_is_honored(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert res.returncode == 2
-    assert "guard" in res.stderr
+    assert res.stderr == (
+        "error: component [y0, y1]: an elimination factor spans 12 cells, exceeding the guard 2\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["1e6", "-5"])

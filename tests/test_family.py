@@ -237,6 +237,35 @@ def test_booleans_and_non_ints_are_rejected_where_ints_belong(call, error, messa
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: TailQuery("3"), "threshold must be a real number, got '3'"),
+        (lambda: TailQuery(None), "threshold must be a real number, got None"),
+        (lambda: TailQuery(True), "threshold must be a real number, got True"),
+        (lambda: TailQuery(np.bool_(True), "le"), "threshold must be a real number, got np.True_"),
+        (lambda: BoundQuery(10, 2, "0.5", 0.1), "p must be a real number, got '0.5'"),
+        (lambda: BoundQuery(10, 2, 0.5, "0.1"), "eps must be a real number, got '0.1'"),
+        (lambda: BoundQuery(10, 2, True, 0.1), "p must be a real number, got True"),
+        (lambda: BoundQuery(10, 2, 0.5, True), "eps must be a real number, got True"),
+    ],
+    ids=["threshold-str", "threshold-none", "threshold-bool", "threshold-numpy-bool",
+         "bound-p-str", "bound-eps-str", "bound-p-bool", "bound-eps-bool"],
+)
+def test_booleans_and_non_numbers_are_rejected_where_reals_belong(call, message):
+    # bool is a subclass of int: True would otherwise pass as 1
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is DomainError
+
+
+def test_numpy_numbers_are_accepted_where_reals_belong():
+    assert TailQuery(np.float32(2.5)).effective_threshold() == 3
+    assert TailQuery(np.int64(2), "le").effective_threshold() == 2
+    query = BoundQuery(10, 2, np.float64(0.5), np.float32(0.25))
+    assert query.shifted_mean() == 0.75
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
         (lambda: Variable(1, 2), "variable name 1 is not a str"),
         (lambda: FamilySpec(_BITS.variables, (ReadFunction(1, (0,), "01"),)),
          "function name 1 is not a str"),

@@ -5,6 +5,8 @@ evaluates functions one at a time through the scalar truth-table lookup,
 so it shares no indexing or reduction code with the numpy engine.
 """
 
+import bisect
+import heapq
 import itertools
 import math
 import random
@@ -19,8 +21,12 @@ from hypothesis import strategies as st
 from readk.audit import conditional_law, proof_trace, shearer_entropy_gap, shearer_kl_gap
 from readk.errors import DomainError
 from readk.exact import (
+    _INT_COUNT_LIMIT,
     TailQuery,
+    _check_guard,
     _eliminate_pmf,
+    _min_degree_order,
+    _times_poly,
     conditional_function_marginals,
     enumeration_guard,
     function_marginals,
@@ -123,6 +129,209 @@ def per_component_reference(spec):
         part = _eliminate_pmf(spec, comp, enumeration_guard())
         acc = part if acc is None else np.convolve(acc, part)
     return tuple(float(p) for p in acc)
+
+
+def reference_eliminate_pmf(spec, comp, guard):
+    """The former elimination: the min-degree order picked inside the arithmetic loop.
+
+    Each step pops the variable of smallest current degree (ties by index)
+    from a heap with lazy deletion, takes every factor that reads it, in
+    the order the factors were made, and multiplies them out; a step whose
+    scope spans every variable left takes every factor left and sums out
+    all of them.
+    """
+    variables = spec.variables
+    sizes = {i: variables[i].support_size for i in comp.variables}
+    total = math.prod(sizes.values())
+    counting = total < _INT_COUNT_LIMIT and all(variables[i].is_uniform for i in comp.variables)
+    dtype = np.int64 if counting else np.float64
+
+    factors = {}
+    holders = {i: [] for i in comp.variables}  # ids of factors reading i
+    adj = {i: set() for i in comp.variables}  # interaction graph
+    for fid, j in enumerate(comp.functions):
+        read = spec.functions[j].vars
+        scope = sorted(read)
+        table = spec.tables[j].reshape([sizes[i] for i in read])
+        if scope != list(read):
+            table = table.transpose(sorted(range(len(read)), key=read.__getitem__))
+        factors[fid] = (scope, table, 2)
+        for i in scope:
+            holders[i].append(fid)
+            adj[i].update(scope)
+    for i, nbrs in adj.items():
+        nbrs.discard(i)
+
+    next_id = len(factors)
+    heap = [(len(nbrs), i) for i, nbrs in adj.items()]
+    heapq.heapify(heap)
+    remaining = len(heap)
+    while remaining:
+        degree, v = heapq.heappop(heap)
+        if degree != len(adj[v]) or not holders[v]:  # stale, or v already eliminated
+            continue
+        nbrs = adj[v]
+        rest = sorted(nbrs)
+        axis = bisect.bisect(rest, v)
+        scope = rest[:axis] + [v] + rest[axis:]
+        last = len(scope) == remaining
+        fids = list(factors) if last else holders[v]
+        bucket = [factors.pop(f) for f in fids]
+        shape = tuple([sizes[i] for i in scope])
+        length = 1 + sum([n for _, _, n in bucket]) - len(bucket)
+        _check_guard(math.prod(shape) * length, guard, "an elimination factor", "cells")
+        sums, sum_length, product = None, 1, None
+        for vs, arr, n in bucket:
+            if vs != scope:
+                aligned = [sizes[i] if i in vs else 1 for i in scope]
+                arr = arr.reshape(aligned + list(arr.shape[len(vs):]))
+            if arr.ndim == len(scope):
+                sums = arr if sums is None else np.add(sums, arr, dtype=np.intp)
+                sum_length += n - 1
+            else:
+                product = arr if product is None else _times_poly(product, arr, shape)
+        if sums is not None:
+            poly = (sums[..., np.newaxis] == np.arange(sum_length)).astype(dtype)
+            product = poly if product is None else _times_poly(product, poly, shape)
+        summed = scope if last else [v]
+        axes = tuple(range(len(scope))) if last else (axis,)
+        if not counting:
+            for i, a in zip(summed, axes):
+                weights = [1] * product.ndim
+                weights[a] = sizes[i]
+                product = product * np.asarray(variables[i].probs).reshape(weights)
+        message = np.add.reduce(product, axis=axes)
+        if last:
+            return message / total if counting else message
+        remaining -= 1
+        holders[v] = []
+        factors[next_id] = (rest, message, length)
+        gone = set(fids)
+        for u in rest:
+            holders[u] = [f for f in holders[u] if f not in gone]
+            holders[u].append(next_id)
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+            heapq.heappush(heap, (len(adj[u]), u))
+        next_id += 1
+
+    # A component without variables is a single constant function.
+    ((_, table, _),) = factors.values()
+    value = int(table.reshape(()))
+    return np.array([1 - value, value], dtype=np.float64)
+
+
+def assert_eliminations_match_reference(spec):
+    """``_eliminate_pmf`` equals the former loop on every component, bit for bit."""
+    for comp in dependency_components(spec):
+        got = _eliminate_pmf(spec, comp, enumeration_guard())
+        want = reference_eliminate_pmf(spec, comp, enumeration_guard())
+        assert got.dtype == want.dtype == np.float64
+        assert [p.hex() for p in got.tolist()] == [p.hex() for p in want.tolist()]
+
+
+@st.composite
+def elimination_families(draw):
+    """Families of uniform and weighted variables, mixed within components.
+
+    Supports 1 to 3; weighted laws may hold zero-probability values; reads
+    come in any order, and functions may read nothing.
+    """
+    variables = []
+    for i in range(draw(st.integers(1, 8))):
+        support = draw(st.integers(1, 3))
+        probs = ()
+        if draw(st.booleans()):
+            raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                                min_size=support, max_size=support))
+            assume(any(raw))
+            probs = tuple(x / math.fsum(raw) for x in raw)
+        variables.append(Variable(f"x{i}", support, probs))
+    functions = []
+    for j in range(draw(st.integers(1, 10))):
+        indices = st.integers(0, len(variables) - 1)
+        read = draw(st.lists(indices, unique=True, max_size=min(3, len(variables))))
+        size = math.prod(variables[i].support_size for i in read)
+        table = draw(st.text(alphabet="01", min_size=size, max_size=size))
+        functions.append(ReadFunction(f"y{j}", tuple(read), table))
+    return FamilySpec(tuple(variables), tuple(functions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_families())
+def test_elimination_is_bit_identical_to_the_interleaved_loop(spec):
+    assert_eliminations_match_reference(spec)
+
+
+def weighted_chain(links, seed):
+    """Bits ``x_0 .. x_links`` at (0.3, 0.7); link j reads ``(x_j, x_{j+1})`` through XOR or XNOR."""
+    rng = np.random.default_rng(seed)
+    tables = [("0110", "1001")[int(b)] for b in rng.integers(0, 2, size=links)]
+    return FamilySpec(
+        tuple(Variable(f"x{i}", 2, (0.3, 0.7)) for i in range(links + 1)),
+        tuple(ReadFunction(f"y{j}", (j, j + 1), t) for j, t in enumerate(tables)),
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weighted_chain(200, 3),
+    lambda: gen_random_family(60, 60, 3, 3, 9),
+    lambda: weighted_variant(gen_random_family(60, 60, 3, 3, 9), np.random.default_rng(9)),
+], ids=["weighted-chain-200", "random-60", "random-60-weighted"])
+def test_elimination_is_bit_identical_to_the_interleaved_loop_on_large_components(make):
+    assert_eliminations_match_reference(make())
+
+
+def replay_min_degree_order(reads):
+    """The ordering policy in O(n^2), without a heap.
+
+    Take the variable of smallest current degree, ties by smallest index;
+    stop when its bucket would span every variable left; else join its
+    neighbours and drop it.
+    """
+    nbrs = {}
+    for read in reads:
+        for i in read:
+            nbrs.setdefault(i, set()).update(set(read) - {i})
+    order = []
+    while nbrs:
+        v = min(nbrs, key=lambda i: (len(nbrs[i]), i))
+        if len(nbrs[v]) + 1 == len(nbrs):
+            break
+        order.append(v)
+        for u in nbrs[v]:
+            nbrs[u] = (nbrs[u] | nbrs[v]) - {u, v}
+        del nbrs[v]
+    return order
+
+
+@st.composite
+def shaped_read_structures(draw):
+    """Chains, cycles, stars and cliques over shuffled labels, plus stray reads, in any order."""
+    m = draw(st.integers(1, 24))
+    labels = draw(st.permutations(range(m)))
+    reads = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["chain", "cycle", "star", "clique"]))
+        size = draw(st.integers(1, m))
+        start = draw(st.integers(0, m - size))
+        members = labels[start:start + size]
+        if shape in ("chain", "cycle"):
+            reads += [members[a:a + 2] for a in range(max(size - 1, 1))]
+            if shape == "cycle" and size > 2:
+                reads.append([members[-1], members[0]])
+        elif shape == "star":
+            reads += [[members[0], leaf] for leaf in members[1:]] or [members]
+        else:
+            reads.append(members)
+    reads += draw(st.lists(st.lists(st.integers(0, m - 1), unique=True, max_size=3), max_size=12))
+    return [tuple(draw(st.permutations(read))) for read in reads]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_read_structures())
+def test_min_degree_order_replays_the_policy(reads):
+    assert _min_degree_order(reads) == replay_min_degree_order(reads)
 
 
 def component_key(spec, comp):
