@@ -6,10 +6,11 @@ a factor with one axis per variable it reads, standing for the polynomial
 ``z**f`` in the partial sum, and products carry a trailing axis of
 polynomial coefficients. Multiplying factors broadcasts their variable
 axes and convolves their sum axes; eliminating a variable sums its axis
-out against that variable's probabilities. Order, then buckets:
-:func:`_min_degree_order` picks a greedy min-degree order from the read
-tuples alone, ties broken by variable index, and :func:`_eliminate_pmf`
-runs the buckets along it, so the cost grows with a component's
+out against that variable's probabilities. Plan, then arithmetic:
+:func:`_plan` picks a greedy min-degree order from the read tuples alone,
+ties broken by variable index, and lists each bucket's input factors,
+scope and sum-axis length; :func:`_eliminate_pmf` checks the guard on the
+whole plan, then runs its steps, so the cost grows with a component's
 treewidth rather than its assignment count. Components of uniform
 variables with fewer than ``2**62`` assignments carry exact integer
 counts and divide by the total at the end; the rest carry float64
@@ -27,7 +28,7 @@ The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
 different paths. In :func:`sum_pmf` it bounds the cells (variable axes
 times sum axis) of the largest product factor formed while eliminating a
-component. The flat enumerations, :func:`sum_pmf_enumerate`,
+component; the guard reads the plan before any array is made. The flat enumerations, :func:`sum_pmf_enumerate`,
 :func:`conditional_function_marginals` and the audits ``conditional_law``
 and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
@@ -307,21 +308,31 @@ def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return out
 
 
-def _min_degree_order(reads: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy min-degree elimination order of the variables in ``reads``; builds no array.
+def _plan(reads: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int], list[int], int]]:
+    """A component's bucket elimination plan, in greedy min-degree order; builds no array.
 
-    ``adj`` holds each variable's closed neighbourhood: the variables a read
-    tuple shares with it, itself included. Each step takes a variable of
-    fewest neighbours, ties by smallest index, from a heap with lazy deletion,
-    joins its neighbours, and stops at the first whose bucket spans all left.
+    Factor ids number the functions in the order of ``reads``, then the
+    message of step ``r`` as ``len(reads) + r``. Each step is ``(inputs,
+    scope, summed, length)``: the ids of the factors it multiplies, in id
+    order; the sorted variables they span; the variables it sums out; and
+    its sum-axis length, 1 plus the number of functions beneath it.
+    ``adj`` holds each variable's closed neighbourhood: the variables a
+    factor left shares with it, itself included. Each step takes a variable
+    of fewest neighbours, ties by smallest index, from a heap with lazy
+    deletion: its scope is that neighbourhood, its inputs the factors left
+    that read it. The first variable whose bucket spans all left stops the
+    loop, and the last step takes every factor left and sums out its scope.
     """
     adj = {i: set() for i in itertools.chain.from_iterable(reads)}
-    for read in reads:
+    readers: dict[int, list[int]] = {i: [] for i in adj}
+    for f, read in enumerate(reads):
         for i in read:
             adj[i].update(read)
+            readers[i].append(f)
+    left = dict.fromkeys(range(len(reads)), 1)  # factor id -> functions beneath it
     heap = [(len(nbrs), i) for i, nbrs in adj.items()]
     heapq.heapify(heap)
-    order: list[int] = []
+    steps = []
     while heap:
         size, v = heapq.heappop(heap)
         nbrs = adj.get(v)
@@ -330,26 +341,32 @@ def _min_degree_order(reads: Sequence[Sequence[int]]) -> list[int]:
         if len(nbrs) == len(adj):
             break
         del adj[v]
-        order.append(v)
+        inputs = [f for f in readers.pop(v) if f in left]
+        beneath = sum([left.pop(f) for f in inputs])
+        message = len(reads) + len(steps)
+        left[message] = beneath
+        steps.append((inputs, sorted(nbrs), [v], 1 + beneath))
         nbrs.discard(v)
         for u in nbrs:
             adj[u] |= nbrs
             adj[u].discard(v)
+            readers[u].append(message)
             heapq.heappush(heap, (len(adj[u]), u))
-    return order
+    scope = sorted(adj)
+    steps.append((list(left), scope, scope, 1 + sum(left.values())))
+    return steps
 
 
 def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
-    """Exact pmf of one component's partial sum by bucket elimination: order, then buckets.
+    """Exact pmf of one component's partial sum by bucket elimination: plan, then arithmetic.
 
-    A factor is ``(scope, array, length)``: ``scope`` lists its variables in
+    A factor is ``(scope, array)``: ``scope`` lists its variables in
     increasing order, one array axis each. A *sum* factor holds the partial
     sum ``s`` of its functions, standing for the polynomial ``z**s``, and has
-    no further axis; a polynomial factor adds a trailing axis of ``length``
+    no further axis; a polynomial factor adds a trailing axis of
     coefficients. Functions enter as sum factors, so the functions of one
-    bucket are added, not convolved. Each factor goes into the bucket of its
-    first variable in :func:`_min_degree_order`; the last bucket takes every
-    factor left and sums out every variable left.
+    step are added, not convolved. The guard reads every step of
+    :func:`_plan` before any array is made; then the steps run in turn.
     """
     variables = spec.variables
     sizes = {i: variables[i].support_size for i in comp.variables}
@@ -360,40 +377,31 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
     more = ", ..." if len(comp.functions) > 4 else ""
     what = f"component [{names}{more}]: an elimination factor"
     reads = [spec.functions[j].vars for j in comp.functions]
-    order = _min_degree_order(reads)
-    rank = {v: r for r, v in enumerate(order)}  # the variables left share the last bucket
-    buckets: list[list[tuple[list[int], np.ndarray, int]]] = [[] for _ in range(len(order) + 1)]
-
-    def place(factor: tuple[list[int], np.ndarray, int]) -> None:
-        first = min([rank.get(i, len(order)) for i in factor[0]], default=len(order))
-        buckets[first].append(factor)
-
-    for j, read in zip(comp.functions, reads):
+    plan = _plan(reads)
+    for _, scope, _, length in plan:
+        _check_guard(math.prod([sizes[i] for i in scope]) * length, guard, what, "cells")
+    factors = {}
+    for f, (j, read) in enumerate(zip(comp.functions, reads)):
         scope = sorted(read)
         table = spec.tables[j].reshape([sizes[i] for i in read])
         if scope != list(read):
             table = table.transpose(sorted(range(len(read)), key=read.__getitem__))
-        place((scope, table, 2))
-    for r, bucket in enumerate(buckets):
-        last = r == len(order)
-        scope = sorted({i for vs, _, _ in bucket for i in vs})
+        factors[f] = (scope, table)
+    for f, (inputs, scope, summed, _) in enumerate(plan, len(reads)):
         shape = tuple([sizes[i] for i in scope])
-        length = 1 + sum([n for _, _, n in bucket]) - len(bucket)
-        _check_guard(math.prod(shape) * length, guard, what, "cells")
         sums, sum_length, product = None, 1, None
-        for vs, arr, n in bucket:
+        for vs, arr in map(factors.pop, inputs):  # frees the factors summed out
             if vs != scope:
                 aligned = [sizes[i] if i in vs else 1 for i in scope]
                 arr = arr.reshape(aligned + list(arr.shape[len(vs):]))
             if arr.ndim == len(scope):
                 sums = arr if sums is None else np.add(sums, arr, dtype=np.intp)
-                sum_length += n - 1
+                sum_length += 1
             else:
                 product = arr if product is None else _times_poly(product, arr, shape)
         if sums is not None:
             poly = (sums[..., np.newaxis] == np.arange(sum_length)).astype(dtype)
             product = poly if product is None else _times_poly(product, poly, shape)
-        summed = scope if last else [order[r]]
         axes = tuple(map(scope.index, summed))
         if not counting:
             for i, a in zip(summed, axes):
@@ -401,10 +409,8 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
                 weights[a] = sizes[i]
                 product = product * np.asarray(variables[i].probs).reshape(weights)
         message = np.add.reduce(product, axis=axes)
-        if last:
-            return message / total if counting else message
-        bucket.clear()  # frees the factors summed out
-        place(([i for i in scope if i != order[r]], message, length))
+        factors[f] = ([i for i in scope if i not in summed], message)
+    return message / total if counting else message
 
 
 def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:

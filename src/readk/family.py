@@ -317,11 +317,11 @@ class _Classes(NamedTuple):
     Two components are in one class when they are equal up to variable
     labels: the same read tuples, each variable relabelled to its rank
     among the component's variables, the same truth tables in function
-    order, and the same variable probabilities by value (a zero's sign
-    never reaches a pmf, since each elimination adds in a value of positive
-    probability). Components of one class take the same elimination order
-    and give bit-identical pmfs. Classes are numbered by their first
-    component, which is kept as the class's representative.
+    order, and the same variable laws (``FamilySpec._law_index``, which
+    keys them by bits, so ``0.0`` and ``-0.0`` make two classes).
+    Components of one class take the same elimination plan and give
+    bit-identical pmfs. Classes are numbered by their first component,
+    which is kept as the class's representative.
     """
 
     component_class: np.ndarray  # component -> class
@@ -389,8 +389,7 @@ def _classes(spec: FamilySpec) -> _Classes:
     for members in variables:
         for n, i in enumerate(members):
             rank[i] = n
-    laws: dict[tuple[float, ...], int] = {}
-    law_of = [laws.setdefault(v.probs, len(laws)) for v in spec.variables]
+    _, law_of = spec._law_index
     reads = [fn.vars for fn in spec.functions]
     tables = [fn.truth_table for fn in spec.functions]
     classes: dict[tuple, int] = {}

@@ -477,6 +477,24 @@ class TestGuard:
         with pytest.raises(DomainError, match="^READK_ENUM_GUARD must be a positive int, got "):
             sum_pmf(xor_family)
 
+    def test_guard_reads_the_plan_before_any_array(self, monkeypatch):
+        # Its widest factor would span 134159328 cells, 1 GiB at 8 bytes a cell;
+        # numpy's buffers are traced, so the peak shows whether any was made.
+        monkeypatch.delenv("READK_ENUM_GUARD", raising=False)
+        spec = gen_random_family(80, 120, 5, 3, seed=3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as raised:
+                sum_pmf(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == (
+            "component [y0, y1, y2, y3, ...]: an elimination factor spans 134159328 cells,"
+            " exceeding the guard 16777216"
+        )
+        assert peak < 2**20
+
 
 class TestSumPmfValidation:
     def test_rejects_negative(self):

@@ -25,7 +25,7 @@ from readk.exact import (
     TailQuery,
     _check_guard,
     _eliminate_pmf,
-    _min_degree_order,
+    _plan,
     _times_poly,
     conditional_function_marginals,
     enumeration_guard,
@@ -331,7 +331,33 @@ def shaped_read_structures(draw):
 @settings(max_examples=300, deadline=None)
 @given(shaped_read_structures())
 def test_min_degree_order_replays_the_policy(reads):
-    assert _min_degree_order(reads) == replay_min_degree_order(reads)
+    assert [summed for _, _, (summed,), _ in _plan(reads)[:-1]] == replay_min_degree_order(reads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_read_structures())
+def test_plan_steps_cover_their_inputs(reads):
+    """Each factor is consumed once, and a step's scope is its inputs' scopes joined.
+
+    The numeric pass trusts the plan's scopes and lengths without looking
+    at the factors, so they are checked here against the inputs.
+    """
+    plan = _plan(reads)
+    scopes = [sorted(read) for read in reads]
+    beneath = [1] * len(reads)
+    consumed = []
+    for r, (inputs, scope, summed, length) in enumerate(plan):
+        assert inputs == sorted(inputs) and all(f < len(scopes) for f in inputs)
+        assert scope == sorted(set().union(*(scopes[f] for f in inputs)))
+        assert length == 1 + sum(beneath[f] for f in inputs)
+        consumed += inputs
+        if r < len(plan) - 1:
+            assert len(summed) == 1 and summed[0] in scope
+        else:
+            assert sorted(consumed) == list(range(len(scopes)))
+            assert summed == scope
+        scopes.append([i for i in scope if i not in summed])
+        beneath.append(length - 1)
 
 
 def component_key(spec, comp):
@@ -341,15 +367,14 @@ def component_key(spec, comp):
     in ``comp.variables``, and its truth table, in function order; then each
     variable's probabilities, which also fix its support and uniformity.
     Relabelling keeps the order of indices, so components with equal keys
-    take the same elimination order and give bit-identical pmfs.
-    Probabilities compare by value, so ``0.0`` and ``-0.0`` give one key;
-    a zero's sign never reaches the pmf, since each elimination adds in a
-    value of positive probability.
+    take the same elimination plan and give bit-identical pmfs.
+    Probabilities compare by bits (``float.hex``), so ``0.0`` and ``-0.0``
+    give two keys.
     """
     rank = {i: n for n, i in enumerate(comp.variables)}
     fns = [spec.functions[j] for j in comp.functions]
     reads = tuple((tuple(rank[i] for i in fn.vars), fn.truth_table) for fn in fns)
-    return reads, tuple(spec.variables[i].probs for i in comp.variables)
+    return reads, tuple(tuple(map(float.hex, spec.variables[i].probs)) for i in comp.variables)
 
 
 # A block is ``(probs per variable, (read, table) per function)``, in local indices.
@@ -362,7 +387,7 @@ LOOK_ALIKES = (
     (((0.9, 0.1), (0.4, 0.6)), ASYMMETRIC[1]),  # one probability
     UNIFORM_BIT,
     (((1 / 3,) * 3,), (((0,), "010"),)),  # support size (the table grows with it)
-    # Equal keys: 0.0 == -0.0, and a zero's sign never reaches the pmf.
+    # Two keys: laws compare by bits, and 0.0 and -0.0 differ in theirs.
     (((0.0, 1.0), (0.25, 0.75)), (((0, 1), "0111"),)),
     (((-0.0, 1.0), (0.25, 0.75)), (((0, 1), "0111"),)),
 )
