@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
-from .exact import _in_tail, _row_reads, _scan, _scan_tail, _table_positions, _tail_marginals
+from .exact import _in_tail, _position_dtype, _row_reads, _scan, _scan_tail, _table_positions
+from .exact import _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
 from .info_theory import entropy, kl_binary
@@ -197,9 +198,8 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     reads = _row_reads(spec, range(spec.num_variables))
-    # One positions buffer, reused by every function in turn; narrow digits
-    # cannot hold table positions.
-    buffer = np.empty(values.shape[1], dtype=np.intp)
+    # One positions buffer, reused by every function in turn.
+    buffer = np.empty(values.shape[1], dtype=_position_dtype(spec, values.dtype))
     probs = np.array(conditioned.probs)
     cells = []
     for pos, table in zip(_table_positions(reads, values, buffer), spec.tables):

@@ -19,10 +19,11 @@ relabelled by rank, truth tables and variable laws) form one class,
 solved once per call by eliminating its representative, so a family of
 thousands of identical blocks costs one elimination. The component pmfs
 are then convolved in order of smallest function index. The family keeps
-the partition into components and their classes
-(``FamilySpec._partition`` and ``FamilySpec._classes``); no pmf and no
-tail sum is kept across calls, so every call eliminates each
-representative and runs the whole convolution.
+the partition into components, their classes and one plan per class
+(``FamilySpec._partition``, ``FamilySpec._classes`` and
+``FamilySpec._plans``); no pmf and no tail sum is kept across calls, so
+every call eliminates each representative and runs the whole
+convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -34,11 +35,15 @@ and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
 number of assignments. The scan holds one chunk of at most ``CHUNK``
 (``2**20``) assignments: one row per variable, in the narrowest unsigned
-type that holds the largest support, plus one ``intp`` position buffer,
-the Monte Carlo sampler's layout. The scan and the sampler find each
-function's truth-table positions through one loop,
-:func:`_table_positions`, and add up the functions through another,
-:func:`_function_sums`. The scan passes its digits in variable order, the
+type that holds the largest support, the Monte Carlo sampler's layout.
+The scan and the sampler find each function's truth-table positions
+through one loop, :func:`_table_positions`, and add up the functions
+through another, :func:`_function_sums`. Positions are held in the
+narrowest unsigned type that holds them (:func:`_position_dtype`); a
+function of one variable takes its row of digits as its positions. A
+truth table of at most 64 cells is looked up in its word
+(``FamilySpec._words``) by a shift and a mask, a larger one by
+``table[pos]``. The scan passes its digits in variable order, the
 sampler its values in its own row order (see :func:`_row_reads`). Each
 function's product law on its own truth-table cells, which
 :func:`function_marginals` and the audits' projected divergences read, is
@@ -180,33 +185,64 @@ def _row_reads(spec: FamilySpec, rows: Sequence[int]) -> list[list[tuple[int, in
     return [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
 
 
+def _position_dtype(spec: FamilySpec, digits: np.dtype) -> np.dtype:
+    """The narrowest type that holds ``digits`` and every truth table's length.
+
+    A table's length bounds its positions and the supports they are
+    multiplied by, so position arithmetic in this type never wraps.
+    """
+    return np.promote_types(digits, np.min_scalar_type(max(map(len, spec.tables))))
+
+
 def _table_positions(
     reads: list[list[tuple[int, int]]], values: np.ndarray, positions: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Each function's mixed-radix truth-table positions, in turn, in one ``intp`` buffer.
+    """Each function's mixed-radix truth-table positions, in turn.
 
     ``reads`` comes from :func:`_row_reads` for the row layout of ``values``,
-    and ``positions`` is as long as a row of ``values``. A yielded buffer
-    holds its function's positions only until the next one is written.
+    and ``positions`` is as long as a row of ``values``, of the type
+    :func:`_position_dtype` gives for theirs. A function of one variable
+    yields its row of ``values`` itself; any other yields ``positions``,
+    which holds its function's positions only until the next one is written.
     """
     for read in reads:
-        positions[...] = values[read[0][0]] if read else 0
-        for row, size in read[1:]:
-            positions *= size
+        if len(read) == 1:
+            yield values[read[0][0]]
+        elif not read:
+            positions[...] = 0
+            yield positions
+        else:
+            (first, _), (row, size), *rest = read
+            # The first product is taken in the positions' type: in the
+            # digits' narrower one it would wrap.
+            np.multiply(values[first], size, out=positions, dtype=positions.dtype)
             positions += values[row]
-        yield positions
+            for row, size in rest:
+                positions *= size
+                positions += values[row]
+            yield positions
 
 
 def _function_sums(spec: FamilySpec, positions: Iterable[np.ndarray], size: int) -> np.ndarray:
     """The function sum of ``size`` assignments from each function's positions, read lazily.
 
-    Sums are held in the narrowest unsigned type that holds the number of
-    functions: with fewer than 256 functions, each add is of two ``uint8``
-    arrays.
+    A table with a word (``FamilySpec._words``) is looked up as ``(word >>
+    pos) & 1``, any other as ``table[pos]``. The looked-up bits and the sums
+    share one type, the narrowest unsigned type that holds the number of
+    functions and every word, so no shift, mask or add casts.
     """
-    sums = np.zeros(size, dtype=np.min_scalar_type(len(spec.tables)))
-    for table, pos in zip(spec.tables, positions):
-        sums += table[pos]
+    words, word_dtype = spec._words
+    dtype = np.promote_types(np.min_scalar_type(len(words)), word_dtype)
+    sums = np.zeros(size, dtype=dtype)
+    bits = np.empty(size, dtype=dtype)
+    one = np.ones((), dtype=dtype)
+    for table, word, pos in zip(spec.tables, words, positions):
+        if word is None:
+            sums += table[pos]
+        else:
+            np.right_shift(word, pos, out=bits)
+            np.bitwise_and(bits, one, out=bits)
+            np.add(sums, bits, out=sums)
     return sums
 
 
@@ -228,7 +264,7 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     one row per variable in the narrowest unsigned type that holds the
     largest support, and each assignment's function sum and product-law
     mass, in buffers the next chunk overwrites. Table positions go through
-    one reused ``intp`` buffer, as in the sampler. Raises
+    one reused buffer of the :func:`_position_dtype`, as in the sampler. Raises
     :class:`ResourceError` when the family spans more assignments than the
     guard (see :func:`enumeration_guard`).
     """
@@ -243,7 +279,7 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     dtype = np.min_scalar_type(max(sizes) - 1)
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
-    positions = np.empty(digits.shape[1], dtype=np.intp)
+    positions = np.empty(digits.shape[1], dtype=_position_dtype(spec, dtype))
     reads = _row_reads(spec, range(len(sizes)))
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
@@ -267,7 +303,7 @@ def _scan_tail(
     buffer = None
     for digits, sums, masses in _scan(spec, guard):
         if buffer is None:
-            buffer = np.empty(len(sums), dtype=np.intp)
+            buffer = np.empty(len(sums), dtype=_position_dtype(spec, digits.dtype))
         mask = _in_tail(sums, query)
         w = masses[mask]
         mass += float(w.sum())
@@ -365,19 +401,23 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
     sum ``s`` of its functions, standing for the polynomial ``z**s``, and has
     no further axis; a polynomial factor adds a trailing axis of
     coefficients. Functions enter as sum factors, so the functions of one
-    step are added, not convolved. The guard reads every step of
-    :func:`_plan` before any array is made; then the steps run in turn.
+    step are added, not convolved. Variables are labelled by their rank in
+    ``comp.variables``, as in the read tuples and the plan the family keeps
+    for the component's class (``FamilySpec._classes`` and
+    ``FamilySpec._plans``). The guard reads every step of that plan before
+    any array is made; then the steps run in turn.
     """
-    variables = spec.variables
-    sizes = {i: variables[i].support_size for i in comp.variables}
-    total = math.prod(sizes.values())
-    counting = total < _INT_COUNT_LIMIT and all(variables[i].is_uniform for i in comp.variables)
+    variables = [spec.variables[i] for i in comp.variables]
+    sizes = [v.support_size for v in variables]
+    total = math.prod(sizes)
+    counting = total < _INT_COUNT_LIMIT and all(v.is_uniform for v in variables)
     dtype = np.int64 if counting else np.float64
     names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
     more = ", ..." if len(comp.functions) > 4 else ""
     what = f"component [{names}{more}]: an elimination factor"
-    reads = [spec.functions[j].vars for j in comp.functions]
-    plan = _plan(reads)
+    classes = spec._classes
+    c = classes.component_class[spec._partition.function_component[comp.functions[0]]]
+    reads, plan = classes.reads[c], spec._plans[c]
     for _, scope, _, length in plan:
         _check_guard(math.prod([sizes[i] for i in scope]) * length, guard, what, "cells")
     factors = {}
@@ -421,8 +461,9 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     Each class of components equal up to variable labels is solved once,
     by variable elimination of its representative (unread variables
     contribute weight one), and every component of the class convolves in
-    that pmf. Nothing is kept across calls: every call eliminates each
-    representative and runs the whole convolution. Raises
+    that pmf. Each class's elimination plan is made once per family and
+    kept (``FamilySpec._plans``); no pmf is kept across calls: every call
+    eliminates each representative and runs the whole convolution. Raises
     :class:`ResourceError` naming the first component whose elimination
     would form a product factor of more cells than the guard.
     """
@@ -448,7 +489,9 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     _, norm = _product_law(spec, range(spec.num_variables))
     pmf = np.zeros(spec.num_functions + 1)
     for _, sums, masses in _scan(spec, guard):
-        pmf += np.bincount(sums, weights=masses, minlength=len(pmf))
+        # Sums are uint64 when some table has 33 to 64 cells, which bincount
+        # does not take; it casts narrower ones to intp all the same.
+        pmf += np.bincount(sums.astype(np.intp), weights=masses, minlength=len(pmf))
     return SumPmf(tuple(float(p) for p in pmf / norm))
 
 

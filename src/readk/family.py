@@ -18,16 +18,18 @@ boolean is not a number, and ``name`` and ``truth_table`` must be strings.
 
 A :class:`FamilySpec` is immutable, and keeps what is derived from its
 structure the first time it is asked for: the decoded truth tables
-(``tables``), the variable laws (``laws``, one read-only array per distinct
-law), each function's law on its truth-table cells (``_cell_laws``, one per
-distinct tuple of read-variable laws), the marginals ``Pr[f_j = 1]``
-(``_one_probs``, one per distinct truth table and cell law), and the
-dependency partition (``_partition``: one union-find pass gives arrays
-from function and variable to component, and the read width) and its
-classes (``_classes``: an array from component to class of components
-equal up to variable labels, and one representative component per
-class). It never keeps a pmf or a tail sum, nor the per-component tuples
-that :func:`dependency_components` returns.
+(``tables``) and, for every table of at most 64 cells, its word
+(``_words``: bit ``c`` is cell ``c``), the variable laws (``laws``, one
+read-only array per distinct law), each function's law on its truth-table
+cells (``_cell_laws``, one per distinct tuple of read-variable laws), the
+marginals ``Pr[f_j = 1]`` (``_one_probs``, one per distinct truth table and
+cell law), and the dependency partition (``_partition``: one union-find
+pass gives arrays from function and variable to component, and the read
+width) and its classes (``_classes``: an array from component to class of
+components equal up to variable labels, and one representative component
+per class), with one elimination plan per class (``_plans``). It never
+keeps a pmf or a tail sum, nor the per-component tuples that
+:func:`dependency_components` returns.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, _check_int
 from .info_theory import _prob_vector, cover_multiplicity
+
+#: Truth tables of at most this many cells are also kept as one machine word.
+_WORD_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,22 @@ class FamilySpec:
         lengths = (len(fn.truth_table) for fn in self.functions)
         bounds = list(itertools.accumulate(lengths, initial=0))
         return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def _words(self) -> _Words:
+        """Each truth table of at most 64 cells as one unsigned word (see :class:`_Words`).
+
+        Decoded from the ``'0'``/``'1'`` strings once per family: a string
+        read backwards is its word in binary. The words are read-only 0-d
+        views of one array, which numpy's ufuncs take faster than scalars.
+        """
+        tables = [fn.truth_table for fn in self.functions]
+        small = [len(t) for t in tables if len(t) <= _WORD_CELLS]
+        dtype = np.min_scalar_type((1 << max(small, default=0)) - 1)
+        flat = np.array([int(t[::-1], 2) if len(t) <= _WORD_CELLS else 0 for t in tables], dtype)
+        flat.flags.writeable = False
+        words = [flat[j, ...] if len(t) <= _WORD_CELLS else None for j, t in enumerate(tables)]
+        return _Words(tuple(words), dtype)
 
     @cached_property
     def _law_index(self) -> tuple[tuple[tuple[np.ndarray, int], ...], tuple[int, ...]]:
@@ -238,6 +259,18 @@ class FamilySpec:
         """The classes of equal components and their representatives (see :func:`_classes`)."""
         return _classes(self)
 
+    @cached_property
+    def _plans(self) -> tuple[list, ...]:
+        """Each class's elimination plan (see :func:`readk.exact._plan`), on its ranked reads.
+
+        The components of one class have the same read tuples once each
+        variable is relabelled to its rank (``_Classes.reads``), so one plan
+        serves every component of the class.
+        """
+        from .exact import _plan  # exact imports this module
+
+        return tuple([_plan(reads) for reads in self._classes.reads])
+
 
 def _product_law(spec: FamilySpec, var_indices: Sequence[int]) -> tuple[list[np.ndarray], int]:
     """The listed variables' masses (see :attr:`FamilySpec.laws`) and the product of their norms."""
@@ -292,6 +325,18 @@ def eval_function(spec: FamilySpec, j: int, assignment: Sequence[int]) -> int:
     return int(spec.functions[j].truth_table[table_index(spec, j, assignment)])
 
 
+class _Words(NamedTuple):
+    """Each truth table of at most 64 cells as one unsigned word, kept by the family.
+
+    Bit ``c`` of a word is cell ``c`` of its table, so ``(word >> pos) & 1``
+    looks a table up. A table of more than 64 cells has no word (``None``).
+    All words have one type, the narrowest that holds the largest of them.
+    """
+
+    words: tuple[np.ndarray | None, ...]
+    dtype: np.dtype
+
+
 class Component(NamedTuple):
     """One block of the dependency partition: function and variable indices."""
 
@@ -326,6 +371,7 @@ class _Classes(NamedTuple):
 
     component_class: np.ndarray  # component -> class
     representatives: tuple[Component, ...]  # the first component of each class
+    reads: tuple[tuple[tuple[int, ...], ...], ...]  # each class's read tuples, variables by rank
 
 
 def _index_array(values: list[int]) -> np.ndarray:
@@ -395,16 +441,16 @@ def _classes(spec: FamilySpec) -> _Classes:
     classes: dict[tuple, int] = {}
     component_class = []
     representatives = []
+    class_reads = []
     for fns, vs in zip(functions, variables):
-        key = (
-            tuple([(tuple([rank[i] for i in reads[j]]), tables[j]) for j in fns]),
-            tuple([law_of[i] for i in vs]),
-        )
+        ranked = tuple([tuple([rank[i] for i in reads[j]]) for j in fns])
+        key = (ranked, tuple([tables[j] for j in fns]), tuple([law_of[i] for i in vs]))
         c = classes.setdefault(key, len(classes))
         if c == len(representatives):
             representatives.append(Component(tuple(fns), tuple(vs)))
+            class_reads.append(ranked)
         component_class.append(c)
-    return _Classes(_index_array(component_class), tuple(representatives))
+    return _Classes(_index_array(component_class), tuple(representatives), tuple(class_reads))
 
 
 def dependency_components(spec: FamilySpec) -> tuple[Component, ...]:

@@ -19,9 +19,12 @@ scan holds its digits, but with the rows sorted by the variables' number
 of thresholds. Each chunk copies its uniforms once into that row order, so
 every threshold rank is held by a contiguous range of rows and is counted
 with plain slices, into values of the narrowest unsigned type that holds
-them. Each function's read tuple is mapped to those rows once per call,
-and its table positions go into one reused ``intp`` buffer. The sampler
-shares that position and function-sum code with the scan.
+them. Each function's read tuple is mapped to those rows once per call.
+Its table positions are its value row itself when it reads one variable,
+and otherwise go into one reused buffer of the narrowest unsigned type
+that holds them; a table of at most 64 cells is looked up by shifting
+its word. The sampler shares that position and function-sum code with
+the scan.
 
 Confidence intervals are distribution-free two-sided 99% Hoeffding
 intervals with half-width ``sqrt(ln(2/0.01) / (2 n))``, clamped to [0, 1].
@@ -37,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import _check_int
-from .exact import TailQuery, _function_sums, _in_tail, _row_reads, _table_positions
+from .exact import TailQuery, _function_sums, _in_tail, _position_dtype, _row_reads
+from .exact import _table_positions
 from .family import FamilySpec
 
 #: Samples per chunk, few enough for a chunk's arrays to stay in cache: larger
@@ -140,7 +144,7 @@ def estimate_tail(
     chunk = min(_SAMPLE_CHUNK, max(1, _UNIFORM_CHUNK // spec.num_variables), samples)
     uniforms = np.empty((chunk, spec.num_variables))
     values = np.empty((spec.num_variables, chunk), dtype=cdf.dtype)
-    positions = np.empty(chunk, dtype=np.intp)
+    positions = np.empty(chunk, dtype=_position_dtype(spec, cdf.dtype))
     successes = 0
     done = 0
     while done < samples:

@@ -416,6 +416,17 @@ class TestSharedSolves:
         )
         assert len(calls) == 2
 
+    def test_plans_are_made_once_per_class_and_kept(self, monkeypatch):
+        spec = gen_random_family(40, 30, 3, 2, 0)
+        plans = []
+        plan = exact._plan
+        monkeypatch.setattr(exact, "_plan", lambda reads: plans.append(reads) or plan(reads))
+        pmf = sum_pmf(spec)
+        assert len(plans) == len(spec._classes.representatives) > 1
+        assert sum_pmf(spec) == pmf
+        assert len(plans) == len(spec._classes.representatives)
+        assert spec._plans is spec._plans
+
 
 def structure_outputs(spec):
     """The pmf, marginals and read width, floats as ``float.hex``."""

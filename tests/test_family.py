@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -153,6 +154,29 @@ class TestKeptStructure:
         assert [c.functions for c in classes.representatives] == [(0, 2), (1,), (4,)]
         for array in (part.function_component, part.variable_component, classes.component_class):
             assert not array.flags.writeable
+
+    def test_words_hold_the_tables_of_at_most_64_cells(self):
+        # Tables of 1, 2, 9, 64, 65 and 128 cells; the 64-cell one sets the words' type.
+        sizes = (2, 3, 3, 8, 8, 5, 13, 2)
+        variables = tuple(Variable(f"x{i}", s) for i, s in enumerate(sizes))
+        rng = np.random.default_rng(64)
+        reads = [(), (0,), (1, 2), (3, 4), (6, 5), (3, 4, 7)]
+        tables = ["".join(rng.choice(["0", "1"], math.prod(sizes[i] for i in read))) for read in reads]
+        spec = FamilySpec(variables, tuple(
+            ReadFunction(f"y{j}", read, table) for j, (read, table) in enumerate(zip(reads, tables))
+        ))
+        words, dtype = spec._words
+        assert dtype == np.uint64
+        assert [len(t) for t in spec.tables] == [1, 2, 9, 64, 65, 128]
+        for word, table in zip(words, spec.tables):
+            if len(table) > 64:
+                assert word is None
+                continue
+            assert word.dtype == dtype
+            assert [(int(word) >> c) & 1 for c in range(len(table))] == table.tolist()
+            assert int(word) >> len(table) == 0
+        assert spec._words is spec._words
+        assert self.spec()._words.dtype == np.uint8  # tables of 4 cells
 
 
 class TestValidation:

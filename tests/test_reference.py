@@ -22,10 +22,15 @@ from readk.audit import conditional_law, proof_trace, shearer_entropy_gap, shear
 from readk.errors import DomainError
 from readk.exact import (
     _INT_COUNT_LIMIT,
+    SumPmf,
     TailQuery,
     _check_guard,
     _eliminate_pmf,
+    _function_sums,
     _plan,
+    _position_dtype,
+    _row_reads,
+    _table_positions,
     _times_poly,
     conditional_function_marginals,
     enumeration_guard,
@@ -656,6 +661,33 @@ def test_scan_on_supports_wider_than_a_byte(weighted):
     check_trace_terms(spec, t, rows)
 
 
+def test_scan_positions_do_not_wrap_on_a_wide_table():
+    # The 400-cell table of test_wide_table_positions_do_not_overflow: its
+    # positions reach 399 from digits below 20, and every cell from 256 on
+    # is 1, so a position computed in the digits' uint8 would wrap and read 0.
+    table = "".join("1" if cell >= 256 else "0" for cell in range(400))
+    spec = FamilySpec((Variable("x", 20), Variable("z", 20)), (ReadFunction("y", (0, 1), table),))
+    assert sum_pmf_enumerate(spec) == sum_pmf(spec) == SumPmf((0.64, 0.36))
+    rows = list(reference_rows(spec))
+    check_trace_terms(spec, 1, rows)
+    query = TailQuery(1, "ge")
+    law = conditional_law(spec, query)
+    assert law.outcomes == tuple(a for a, _, total in rows if total >= 1)
+    assert law.probs == (1 / 144,) * 144
+    assert conditional_function_marginals(spec, query) == (1.0,)
+    assert hex_pair(shearer_kl_gap(spec, law)) == hex_pair(reference_shearer_kl_gap(spec, law))
+
+
+def test_positions_hold_the_support_that_multiplies_them():
+    # z's 256 values multiply x's single one: the largest position is 255,
+    # but the type that holds the positions must also hold 256.
+    table = "".join("1" if cell % 3 else "0" for cell in range(256))
+    spec = FamilySpec((Variable("x", 1), Variable("z", 256)), (ReadFunction("y", (0, 1), table),))
+    assert sum_pmf_enumerate(spec) == sum_pmf(spec)
+    query = TailQuery(1, "ge")
+    assert estimate_tail(spec, query, 1000, 0).estimate == reference_estimate(spec, query, 1000, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(weighted_families(), st.integers(0, 5), st.sampled_from(["ge", "le"]))
 def test_weighted_trace_chain_holds_and_inverts_tail(spec, t, direction):
@@ -1090,3 +1122,51 @@ def estimator_cases(draw):
 def test_estimate_matches_reference_sampler(case):
     spec, query, samples, seed = case
     assert estimate_tail(spec, query, samples, seed).estimate == reference_estimate(*case)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A family, digits of each of its variables, and a shuffled row layout for them.
+
+    Tables of 1 to 4096 cells, with a 64-cell and a 65-cell table (the
+    largest with a word, and the smallest without) read through two
+    variables each, one in reverse order; supports up to 300, so digits and
+    positions take uint8 and uint16; functions of no and of one variable,
+    and read tuples in any order.
+    """
+    rng, variables = draw(mixed_variables())
+    variables += tuple(Variable(f"b{i}", size) for i, size in enumerate((8, 8, 5, 13)))
+    sizes = [v.support_size for v in variables]
+    m = len(sizes)
+    reads = [(m - 4, m - 3), (m - 1, m - 2)]
+    for _ in range(draw(st.integers(0, 6))):
+        read = draw(st.permutations(range(m)))[:draw(st.integers(0, 3))]
+        while math.prod(sizes[i] for i in read) > 4096:
+            read = read[:-1]
+        reads.append(tuple(read))
+    functions = []
+    for j, read in enumerate(reads):
+        table = rng.choice(["0", "1"], math.prod(sizes[i] for i in read))
+        functions.append(ReadFunction(f"y{j}", read, "".join(table)))
+    spec = FamilySpec(variables, tuple(functions))
+    n = draw(st.integers(1, 50))
+    dtype = np.min_scalar_type(max(sizes) - 1)
+    digits = np.array([rng.integers(size, size=n) for size in sizes], dtype=dtype)
+    rows = draw(st.permutations(range(m)))
+    return spec, digits, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_table_positions_and_function_sums_match_scalar_reference(case):
+    spec, digits, rows = case
+    values = np.empty_like(digits)
+    values[rows] = digits
+    reads = _row_reads(spec, rows)
+    positions = np.full(digits.shape[1], 7, dtype=_position_dtype(spec, digits.dtype))
+    assignments = list(zip(*digits.tolist()))
+    for j, pos in enumerate(_table_positions(reads, values, positions)):
+        assert pos.tolist() == [table_index(spec, j, a) for a in assignments]
+    got = _function_sums(spec, _table_positions(reads, values, positions), len(assignments))
+    want = [sum(eval_function(spec, j, a) for j in range(spec.num_functions)) for a in assignments]
+    assert got.tolist() == want
