@@ -393,7 +393,9 @@ def _plan(reads: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int], li
     return steps
 
 
-def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
+def _eliminate_pmf(
+    spec: FamilySpec, comp: Component, reads: Sequence[Sequence[int]], plan: list, guard: int
+) -> np.ndarray:
     """Exact pmf of one component's partial sum by bucket elimination: plan, then arithmetic.
 
     A factor is ``(scope, array)``: ``scope`` lists its variables in
@@ -401,11 +403,10 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
     sum ``s`` of its functions, standing for the polynomial ``z**s``, and has
     no further axis; a polynomial factor adds a trailing axis of
     coefficients. Functions enter as sum factors, so the functions of one
-    step are added, not convolved. Variables are labelled by their rank in
-    ``comp.variables``, as in the read tuples and the plan the family keeps
-    for the component's class (``FamilySpec._classes`` and
-    ``FamilySpec._plans``). The guard reads every step of that plan before
-    any array is made; then the steps run in turn.
+    step are added, not convolved. ``reads`` holds each function's read
+    tuple with every variable labelled by its rank in ``comp.variables``,
+    and ``plan`` is :func:`_plan` of those reads. The guard reads every step
+    of the plan before any array is made; then the steps run in turn.
     """
     variables = [spec.variables[i] for i in comp.variables]
     sizes = [v.support_size for v in variables]
@@ -415,9 +416,6 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, guard: int) -> np.ndarray:
     names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
     more = ", ..." if len(comp.functions) > 4 else ""
     what = f"component [{names}{more}]: an elimination factor"
-    classes = spec._classes
-    c = classes.component_class[spec._partition.function_component[comp.functions[0]]]
-    reads, plan = classes.reads[c], spec._plans[c]
     for _, scope, _, length in plan:
         _check_guard(math.prod([sizes[i] for i in scope]) * length, guard, what, "cells")
     factors = {}
@@ -474,7 +472,9 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     for c in classes.component_class.tolist():
         pmf = solved[c]
         if pmf is None:
-            pmf = solved[c] = _eliminate_pmf(spec, classes.representatives[c], guard)
+            pmf = solved[c] = _eliminate_pmf(
+                spec, classes.representatives[c], classes.reads[c], spec._plans[c], guard
+            )
         acc = pmf if acc is None else np.convolve(acc, pmf)
     assert acc is not None and len(acc) == spec.num_functions + 1
     return SumPmf(tuple(float(p) for p in acc))

@@ -370,9 +370,9 @@ def counting_eliminations(monkeypatch):
     calls = []
     eliminate = exact._eliminate_pmf
 
-    def counted(spec, comp, guard):
+    def counted(spec, comp, *rest):
         calls.append(comp)
-        return eliminate(spec, comp, guard)
+        return eliminate(spec, comp, *rest)
 
     monkeypatch.setattr(exact, "_eliminate_pmf", counted)
     return calls

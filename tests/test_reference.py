@@ -127,11 +127,22 @@ def test_elimination_matches_enumeration_and_scalar_reference(spec):
     assert all(abs(a - b) <= EXACT_TOL for a, b in zip(got, want))
 
 
+def eliminate_alone(spec, comp):
+    """``_eliminate_pmf`` on the component's own reads and plan, not on its class's.
+
+    Each read tuple is relabelled by rank in ``comp.variables`` here, so a
+    class that wrongly merged components of different reads would show.
+    """
+    rank = {i: n for n, i in enumerate(comp.variables)}
+    reads = [tuple(rank[i] for i in spec.functions[j].vars) for j in comp.functions]
+    return _eliminate_pmf(spec, comp, reads, _plan(reads), enumeration_guard())
+
+
 def per_component_reference(spec):
     """Every component eliminated on its own, then the same sequential convolution."""
     acc = None
     for comp in dependency_components(spec):
-        part = _eliminate_pmf(spec, comp, enumeration_guard())
+        part = eliminate_alone(spec, comp)
         acc = part if acc is None else np.convolve(acc, part)
     return tuple(float(p) for p in acc)
 
@@ -229,7 +240,7 @@ def reference_eliminate_pmf(spec, comp, guard):
 def assert_eliminations_match_reference(spec):
     """``_eliminate_pmf`` equals the former loop on every component, bit for bit."""
     for comp in dependency_components(spec):
-        got = _eliminate_pmf(spec, comp, enumeration_guard())
+        got = eliminate_alone(spec, comp)
         want = reference_eliminate_pmf(spec, comp, enumeration_guard())
         assert got.dtype == want.dtype == np.float64
         assert [p.hex() for p in got.tolist()] == [p.hex() for p in want.tolist()]
