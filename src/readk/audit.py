@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
-from .exact import _in_tail, _position_dtype, _row_reads, _scan, _scan_tail, _table_positions
-from .exact import _tail_marginals
+from .exact import _Lookup, _scan_in_tail, _scan_tail, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
 from .info_theory import entropy, kl_binary
@@ -197,12 +196,10 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     divergence = max(_kl_sum(conditioned.probs, mass.tolist(), norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
-    reads = _row_reads(spec, range(spec.num_variables))
-    # One positions buffer, reused by every function in turn.
-    buffer = np.empty(values.shape[1], dtype=_position_dtype(spec, values.dtype))
+    lookup = _Lookup(spec, range(spec.num_variables), values.dtype, values.shape[1])
     probs = np.array(conditioned.probs)
     cells = []
-    for pos, table in zip(_table_positions(reads, values, buffer), spec.tables):
+    for pos, table in zip(lookup.each(values), spec.tables):
         fn_cells = [0.0] * len(table)
         keys, sums = _key_sums(pos, probs)
         for c, mass_c in zip(keys.tolist(), sums):
@@ -224,12 +221,7 @@ def conditional_law(
     read. Raises :class:`ResourceError` when the family spans more assignments
     than the guard.
     """
-    kept_digits: list[np.ndarray] = []
-    kept_masses: list[np.ndarray] = []
-    for digits, sums, masses in _scan(spec, guard):
-        mask = _in_tail(sums, query)
-        kept_digits.append(digits[:, mask])
-        kept_masses.append(masses[mask])
+    _, kept_digits, kept_masses = zip(*_scan_in_tail(spec, query, guard))
     weights = np.concatenate(kept_masses)
     z = float(weights.sum())
     if z <= 0.0:

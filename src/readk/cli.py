@@ -22,6 +22,7 @@ loads ``bounds``, ``info_theory`` and ``errors`` and never numpy, and
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict
@@ -44,7 +45,7 @@ def _fmt(x) -> str:
             return "Infinity" if x > 0 else "-Infinity"
         return f"{x:.16e}"
     if isinstance(x, str):
-        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(x, ensure_ascii=False)
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in x) + "]"
     if isinstance(x, dict):

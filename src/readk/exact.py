@@ -29,27 +29,15 @@ The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
 different paths. In :func:`sum_pmf` it bounds the cells (variable axes
 times sum axis) of the largest product factor formed while eliminating a
-component; the guard reads the plan before any array is made. The flat enumerations, :func:`sum_pmf_enumerate`,
+component; the guard reads the plan before any array is made. The flat
+enumerations, :func:`sum_pmf_enumerate`,
 :func:`conditional_function_marginals` and the audits ``conditional_law``
 and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
 number of assignments. The scan holds one chunk of at most ``CHUNK``
-(``2**20``) assignments: one row per variable, in the narrowest unsigned
-type that holds the largest support, the Monte Carlo sampler's layout.
-The scan and the sampler find each function's truth-table positions
-through one loop, :func:`_table_positions`, and add up the functions
-through another, :func:`_function_sums`. Positions are held in the
-narrowest unsigned type that holds them (:func:`_position_dtype`); a
-function of one variable takes its row of digits as its positions. A
-truth table of at most 64 cells is looked up in its word
-(``FamilySpec._words``) by a shift and a mask, a larger one by
-``table[pos]``. The scan passes its digits in variable order, the
-sampler its values in its own row order (see :func:`_row_reads`). Each
-function's product law on its own truth-table cells, which
-:func:`function_marginals` and the audits' projected divergences read, is
-built once per family and distinct tuple of read-variable laws and kept
-by the family (``FamilySpec._cell_laws``), and so are the marginals, once
-per distinct truth table and cell law (``FamilySpec._one_probs``).
+(``2**20``) assignments, one row of digits per variable as the Monte
+Carlo sampler holds its draws, and evaluates the functions on it through
+:class:`_Lookup`, the one kernel it shares with the sampler.
 
 Every reduction runs in a fixed order, so results are bit-reproducible
 for identical inputs.
@@ -63,7 +51,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,75 +163,84 @@ class Marginals(NamedTuple):
     mean: float
 
 
-def _row_reads(spec: FamilySpec, rows: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """Each function's read tuple as ``(row, support)`` pairs.
+def _digit_dtype(spec: FamilySpec) -> np.dtype:
+    """The narrowest unsigned type that holds every variable's values: digits and draws."""
+    return np.min_scalar_type(max(v.support_size for v in spec.variables) - 1)
 
-    They index values held one variable per row, variable ``i`` in row
-    ``rows[i]``.
+
+class _Lookup:
+    """The one kernel that evaluates a family's functions on batches of assignments.
+
+    A batch holds one variable per row, variable ``i`` in row ``rows[i]``,
+    in the unsigned type ``digits``, and one assignment per column, at most
+    ``size`` of them. A function's truth-table position is mixed radix, its
+    first read variable most significant. A function of one variable takes
+    its row of values as its positions, with no copy; any other computes
+    them in one reused buffer of the narrowest unsigned type that holds
+    ``digits`` and every table's length, so position arithmetic never
+    wraps. A truth table with a word (``FamilySpec._words``, at most 64
+    cells) is looked up as ``(word >> pos) & 1``, any other as
+    ``table[pos]``. The looked-up bits and the sums share one type, the
+    narrowest unsigned type that holds the number of functions and every
+    word, so no shift, mask or add casts; their buffers are made on the
+    first :meth:`sums_of`, so a lookup used for positions alone makes none.
     """
-    sizes = [v.support_size for v in spec.variables]
-    return [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
 
+    def __init__(self, spec: FamilySpec, rows: Sequence[int], digits: np.dtype, size: int):
+        self._spec = spec
+        sizes = [v.support_size for v in spec.variables]
+        self._reads = [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
+        dtype = np.promote_types(digits, np.min_scalar_type(max(map(len, spec.tables))))
+        self._positions = np.empty(size, dtype=dtype)
 
-def _position_dtype(spec: FamilySpec, digits: np.dtype) -> np.dtype:
-    """The narrowest type that holds ``digits`` and every truth table's length.
+    def each(self, values: np.ndarray) -> Iterator[np.ndarray]:
+        """Each function's truth-table positions of the batch ``values``, in turn.
 
-    A table's length bounds its positions and the supports they are
-    multiplied by, so position arithmetic in this type never wraps.
-    """
-    return np.promote_types(digits, np.min_scalar_type(max(map(len, spec.tables))))
-
-
-def _table_positions(
-    reads: list[list[tuple[int, int]]], values: np.ndarray, positions: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Each function's mixed-radix truth-table positions, in turn.
-
-    ``reads`` comes from :func:`_row_reads` for the row layout of ``values``,
-    and ``positions`` is as long as a row of ``values``, of the type
-    :func:`_position_dtype` gives for theirs. A function of one variable
-    yields its row of ``values`` itself; any other yields ``positions``,
-    which holds its function's positions only until the next one is written.
-    """
-    for read in reads:
-        if len(read) == 1:
-            yield values[read[0][0]]
-        elif not read:
-            positions[...] = 0
-            yield positions
-        else:
-            (first, _), (row, size), *rest = read
-            # The first product is taken in the positions' type: in the
-            # digits' narrower one it would wrap.
-            np.multiply(values[first], size, out=positions, dtype=positions.dtype)
-            positions += values[row]
-            for row, size in rest:
-                positions *= size
+        A function of one variable yields its row of ``values`` itself; any
+        other yields the positions buffer, which holds its function's
+        positions only until the next one is written.
+        """
+        positions = self._positions[:values.shape[1]]
+        for read in self._reads:
+            if len(read) == 1:
+                yield values[read[0][0]]
+            elif not read:
+                positions[...] = 0
+                yield positions
+            else:
+                (first, _), (row, size), *rest = read
+                # The first product is taken in the positions' type: in the
+                # digits' narrower one it would wrap.
+                np.multiply(values[first], size, out=positions, dtype=positions.dtype)
                 positions += values[row]
-            yield positions
+                for row, size in rest:
+                    positions *= size
+                    positions += values[row]
+                yield positions
 
+    @cached_property
+    def _sum_buffers(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(table, word)`` pairs, the sums and bits buffers, and a one of their type."""
+        words, word_dtype = self._spec._words
+        dtype = np.promote_types(np.min_scalar_type(len(words)), word_dtype)
+        size = len(self._positions)
+        pairs = list(zip(self._spec.tables, words))
+        return pairs, np.empty(size, dtype=dtype), np.empty(size, dtype=dtype), np.array(1, dtype)
 
-def _function_sums(spec: FamilySpec, positions: Iterable[np.ndarray], size: int) -> np.ndarray:
-    """The function sum of ``size`` assignments from each function's positions, read lazily.
-
-    A table with a word (``FamilySpec._words``) is looked up as ``(word >>
-    pos) & 1``, any other as ``table[pos]``. The looked-up bits and the sums
-    share one type, the narrowest unsigned type that holds the number of
-    functions and every word, so no shift, mask or add casts.
-    """
-    words, word_dtype = spec._words
-    dtype = np.promote_types(np.min_scalar_type(len(words)), word_dtype)
-    sums = np.zeros(size, dtype=dtype)
-    bits = np.empty(size, dtype=dtype)
-    one = np.ones((), dtype=dtype)
-    for table, word, pos in zip(spec.tables, words, positions):
-        if word is None:
-            sums += table[pos]
-        else:
-            np.right_shift(word, pos, out=bits)
-            np.bitwise_and(bits, one, out=bits)
-            np.add(sums, bits, out=sums)
-    return sums
+    def sums_of(self, values: np.ndarray) -> np.ndarray:
+        """Each assignment's function sum in the batch ``values``, in a buffer the next call reuses."""
+        pairs, sums, bits, one = self._sum_buffers
+        n = values.shape[1]
+        sums, bits = sums[:n], bits[:n]
+        sums.fill(0)
+        for (table, word), pos in zip(pairs, self.each(values)):
+            if word is None:
+                sums += table[pos]
+            else:
+                np.right_shift(word, pos, out=bits)
+                np.bitwise_and(bits, one, out=bits)
+                np.add(sums, bits, out=sums)
+        return sums
 
 
 def _in_tail(sums: np.ndarray, query: TailQuery) -> np.ndarray:
@@ -260,11 +257,11 @@ def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") ->
 def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """Every full assignment in lexicographic order, by chunks.
 
-    Yields ``(digits, sums, masses)`` per chunk: each variable's values,
-    one row per variable in the narrowest unsigned type that holds the
-    largest support, and each assignment's function sum and product-law
-    mass, in buffers the next chunk overwrites. Table positions go through
-    one reused buffer of the :func:`_position_dtype`, as in the sampler. Raises
+    Yields ``(lookup, digits, sums, masses)`` per chunk: the scan's
+    :class:`_Lookup`, which takes any batch of at most a chunk's columns
+    of digits; each variable's values, one row per variable of the
+    :func:`_digit_dtype`; and each assignment's function sum and
+    product-law mass, in buffers the next chunk overwrites. Raises
     :class:`ResourceError` when the family spans more assignments than the
     guard (see :func:`enumeration_guard`).
     """
@@ -276,16 +273,26 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     lead = len(sizes) - 1
     while lead and math.prod(sizes[lead - 1:]) <= CHUNK:
         lead -= 1
-    dtype = np.min_scalar_type(max(sizes) - 1)
+    dtype = _digit_dtype(spec)
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
-    positions = np.empty(digits.shape[1], dtype=_position_dtype(spec, dtype))
-    reads = _row_reads(spec, range(len(sizes)))
+    lookup = _Lookup(spec, range(len(sizes)), dtype, digits.shape[1])
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
-        sums = _function_sums(spec, _table_positions(reads, digits, positions), digits.shape[1])
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
-        yield digits, sums, _cell_masses(masses[lead:], lead_mass)
+        yield lookup, digits, lookup.sums_of(digits), _cell_masses(masses[lead:], lead_mass)
+
+
+def _scan_in_tail(spec: FamilySpec, query: TailQuery, guard: int | None) -> Iterator[tuple]:
+    """The tail event's assignments of each chunk of :func:`_scan`.
+
+    Yields ``(lookup, digits, masses)`` per chunk: the scan's lookup, and
+    copies of the digits and product-law masses of the chunk's
+    assignments in the tail.
+    """
+    for lookup, digits, sums, masses in _scan(spec, guard):
+        mask = _in_tail(sums, query)
+        yield lookup, digits[:, mask], masses[mask]
 
 
 def _scan_tail(
@@ -299,16 +306,9 @@ def _scan_tail(
     """
     mass = 0.0
     cells = [np.zeros(len(table)) for table in spec.tables]
-    reads = _row_reads(spec, range(spec.num_variables))
-    buffer = None
-    for digits, sums, masses in _scan(spec, guard):
-        if buffer is None:
-            buffer = np.empty(len(sums), dtype=_position_dtype(spec, digits.dtype))
-        mask = _in_tail(sums, query)
-        w = masses[mask]
+    for lookup, tail, w in _scan_in_tail(spec, query, guard):
         mass += float(w.sum())
-        tail = digits[:, mask]
-        for cell, pos in zip(cells, _table_positions(reads, tail, buffer[:len(w)])):
+        for cell, pos in zip(cells, lookup.each(tail)):
             cell += np.bincount(pos, weights=w, minlength=len(cell))
     if mass <= 0.0:
         raise DomainError("conditioning event has probability zero")
@@ -406,12 +406,15 @@ def _eliminate_pmf(
     step are added, not convolved. ``reads`` holds each function's read
     tuple with every variable labelled by its rank in ``comp.variables``,
     and ``plan`` is :func:`_plan` of those reads. The guard reads every step
-    of the plan before any array is made; then the steps run in turn.
+    of the plan before any array is made; then the steps run in turn. The
+    variables' laws are read from :attr:`FamilySpec.laws`: when each norm
+    is its support (uniform laws), the steps count in int64; otherwise each
+    summed variable weighs by its ``masses / norm``.
     """
-    variables = [spec.variables[i] for i in comp.variables]
-    sizes = [v.support_size for v in variables]
+    laws = [spec.laws[i] for i in comp.variables]
+    sizes = [len(masses) for masses, _ in laws]
     total = math.prod(sizes)
-    counting = total < _INT_COUNT_LIMIT and all(v.is_uniform for v in variables)
+    counting = total < _INT_COUNT_LIMIT and all(norm == len(masses) for masses, norm in laws)
     dtype = np.int64 if counting else np.float64
     names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
     more = ", ..." if len(comp.functions) > 4 else ""
@@ -443,9 +446,10 @@ def _eliminate_pmf(
         axes = tuple(map(scope.index, summed))
         if not counting:
             for i, a in zip(summed, axes):
+                masses, norm = laws[i]
                 weights = [1] * product.ndim
                 weights[a] = sizes[i]
-                product = product * np.asarray(variables[i].probs).reshape(weights)
+                product = product * (masses / norm).reshape(weights)
         message = np.add.reduce(product, axis=axes)
         factors[f] = ([i for i in scope if i not in summed], message)
     return message / total if counting else message
@@ -488,7 +492,7 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """
     _, norm = _product_law(spec, range(spec.num_variables))
     pmf = np.zeros(spec.num_functions + 1)
-    for _, sums, masses in _scan(spec, guard):
+    for _, _, sums, masses in _scan(spec, guard):
         # Sums are uint64 when some table has 33 to 64 cells, which bincount
         # does not take; it casts narrower ones to intp all the same.
         pmf += np.bincount(sums.astype(np.intp), weights=masses, minlength=len(pmf))

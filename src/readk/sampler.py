@@ -14,17 +14,10 @@ which equals ``searchsorted(cum, u, side="right")`` clamped to
 binary search, so the stream is consumed as before and every estimate is
 unchanged.
 
-Sampled assignments are held one row per variable, as the exact engine's
-scan holds its digits, but with the rows sorted by the variables' number
-of thresholds. Each chunk copies its uniforms once into that row order, so
-every threshold rank is held by a contiguous range of rows and is counted
-with plain slices, into values of the narrowest unsigned type that holds
-them. Each function's read tuple is mapped to those rows once per call.
-Its table positions are its value row itself when it reads one variable,
-and otherwise go into one reused buffer of the narrowest unsigned type
-that holds them; a table of at most 64 cells is looked up by shifting
-its word. The sampler shares that position and function-sum code with
-the scan.
+Sampled assignments are held one row per variable, the rows sorted by the
+variables' number of thresholds, and every function is looked up on them
+through :class:`readk.exact._Lookup`, the kernel the exact engine's scan
+shares.
 
 Confidence intervals are distribution-free two-sided 99% Hoeffding
 intervals with half-width ``sqrt(ln(2/0.01) / (2 n))``, clamped to [0, 1].
@@ -40,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import _check_int
-from .exact import TailQuery, _function_sums, _in_tail, _position_dtype, _row_reads
-from .exact import _table_positions
+from .exact import TailQuery, _digit_dtype, _in_tail, _Lookup
 from .family import FamilySpec
 
 #: Samples per chunk, few enough for a chunk's arrays to stay in cache: larger
@@ -97,7 +89,7 @@ def _inverse_cdf(spec: FamilySpec) -> _InverseCdf:
         start = bisect.bisect_right(counts, r)
         levels.append((start, np.array([thresholds[i][r] for i in order[start:]]).reshape(-1, 1)))
     rows = np.argsort(order).tolist()
-    return _InverseCdf(np.array(order), rows, levels, np.min_scalar_type(counts[-1]))
+    return _InverseCdf(np.array(order), rows, levels, _digit_dtype(spec))
 
 
 def _draw_values(cdf: _InverseCdf, uniforms: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -137,22 +129,20 @@ def estimate_tail(
     _check_int(seed, "seed", minimum=0)
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = _inverse_cdf(spec)
-    reads = _row_reads(spec, cdf.rows)
-    # One uniform, one values and one positions buffer for every chunk: fresh
-    # ones fault in their pages anew. Filled C-contiguous, the uniform buffer
-    # takes the stream in the order rng.random((n, m)) would.
+    # One uniform buffer, one values buffer and one lookup serve every chunk:
+    # fresh buffers fault in their pages anew. Filled C-contiguous, the uniform
+    # buffer takes the stream in the order rng.random((n, m)) would.
     chunk = min(_SAMPLE_CHUNK, max(1, _UNIFORM_CHUNK // spec.num_variables), samples)
     uniforms = np.empty((chunk, spec.num_variables))
     values = np.empty((spec.num_variables, chunk), dtype=cdf.dtype)
-    positions = np.empty(chunk, dtype=_position_dtype(spec, cdf.dtype))
+    lookup = _Lookup(spec, cdf.rows, cdf.dtype, chunk)
     successes = 0
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
         rng.random(out=uniforms[:n])
         drawn = _draw_values(cdf, uniforms[:n], values[:, :n])
-        found = _table_positions(reads, drawn, positions[:n])
-        successes += int(np.count_nonzero(_in_tail(_function_sums(spec, found, n), query)))
+        successes += int(np.count_nonzero(_in_tail(lookup.sums_of(drawn), query)))
         done += n
     estimate = successes / samples
     half = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))

@@ -248,6 +248,14 @@ class TestGen:
         assert r1.returncode == r2.returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_control_characters_in_out_path_stay_one_json_line(self, tmp_path):
+        path = tmp_path / "tab\there\nnewline.json"
+        res = run_cli("gen", "--preset", "block-tight", "--k", 1, "--blocks", 2,
+                      "--p", "1/2", "--out", path)
+        assert res.returncode == 0
+        [line] = res.stdout.splitlines()
+        assert json.loads(line) == {"written": str(path)}
+
     def test_missing_random_params_is_exit_two(self, tmp_path):
         res = run_cli("gen", "--preset", "random", "--m", 6, "--out", tmp_path / "x.json")
         assert res.returncode == 2

@@ -26,11 +26,8 @@ from readk.exact import (
     TailQuery,
     _check_guard,
     _eliminate_pmf,
-    _function_sums,
+    _Lookup,
     _plan,
-    _position_dtype,
-    _row_reads,
-    _table_positions,
     _times_poly,
     conditional_function_marginals,
     enumeration_guard,
@@ -1173,11 +1170,16 @@ def test_table_positions_and_function_sums_match_scalar_reference(case):
     spec, digits, rows = case
     values = np.empty_like(digits)
     values[rows] = digits
-    reads = _row_reads(spec, rows)
-    positions = np.full(digits.shape[1], 7, dtype=_position_dtype(spec, digits.dtype))
+    n = digits.shape[1]
+    lookup = _Lookup(spec, rows, digits.dtype, n)
+    # A batch of other assignments first leaves junk in every buffer.
+    lookup.sums_of(values[:, ::-1])
     assignments = list(zip(*digits.tolist()))
-    for j, pos in enumerate(_table_positions(reads, values, positions)):
-        assert pos.tolist() == [table_index(spec, j, a) for a in assignments]
-    got = _function_sums(spec, _table_positions(reads, values, positions), len(assignments))
-    want = [sum(eval_function(spec, j, a) for j in range(spec.num_functions)) for a in assignments]
-    assert got.tolist() == want
+    # The full batch, then a shorter one: its last columns.
+    for batch, cut in ((values, assignments), (values[:, n // 2:], assignments[n // 2:])):
+        for j, pos in enumerate(lookup.each(batch)):
+            assert pos.tolist() == [table_index(spec, j, a) for a in cut]
+            if len(spec.functions[j].vars) == 1:
+                assert np.shares_memory(pos, batch)
+        want = [sum(eval_function(spec, j, a) for j in range(spec.num_functions)) for a in cut]
+        assert lookup.sums_of(batch).tolist() == want
