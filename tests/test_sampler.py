@@ -1,12 +1,19 @@
+import itertools
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from readk import sampler
 from readk.errors import DomainError
-from readk.exact import TailQuery
-from readk.family import FamilySpec, ReadFunction, Variable
+from readk.exact import TailQuery, _Lookup
+from readk.family import FamilySpec, ReadFunction, Variable, eval_function
 from readk.generators import gen_random_family
 from readk.sampler import estimate_tail, sample_assignment
+
+from conftest import weighted_variant
+from test_reference import reference_draw_values
 
 
 def bernoulli_family(p: float) -> FamilySpec:
@@ -114,11 +121,101 @@ def test_wide_table_positions_do_not_overflow():
     assert estimate_tail(spec, TailQuery(1, "ge"), 100_000, seed=5).estimate == 0.35897
 
 
-@pytest.mark.parametrize("budget", [1, 79, 80, 40 * 97, 40 * 512])
-def test_estimates_bit_identical_across_uniform_budgets(monkeypatch, budget):
-    # 40 variables: chunks of 1, 1, 2, 97 and 512 samples, against one of 1000
+def serial_estimate(spec, query, samples, seed, chunk):
+    """The tail fraction drawn ``chunk`` samples at a time on one thread, each looked up scalar-style."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    t = query.effective_threshold()
+    hits = 0
+    for done in range(0, samples, chunk):
+        uniforms = rng.random((min(chunk, samples - done), spec.num_variables))
+        for assignment in zip(*reference_draw_values(spec, uniforms).tolist()):
+            total = sum(eval_function(spec, j, assignment) for j in range(spec.num_functions))
+            hits += total >= t if query.direction == "ge" else total <= t
+    return hits / samples
+
+
+CHUNK = 8
+
+
+@pytest.mark.parametrize(
+    "patch, samples, weighted",
+    # 40 variables: budgets of 1, 79, 80, 3880 and 20480 uniforms give chunks
+    # of 1, 1, 2, 97 and 512 samples
+    [pytest.param(("_UNIFORM_CHUNK", budget), 1000, False, id=str(budget))
+     for budget in (1, 79, 80, 40 * 97, 40 * 512)]
+    # chunks of 8 samples: one short chunk, one full one, a full one and a
+    # sample, two full ones, three and a short one; one chunk starts no thread
+    + [pytest.param(("_SAMPLE_CHUNK", CHUNK), n, weighted,
+                    id=f"{'weighted' if weighted else 'uniform'}-{n}-of-{CHUNK}")
+       for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5)
+       for weighted in (False, True)],
+)
+def test_estimates_bit_identical_across_uniform_budgets(monkeypatch, patch, samples, weighted):
     spec = gen_random_family(40, 30, 3, 2, 1)
+    if weighted:
+        spec = weighted_variant(spec, np.random.default_rng(1))
     query = TailQuery(15, "ge")
-    want = [estimate_tail(spec, query, 1000, seed) for seed in range(2)]
-    monkeypatch.setattr(sampler, "_UNIFORM_CHUNK", budget)
-    assert [estimate_tail(spec, query, 1000, seed) for seed in range(2)] == want
+    monkeypatch.setattr(sampler, *patch)
+    chunk = min(sampler._SAMPLE_CHUNK, max(1, sampler._UNIFORM_CHUNK // spec.num_variables))
+    for seed in range(2):
+        want = serial_estimate(spec, query, samples, seed, chunk)
+        assert estimate_tail(spec, query, samples, seed).estimate == want
+
+
+class Injected(Exception):
+    pass
+
+
+def raise_on_second_call(method):
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == 2:
+            raise Injected
+        return method(*args, **kwargs)
+
+    return wrapper
+
+
+def run_bounded(call, timeout=30.0):
+    """``call()``'s exception, run on a thread joined under ``timeout``: a hang fails, not stalls."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test thread
+            raised.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "estimate_tail did not return"
+    return raised
+
+
+class SlowGenerator(np.random.Generator):
+    """Fills slow enough to outlive a call that does not wait for its fill thread."""
+
+    def random(self, *args, **kwargs):
+        time.sleep(0.02)
+        return super().random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("thread", ["count", "fill"])
+def test_failure_in_either_thread_reaches_the_caller_and_leaves_no_thread(monkeypatch, thread):
+    # the count runs on the calling thread, every fill on the second one;
+    # each fails on its second chunk of ten, with fills still to come
+    generator = SlowGenerator
+    if thread == "count":
+        monkeypatch.setattr(_Lookup, "sums_of", raise_on_second_call(_Lookup.sums_of))
+    else:
+        class generator(SlowGenerator):
+            random = raise_on_second_call(SlowGenerator.random)
+    monkeypatch.setattr(np.random, "Generator", generator)
+    monkeypatch.setattr(sampler, "_SAMPLE_CHUNK", CHUNK)
+    spec = gen_random_family(40, 30, 3, 2, 1)
+    before = threading.active_count()
+    raised = run_bounded(lambda: estimate_tail(spec, TailQuery(15, "ge"), 10 * CHUNK, 0))
+    assert [type(exc) for exc in raised] == [Injected]
+    assert threading.active_count() == before
