@@ -32,7 +32,7 @@ import bisect
 import math
 import queue
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,53 +130,51 @@ def sample_assignment(spec: FamilySpec, rng: np.random.Generator) -> tuple[int, 
 
 
 def _fill(
-    rng: np.random.Generator, sizes: Sequence[int], free: queue.SimpleQueue, full: queue.SimpleQueue
+    rng: np.random.Generator, samples: int, chunk: int, free: queue.SimpleQueue, full: queue.SimpleQueue
 ) -> None:
-    """Fill the first ``n`` rows of each buffer taken from ``free``, for each ``n`` of ``sizes``.
+    """Fill the first rows of each buffer taken from ``free``, ``chunk`` samples at a time.
 
     The buffers go to ``full`` in the order they were filled, so together
-    they hold the stream in order. A ``None`` from ``free`` stops the fill
-    early. An exception goes to ``full`` in place of a buffer, for the
-    consumer to raise.
+    they hold ``samples`` samples of the stream in order. A ``None`` from
+    ``free`` stops the fill early. An exception goes to ``full`` in place of
+    a buffer, for the consumer to raise.
     """
     try:
-        for n in sizes:
+        for done in range(0, samples, chunk):
             uniforms = free.get()
             if uniforms is None:
                 return
-            rng.random(out=uniforms[:n])
+            rng.random(out=uniforms[: min(chunk, samples - done)])
             full.put(uniforms)
     except BaseException as exc:  # raised again by the consumer
         full.put(exc)
 
 
 def _drawn_chunks(
-    rng: np.random.Generator, cdf: _InverseCdf, sizes: Sequence[int], values: np.ndarray
+    rng: np.random.Generator, cdf: _InverseCdf, samples: int, values: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Each chunk's values, in ``values``, for chunks of ``sizes`` samples.
+    """Each chunk's values, in ``values``, for ``samples`` samples in chunks of ``values``' width.
 
     A uniform buffer filled C-contiguous takes the stream in the order
-    ``rng.random((n, m))`` would. With more than one chunk, a second thread
-    fills the next chunk's uniforms into one of two buffers while the caller
-    counts the current chunk: numpy fills without holding the interpreter
-    lock. A buffer goes back to the filling thread once :func:`_draw_values`
-    has copied out of it. The thread is joined when the generator finishes
-    or is closed, and its exception, if any, is raised here.
+    ``rng.random((n, m))`` would. A second thread fills the next chunk's
+    uniforms into one of two buffers while the caller counts the current
+    chunk: numpy fills without holding the interpreter lock. A buffer goes
+    back to the filling thread once :func:`_draw_values` has copied out of
+    it. The thread is joined when the generator finishes or is closed, and
+    its exception, if any, is raised here.
     """
-    m = values.shape[0]
-    if len(sizes) == 1:
-        yield _draw_values(cdf, rng.random((sizes[0], m)), values)
-        return
+    m, chunk = values.shape
     free, full = queue.SimpleQueue(), queue.SimpleQueue()
     for _ in range(2):
-        free.put(np.empty((sizes[0], m)))
-    worker = threading.Thread(target=_fill, args=(rng, sizes, free, full))
+        free.put(np.empty((chunk, m)))
+    worker = threading.Thread(target=_fill, args=(rng, samples, chunk, free, full))
     worker.start()
     try:
-        for n in sizes:
+        for done in range(0, samples, chunk):
             uniforms = full.get()
             if isinstance(uniforms, BaseException):
                 raise uniforms
+            n = min(chunk, samples - done)
             drawn = _draw_values(cdf, uniforms[:n], values[:, :n])
             free.put(uniforms)
             yield drawn
@@ -193,7 +191,7 @@ def estimate_tail(
     Samples are drawn and counted by chunks. While one chunk is counted, a
     second thread draws the next chunk's uniforms; the one generator fills
     them in stream order, so neither the stream order nor the estimate
-    depends on it. A run of one chunk starts no thread.
+    depends on it.
     """
     _check_int(samples, "samples")
     _check_int(seed, "seed", minimum=0)
@@ -202,11 +200,10 @@ def estimate_tail(
     # One values buffer and one lookup serve every chunk: fresh buffers fault
     # in their pages anew.
     chunk = min(_SAMPLE_CHUNK, max(1, _UNIFORM_CHUNK // spec.num_variables), samples)
-    sizes = [min(chunk, samples - done) for done in range(0, samples, chunk)]
     values = np.empty((spec.num_variables, chunk), dtype=cdf.dtype)
     lookup = _Lookup(spec, cdf.rows, cdf.dtype, chunk)
     successes = 0
-    chunks = _drawn_chunks(rng, cdf, sizes, values)
+    chunks = _drawn_chunks(rng, cdf, samples, values)
     try:
         for drawn in chunks:
             successes += int(np.count_nonzero(_in_tail(lookup.sums_of(drawn), query)))

@@ -144,7 +144,7 @@ CHUNK = 8
     [pytest.param(("_UNIFORM_CHUNK", budget), 1000, False, id=str(budget))
      for budget in (1, 79, 80, 40 * 97, 40 * 512)]
     # chunks of 8 samples: one short chunk, one full one, a full one and a
-    # sample, two full ones, three and a short one; one chunk starts no thread
+    # sample, two full ones, three and a short one
     + [pytest.param(("_SAMPLE_CHUNK", CHUNK), n, weighted,
                     id=f"{'weighted' if weighted else 'uniform'}-{n}-of-{CHUNK}")
        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5)
