@@ -27,7 +27,11 @@ inequality on mixed-radix codes of each cover set's coordinates. The keys
 are grouped by one numpy group-by, :func:`_key_sums`: a stable sort of the
 keys, a gather of the probabilities, and one ``math.fsum`` per key, so
 every merged mass is correctly rounded and equals what the label group-by
-of :mod:`readk.info_theory` gives on the same outcomes. The law that
+of :mod:`readk.info_theory` gives on the same outcomes. The sums over the
+whole law, the joint entropy and the full-law divergence, go through
+:func:`_log_sum`: one ``math.log`` per distinct argument, the products in
+numpy and one ``math.fsum`` over them, so they equal the per-outcome sums
+of :mod:`readk.info_theory` bit for bit. The law that
 :func:`conditional_law` returns keeps the scan's digits, so its outcomes
 are never parsed back from tuples; any other law is coded from its
 outcomes, equal values (``1``, ``1.0`` and ``True``) sharing a code.
@@ -46,7 +50,7 @@ from .exact import TailQuery, function_marginals
 from .exact import _Lookup, _scan_in_tail, _scan_tail, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
-from .info_theory import entropy, kl_binary
+from .info_theory import kl_binary
 
 #: Relative slack allowed per chain step (chains many floating-point ops).
 CHAIN_REL_TOL = 1e-9
@@ -91,14 +95,46 @@ def shearer_entropy_gap(
     short = [i for i, c in enumerate(multiplicity) if c < k]
     if short:
         raise DomainError(f"coordinates {short} are covered fewer than k={k} times")
-    lhs = k * entropy(joint)
-    codes = _coordinate_codes(joint, sorted({i for p in sets for i in p}))
     probs = np.array(joint.probs)
+    positive = probs[probs > 0.0]
+    lhs = k * max(_log_sum(-positive, positive), 0.0)
+    codes = _coordinate_codes(joint, sorted({i for p in sets for i in p}))
     masses = (_key_sums(_cover_keys(codes, p, len(probs)), probs)[1] for p in sets)
     rhs = math.fsum(map(_entropy_sum, masses))
     if lhs > rhs + GAP_TOL:
         raise AuditError(f"entropy inequality violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
+
+
+def _log_sum(weights: np.ndarray, args: np.ndarray) -> float:
+    """``math.fsum(weights * ln(args))``, with one ``math.log`` per distinct value of ``args``.
+
+    The arguments are sorted once and each run of equal values takes its
+    log from ``math.log``; the weights follow the sort. numpy multiplies
+    as Python floats do and ``math.fsum`` is correctly rounded in any
+    order, so the sum equals the per-element one bit for bit.
+    """
+    order = np.argsort(args)
+    ordered = args[order]
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    logs = np.fromiter(map(math.log, ordered[starts].tolist()), float, len(starts))
+    terms = weights[order] * np.repeat(logs, np.diff(starts, append=len(ordered)))
+    return math.fsum(memoryview(terms))
+
+
+def _array_kl_sum(probs: np.ndarray, masses: np.ndarray, norm: int) -> float:
+    """:func:`readk.info_theory._kl_sum` on arrays, through :func:`_log_sum`, with its bits."""
+    positive = probs > 0.0
+    p, masses = probs[positive], masses[positive]
+    if (masses == 0.0).any():
+        return math.inf
+    # Rounds as the scalar p * norm / mass does, and overflows to inf as it
+    # does, without a warning.
+    with np.errstate(over="ignore"):
+        args = p * float(norm) / masses
+    return _log_sum(p, args)
 
 
 def _key_sums(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -139,10 +175,13 @@ def _coordinate_codes(
 def _cover_keys(
     codes: dict[int, tuple[np.ndarray, int]], coords: Sequence[int], size: int
 ) -> np.ndarray:
-    """Mixed-radix int64 keys of the outcomes' values on ``coords``: equal keys, equal values.
+    """Mixed-radix keys of the outcomes' values on ``coords``: equal keys, equal values.
 
-    When the codes would span more than ``_KEY_LIMIT`` keys, the key so far
-    is re-coded to the ranks of its distinct values, which keeps it in int64.
+    The keys are built in int64: when the codes would span more than
+    ``_KEY_LIMIT`` keys, the key so far is re-coded to the ranks of its
+    distinct values. They are returned in the narrowest unsigned type that
+    holds the span, so that the stable sort of :func:`_key_sums` is a radix
+    sort wherever they fit in 16 bits.
     """
     key = np.zeros(size, dtype=np.int64)
     span = 1
@@ -154,7 +193,7 @@ def _cover_keys(
         key *= radix
         key += column
         span *= radix
-    return key
+    return key.astype(np.min_scalar_type(span - 1))
 
 
 def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
@@ -165,9 +204,9 @@ def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     values = d._digits if d._digits is not None else np.array(list(zip(*d.outcomes)))
     if values.dtype.kind not in "iu":
         raise DomainError("outcome values must be integers")
-    bad = np.argwhere(((values < 0) | (values >= [[v.support_size] for v in spec.variables])).T)
-    if len(bad):
-        row, i = bad[0]
+    out = (values < 0) | (values >= [[v.support_size] for v in spec.variables])
+    if out.any():
+        row, i = np.argwhere(out.T)[0]
         a = d.outcomes[row]
         raise DomainError(f"outcome {a!r}: value {a[i]!r} out of range at position {i}")
     return values
@@ -193,11 +232,11 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     k = read_width(spec)
     masses, norm = _product_law(spec, range(spec.num_variables))
     mass = math.prod(mass_i[row] for mass_i, row in zip(masses, values))
-    divergence = max(_kl_sum(conditioned.probs, mass.tolist(), norm), 0.0)
+    probs = np.array(conditioned.probs)
+    divergence = max(_array_kl_sum(probs, mass, norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
     lookup = _Lookup(spec, range(spec.num_variables), values.dtype, values.shape[1])
-    probs = np.array(conditioned.probs)
     cells = []
     for pos, table in zip(lookup.each(values), spec.tables):
         fn_cells = [0.0] * len(table)

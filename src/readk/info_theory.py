@@ -15,10 +15,13 @@ of numpy. The audits hold their laws as integer keys and group those
 with numpy instead (``audit._key_sums``); both group-bys round each
 group once, so they give the same bits. Every probability vector given
 to the package (a variable's law, a :class:`Distribution`, a sum pmf)
-passes one check, and every divergence from an explicit law, here and in
-the audits, is one summation kernel. Laws the package derives from laws
-that passed it (projections, push-forwards, conditioned laws) are built
-by :meth:`Distribution._trusted`, which does not check them again.
+passes one check, and every divergence from an explicit law is one
+summation kernel, :func:`_kl_sum`, except the audits' sums over a whole
+law: ``audit._log_sum`` takes one log per distinct value and gives the
+bits of :func:`_kl_sum` and :func:`_entropy_sum`. Laws the package
+derives from laws that passed it (projections, push-forwards,
+conditioned laws) are built by :meth:`Distribution._trusted`, which
+does not check them again.
 Coordinates, of a projection, of a conditional entropy, of a Shearer
 cover or of the functions' read sets (for the read width), are checked
 and counted by one function, :func:`cover_multiplicity`, and a law's

@@ -405,9 +405,11 @@ WEIGHTED_FAMILY = {
     ],
 }
 
-#: Stdout recorded with an earlier version of readk on two families: ``random`` is
-#: ``gen --preset random --m 6 --r 5 --k 2 --max-arity 2 --seed 3`` and
-#: ``weighted`` is WEIGHTED_FAMILY (a zero-probability value included).
+#: Stdout recorded with an earlier version of readk on three families: ``random`` is
+#: ``gen --preset random --m 6 --r 5 --k 2 --max-arity 2 --seed 3``, ``weighted``
+#: is WEIGHTED_FAMILY (a zero-probability value included) and ``block-tight`` is
+#: ``gen --preset block-tight --k 2 --blocks 3 --p 1/3``, whose conditioned law
+#: holds outcomes of several masses.
 #: Byte equality pins the output across versions, not only run to run.
 GOLDEN_STDOUT = {
     ('random', ('exact', '--t', 3, '--tail', 'upper')): (
@@ -509,6 +511,12 @@ GOLDEN_STDOUT = {
         '"ok": true}\n'
         '{"result": "PASS", "r": 4, "k": 3, "thresholds": 5, "violations": 0}\n'
     ),
+    ('block-tight', ('shearer', '--t', 2, '--tail', 'upper')): (
+        '{"lemma_k": 2, "lemma_lhs": 3.6999921249856853e+00, '
+        '"lemma_rhs": 4.1505689931145069e+00, "corollary_k": 2, '
+        '"corollary_lhs": 7.0279577367577717e-01, '
+        '"corollary_rhs": 2.5221890554695581e-01, "result": "PASS"}\n'
+    ),
     ('random', ('mc', '--t', 3, '--tail', 'upper', '--samples', 20000, '--seed', 7)): (
         '{"estimate": 5.1315000000000000e-01, "samples": 20000, '
         '"ci_low": 5.0164096293499316e-01, "ci_high": 5.2465903706500683e-01, "seed": 7}\n'
@@ -535,6 +543,9 @@ def golden_families(tmp_path_factory):
                   "--max-arity", 2, "--seed", 3, "--out", root / "random.json")
     assert res.returncode == 0, res.stderr
     (root / "weighted.json").write_text(json.dumps(WEIGHTED_FAMILY))
+    res = run_cli("gen", "--preset", "block-tight", "--k", 2, "--blocks", 3, "--p", "1/3",
+                  "--out", root / "block-tight.json")
+    assert res.returncode == 0, res.stderr
     return root
 
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from readk.audit import conditional_law, proof_trace, shearer_entropy_gap, shearer_kl_gap
+from readk.audit import _array_kl_sum, _cover_keys, _log_sum, conditional_law, proof_trace
+from readk.audit import shearer_entropy_gap, shearer_kl_gap
 from readk.errors import DomainError
 from readk.exact import (
     _INT_COUNT_LIMIT,
@@ -49,6 +50,8 @@ from readk.family import (
 from readk.generators import gen_random_family
 from readk.info_theory import (
     Distribution,
+    _entropy_sum,
+    _kl_sum,
     conditional_entropy,
     entropy,
     kl_binary,
@@ -964,6 +967,75 @@ def test_law_of_another_family_of_the_same_width_is_out_of_range():
     for joint in (law, Distribution(law.outcomes, law.probs)):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             shearer_kl_gap(narrow, joint)
+
+
+def test_kl_gap_with_a_norm_past_two_to_the_53():
+    # 3**40 has no float64 of its own: the full-law divergence takes
+    # p * float(norm) / mass, which must round as the scalar p * norm / mass.
+    m = 40
+    variables = tuple(Variable(f"x{i}", 3) for i in range(m))
+    functions = tuple(
+        ReadFunction(f"f{j}", (j, (j + 1) % m), "011010100") for j in range(0, m, 2)
+    )
+    spec = FamilySpec(variables, functions)
+    assert math.prod(norm for _, norm in spec.laws) == 3**40 > 2**53
+    law = Distribution(((0,) * m, tuple(i % 3 for i in range(m))), (0.3, 0.7))
+    assert hex_pair(shearer_kl_gap(spec, law)) == hex_pair(reference_shearer_kl_gap(spec, law))
+
+
+def test_kl_gap_overflows_to_inf_as_the_scalar_sum_does():
+    # Pr[tail] = 1e-310: the full-law ratio p * norm / mass is 2e310, which
+    # the scalar sum rounds to inf without a warning.
+    spec = FamilySpec(
+        (Variable("a", 2, (1e-310, 1 - 1e-310)), Variable("b", 2)),
+        (ReadFunction("f", (0,), "10"), ReadFunction("g", (1,), "01")),
+    )
+    law = conditional_law(spec, TailQuery(2, "ge"))
+    assert shearer_kl_gap(spec, law) == reference_shearer_kl_gap(spec, law) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize(
+    "span, itemsize", [(256, 1), (257, 2), (65536, 2), (65537, 4)], ids=str
+)
+def test_entropy_gap_at_the_key_type_boundaries(span, itemsize):
+    # Coordinate 0 takes the values 0 and span - 1, so its cover set spans
+    # exactly span keys: keys one type too narrow would wrap span - 1 onto
+    # a smaller key and merge two outcomes of different values.
+    rng = np.random.default_rng(span)
+    outcomes = [(v, b) for v in (0, 1, span - 2, span - 1) for b in (0, 1)]
+    raw = rng.random(len(outcomes)) + 0.1
+    joint = with_digits(Distribution(tuple(outcomes), tuple((raw / raw.sum()).tolist())))
+    keys = _cover_keys({0: (joint._digits[0], span)}, [0], len(outcomes))
+    assert keys.dtype.itemsize == itemsize and int(keys.max()) == span - 1
+    cover = [[0], [1], [0, 1], [1, 0]]
+    want = reference_shearer_entropy_gap(joint, cover, 2)
+    for law in (joint, Distribution(joint.outcomes, joint.probs)):  # kept digits, then none
+        assert hex_pair(shearer_entropy_gap(law, cover, 2)) == hex_pair(want)
+
+
+@st.composite
+def repeated_values(draw):
+    """Probabilities and masses drawn from small pools: heavy repeats, zeros and subnormals."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [1.0] + [rng.random() for _ in range(rng.randint(1, 6))]
+    n = rng.randint(0, 60)
+    probs = [rng.choice(pool + [0.0, 1e-310, 5e-324]) for _ in range(n)]
+    # Masses in [0, 1]. A zero mass makes the divergence inf, and so does a
+    # subnormal one under most probabilities: only some cases hold them.
+    rare = [x for x in (0.0, 1e-310) if rng.random() < 0.3]
+    masses = [rng.choice(pool + rare) for _ in range(n)]
+    norm = rng.choice([1, 3, 2**53 + 1, 3**40])
+    return probs, masses, norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_values())
+def test_log_sum_is_bit_identical_to_per_outcome_sums(case):
+    probs, masses, norm = case
+    positive = np.array([p for p in probs if p > 0.0])
+    assert max(_log_sum(-positive, positive), 0.0).hex() == _entropy_sum(probs).hex()
+    divergence = _array_kl_sum(np.array(probs), np.array(masses), norm)
+    assert divergence.hex() == _kl_sum(probs, masses, norm).hex()
 
 
 def reference_kl_divergence(d1, d2):
