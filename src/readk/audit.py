@@ -96,8 +96,11 @@ def shearer_entropy_gap(
     if short:
         raise DomainError(f"coordinates {short} are covered fewer than k={k} times")
     probs = np.array(joint.probs)
-    positive = probs[probs > 0.0]
-    lhs = k * max(_log_sum(-positive, positive), 0.0)
+    if k == 0:
+        lhs = 0.0  # 0 * H(joint), as H(joint) is finite
+    else:
+        positive = probs[probs > 0.0]
+        lhs = k * max(_log_sum(-positive, positive), 0.0)
     codes = _coordinate_codes(joint, sorted({i for p in sets for i in p}))
     masses = (_key_sums(_cover_keys(codes, p, len(probs)), probs)[1] for p in sets)
     rhs = math.fsum(map(_entropy_sum, masses))

@@ -63,9 +63,27 @@ class BoundQuery:
 
     def shifted_mean(self) -> float:
         """``p + eps`` or ``p - eps``, snapped exactly onto a hit boundary."""
-        if self.direction == "upper":
-            return 1.0 if self.eps >= 1.0 - self.p else self.p + self.eps
-        return 0.0 if self.eps >= self.p else self.p - self.eps
+        return _shifted_mean(self.p, self.eps, self.direction)
+
+
+def _shifted_mean(p: float, eps: float, direction: Direction) -> float:
+    """:meth:`BoundQuery.shifted_mean` on unchecked arguments."""
+    if direction == "upper":
+        return 1.0 if eps >= 1.0 - p else p + eps
+    return 0.0 if eps >= p else p - eps
+
+
+def _deviation(t: float, r: int, p: float, tail: Direction) -> float:
+    """The ``eps`` of threshold ``t``: ``t/r - p`` (upper) or ``p - t/r`` (lower).
+
+    Positive exactly when the tail at ``t`` is a deviation from the mean
+    ``p*r``. Raises :class:`DomainError` unless ``t`` is finite and in ``[0, r]``.
+    """
+    if not 0 <= t <= r:
+        if not math.isfinite(t):
+            raise DomainError(f"t must be finite, got {t!r}")
+        raise DomainError(f"t must lie in [0, r] = [0, {r}], got {t!r}")
+    return t / r - p if tail == "upper" else p - t / r
 
 
 @dataclass(frozen=True)
@@ -87,8 +105,12 @@ def read_k_tail_bound(q: BoundQuery) -> BoundResult:
     Returns a zero bound (log ``-inf``) when the divergence is infinite,
     e.g. an upper tail with ``p = 0``.
     """
-    kl = kl_binary(q.shifted_mean(), q.p)
-    return BoundResult.from_log(-(kl * (q.r / q.k)))
+    return BoundResult.from_log(_log_bound(q.r, q.k, q.p, q.eps, q.direction))
+
+
+def _log_bound(r: int, k: int, p: float, eps: float, direction: Direction) -> Nats:
+    """:func:`read_k_tail_bound`'s ``log_bound`` on unchecked arguments, ``-0.0`` not normalized."""
+    return -(kl_binary(_shifted_mean(p, eps, direction), p) * (r / k))
 
 
 def simplified_tail_bound(q: BoundQuery) -> BoundResult:

@@ -29,9 +29,6 @@ from dataclasses import asdict
 
 from .errors import AuditError, DomainError, ReadkError
 
-_TAIL_TO_DIRECTION = {"upper": "ge", "lower": "le"}
-
-
 def _fmt(x) -> str:
     """One JSON token; floats at 17 significant digits."""
     if isinstance(x, bool):
@@ -63,25 +60,24 @@ def _emit(obj: dict, pretty: bool = False) -> None:
 
 def _tail_query(args):
     """The ``--t``/``--tail`` pair as an ``exact.TailQuery``."""
-    from .exact import TailQuery
+    from .exact import _DIRECTIONS, TailQuery
 
-    return TailQuery(args.t, _TAIL_TO_DIRECTION[args.tail])
+    return TailQuery(args.t, _DIRECTIONS[args.tail])
 
 
 def _cmd_bound(args) -> int:
-    from .bounds import BoundQuery, _check_rkp, read_k_tail_bound, simplified_tail_bound
+    from .bounds import BoundQuery, _check_rkp, _deviation, read_k_tail_bound, simplified_tail_bound
 
     _check_rkp(args.r, args.k, args.p)
-    if args.t is not None:
-        ratio = args.t / args.r
-        eps = ratio - args.p if args.tail == "upper" else args.p - ratio
+    if args.t is None:
+        eps = args.eps
+    else:
+        eps = _deviation(args.t, args.r, args.p, args.tail)
         if eps <= 0:
-            raise ReadkError(
+            raise DomainError(
                 f"threshold t={args.t} lies on the wrong side of the mean p*r="
                 f"{args.p * args.r}; the {args.tail} tail there is not a deviation"
             )
-    else:
-        eps = args.eps
     query = BoundQuery(r=args.r, k=args.k, p=args.p, eps=eps, direction=args.tail)
     result = simplified_tail_bound(query) if args.simplified else read_k_tail_bound(query)
     _emit(asdict(result), args.pretty)
@@ -113,30 +109,10 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .bounds import BoundQuery, read_k_tail_bound
-    from .exact import TailQuery, function_marginals, sum_pmf, tail_prob
-    from .family import load_family, read_width
+    from .exact import _verify_rows
+    from .family import load_family
 
-    if not 0.0 <= args.tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {args.tol!r}")
-    spec = load_family(args.family)
-    pmf = sum_pmf(spec)
-    r = spec.num_functions
-    k = max(read_width(spec), 1)
-    p = function_marginals(spec).mean
-    rows = []
-    for tail, direction in _TAIL_TO_DIRECTION.items():
-        for t in range(0, r + 1):
-            eps = t / r - p if tail == "upper" else p - t / r
-            if eps <= 0:
-                continue
-            exact = tail_prob(pmf, TailQuery(float(t), direction))
-            bound = read_k_tail_bound(BoundQuery(r, k, p, eps, tail)).bound
-            ok = exact <= bound * (1.0 + args.tol)
-            rows.append(
-                {"tail": tail, "t": t, "exact": exact, "bound": bound,
-                 "slack": bound - exact, "ok": ok}
-            )
+    r, k, rows = _verify_rows(load_family(args.family), args.tol)
     violations = sum(1 for row in rows if not row["ok"])
     if args.pretty:
         print(f"{'tail':>6} {'t':>4} {'exact':>24} {'bound':>24} {'slack':>24} ok")

@@ -34,9 +34,10 @@ def _check_int(value, name: str, minimum: int = 1, error: type[ReadkError] = Dom
 def _check_real(value, name: str) -> None:
     """Raise :class:`DomainError` unless ``value`` is a real number, numpy's too, not a bool.
 
-    A float passes on the first test, without the ``numbers`` import (which
-    the numpy-free ``readk bound`` would otherwise pay) or the ``numbers.Real``
-    test (about 0.5 us, and a verify sweep builds two queries per threshold).
+    A float passes on the first test, without the ``numbers`` import or the
+    ``numbers.Real`` test (about 0.5 us): the numpy-free ``readk bound``
+    would otherwise pay the import, and every public ``BoundQuery`` and
+    ``TailQuery`` the test.
     """
     if isinstance(value, float):
         return

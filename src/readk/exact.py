@@ -39,6 +39,10 @@ number of assignments. The scan holds one chunk of at most ``CHUNK``
 Carlo sampler holds its draws, and evaluates the functions on it through
 :class:`_Lookup`, the one kernel it shares with the sampler.
 
+:func:`_verify_rows` is ``readk verify``'s one sweep: it checks r, k, p
+and the tolerance once and compares :func:`tail_prob` against the read-k
+bound at every integer threshold that deviates from the mean.
+
 Every reduction runs in a fixed order, so results are bit-reproducible
 for identical inputs.
 """
@@ -56,10 +60,13 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError, _check_int, _check_real
-from .family import Component, FamilySpec, _cell_masses, _product_law
+from .family import Component, FamilySpec, _cell_masses, _product_law, read_width
 from .info_theory import _prob_vector
 
 DEFAULT_GUARD = 1 << 24
+
+#: The event direction of each tail: ``Y >= t`` upper, ``Y <= t`` lower.
+_DIRECTIONS = {"upper": "ge", "lower": "le"}
 
 #: Uniform components below this many assignments count in exact int64.
 _INT_COUNT_LIMIT = 1 << 62
@@ -506,8 +513,12 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
     floor for ``le``. O(1) after the pmf's first query in each direction,
     and equal to ``math.fsum`` over the same bins.
     """
-    t = query.effective_threshold()
-    if query.direction == "ge":
+    return _tail_at(pmf, query.effective_threshold(), query.direction)
+
+
+def _tail_at(pmf: SumPmf, t: int, direction: Literal["ge", "le"]) -> float:
+    """:func:`tail_prob` at the integer threshold ``t``, on unchecked arguments."""
+    if direction == "ge":
         if t > pmf.max_sum:
             return 0.0
         if t <= 0:
@@ -541,3 +552,37 @@ def conditional_function_marginals(
     """
     _, cells = _scan_tail(spec, query, guard)
     return _tail_marginals(spec, cells)
+
+
+def _verify_rows(spec: FamilySpec, tol: float) -> tuple[int, int, list[dict]]:
+    """``(r, k, rows)`` of ``readk verify``: the exact tail against the read-k bound.
+
+    One row per integer threshold ``t`` whose tail deviates from the mean
+    (``bounds._deviation`` positive), upper tail first, each holding
+    ``tail``, ``t``, ``exact``, ``bound``, ``slack = bound - exact`` and
+    ``ok = exact <= bound * (1 + tol)``. ``r``, ``k`` (the read width, at
+    least 1), ``p`` (the mean one-probability) and ``tol`` are checked once;
+    every row has the bits of ``tail_prob`` and ``read_k_tail_bound`` on the
+    same threshold and deviation.
+    """
+    # Imported here, not at the top, so that ``readk exact`` does not load it.
+    from .bounds import _check_rkp, _deviation, _log_bound
+
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    r = spec.num_functions
+    k = max(read_width(spec), 1)
+    p = function_marginals(spec).mean
+    _check_rkp(r, k, p)
+    pmf = sum_pmf(spec)
+    rows = []
+    for tail, direction in _DIRECTIONS.items():
+        for t in range(r + 1):
+            eps = _deviation(t, r, p, tail)
+            if eps <= 0:
+                continue
+            exact = _tail_at(pmf, t, direction)
+            bound = math.exp(_log_bound(r, k, p, eps, tail))
+            rows.append({"tail": tail, "t": t, "exact": exact, "bound": bound,
+                         "slack": bound - exact, "ok": exact <= bound * (1.0 + tol)})
+    return r, k, rows

@@ -47,6 +47,20 @@ class TestEntropyGap:
         assert lhs == 0.0
         assert rhs == 0.0
 
+    def test_zero_k_skips_the_joint_entropy(self, monkeypatch):
+        from readk import audit
+
+        rng = np.random.default_rng(3)
+        joint = random_distribution(rng, tuple(itertools.product((0, 1), (0, 1, 2))))
+        cover = [(0,), (0, 1)]
+        want = shearer_entropy_gap(joint, cover, k=1)[1]
+
+        def no_sum(*args):
+            raise AssertionError("the joint entropy is taken at k = 0")
+
+        monkeypatch.setattr(audit, "_log_sum", no_sum)
+        assert shearer_entropy_gap(joint, cover, k=0) == (0.0, want)
+
     def test_undercovered_coordinate_rejected(self):
         joint = Distribution.uniform(tuple(itertools.product((0, 1), repeat=2)))
         with pytest.raises(DomainError):

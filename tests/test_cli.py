@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -64,6 +64,17 @@ class TestBound:
         res = run_cli("bound", "--r", 0, "--k", 2, "--p", 0.5, "--t", 3, "--tail", "upper")
         assert res.returncode == 2
         assert res.stderr == "error: r must be a positive int, got 0\n"
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "12", "-2", "3"],
+                             ids=["nan", "inf", "above-r", "negative", "wrong-side"])
+    def test_bad_threshold_names_t(self, t):
+        res = run_cli("bound", "--r", 10, "--k", 1, "--p", 0.5, "--t", t, "--tail", "upper")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert res.stderr.startswith("error: ")
+        assert re.search(r"\bt\b", res.stderr)
+        assert "eps" not in res.stderr
 
     def test_eps_and_t_are_mutually_exclusive(self):
         res = run_cli("bound", "--r", 4, "--k", 2, "--p", 0.5, "--eps", 0.5,
@@ -149,9 +160,7 @@ class TestVerify:
         # violation-reporting path without needing an unsound oracle
         from readk import bounds, cli
 
-        real = bounds.read_k_tail_bound
-        monkeypatch.setattr(bounds, "read_k_tail_bound",
-                            lambda query: dataclasses.replace(real(query), bound=0.0))
+        monkeypatch.setattr(bounds, "_log_bound", lambda *args: -math.inf)
         assert cli.main(["verify", str(block_file)]) == 1
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert lines[-1]["result"] == "FAIL"

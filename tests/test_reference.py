@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from readk.audit import _array_kl_sum, _cover_keys, _log_sum, conditional_law, proof_trace
 from readk.audit import shearer_entropy_gap, shearer_kl_gap
+from readk.bounds import BoundQuery, read_k_tail_bound
 from readk.errors import DomainError
 from readk.exact import (
     _INT_COUNT_LIMIT,
@@ -30,6 +31,7 @@ from readk.exact import (
     _Lookup,
     _plan,
     _times_poly,
+    _verify_rows,
     conditional_function_marginals,
     enumeration_guard,
     function_marginals,
@@ -47,7 +49,7 @@ from readk.family import (
     read_width,
     table_index,
 )
-from readk.generators import gen_random_family
+from readk.generators import gen_block_tight, gen_random_family
 from readk.info_theory import (
     Distribution,
     _entropy_sum,
@@ -591,6 +593,46 @@ def test_conditional_marginals_match_scalar_reference(seed):
     for j in range(spec.num_functions):
         want = math.fsum(w for a, w in rows if eval_function(spec, j, a) == 1) / mass
         assert got[j] == pytest.approx(want, abs=1e-10)
+
+
+def reference_verify_rows(spec, tol):
+    """``readk verify``'s rows through the public API, one query pair per threshold."""
+    pmf = sum_pmf(spec)
+    r = spec.num_functions
+    k = max(read_width(spec), 1)
+    p = function_marginals(spec).mean
+    rows = []
+    for tail, direction in (("upper", "ge"), ("lower", "le")):
+        for t in range(r + 1):
+            eps = t / r - p if tail == "upper" else p - t / r
+            if eps <= 0:
+                continue
+            exact = tail_prob(pmf, TailQuery(float(t), direction))
+            bound = read_k_tail_bound(BoundQuery(r, k, p, eps, tail)).bound
+            rows.append((tail, t, exact, bound, bound - exact, exact <= bound * (1.0 + tol)))
+    return r, k, rows
+
+
+def assert_verify_rows_match_reference(spec, tol=1e-9):
+    r, k, rows = _verify_rows(spec, tol)
+    want_r, want_k, want = reference_verify_rows(spec, tol)
+    assert (r, k) == (want_r, want_k)
+    assert all(list(row) == ["tail", "t", "exact", "bound", "slack", "ok"] for row in rows)
+    got = [(row["tail"], row["t"], row["exact"].hex(), row["bound"].hex(), row["slack"].hex(),
+            row["ok"]) for row in rows]
+    assert got == [(tail, t, e.hex(), b.hex(), s.hex(), ok) for tail, t, e, b, s, ok in want]
+
+
+@pytest.mark.parametrize("k, blocks, p", list(itertools.product(
+    range(1, 5), (2, 5, 9), ("1/2", "1/3", "2/3"))))
+def test_verify_rows_match_public_api_on_block_families(k, blocks, p):
+    assert_verify_rows_match_reference(gen_block_tight(k, blocks, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_families(), st.sampled_from([0.0, 1e-9]))
+def test_verify_rows_match_public_api_on_weighted_families(spec, tol):
+    assert_verify_rows_match_reference(spec, tol)
 
 
 def test_trace_terms_match_distribution_level_reference():
