@@ -13,10 +13,12 @@ event it evaluates, in order,
 4. the convexity step ``(r/k) KL(q || p)`` at the averaged marginals,
 5. the closed-form exponent ``(r/k) KL(t/r || p)``,
 
-and checks that the sequence is non-increasing. The final term equals the
-log-space magnitude of the closed-form tail bound, so a valid chain
-re-derives the bound on that instance; per-step gaps show where it is
-loose. Shearer's entropy inequality and its divergence corollary are also
+and checks that the sequence is non-increasing. The final term is
+``-bounds._log_bound`` at the trace's threshold, the exponent that
+``read_k_tail_bound`` and ``readk verify`` compute, bit for bit (0 when
+the event does not deviate from the mean), so a valid chain re-derives
+the bound on that instance; per-step gaps show where it is loose.
+Shearer's entropy inequality and its divergence corollary are also
 exposed directly for arbitrary joints and covers. Every audit holds for
 any product law, uniform or weighted: the divergence corollary needs only
 independent coordinates, each read at most k times.
@@ -45,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import _deviation, _log_bound
 from .errors import AuditError, DomainError, _check_int
 from .exact import TailQuery, function_marginals
 from .exact import _Lookup, _scan_in_tail, _scan_tail, _tail_marginals
@@ -64,7 +67,11 @@ _KEY_LIMIT = 1 << 62
 
 @dataclass(frozen=True)
 class ProofTrace:
-    """The five chain quantities, reported even when every step passes."""
+    """The five chain quantities, reported even when every step passes.
+
+    ``final_term`` is ``-read_k_tail_bound(...).log_bound`` at the trace's
+    threshold and deviation, bit for bit, or 0 without a deviation.
+    """
 
     neg_log_tail: Nats
     shearer_term: Nats
@@ -299,20 +306,18 @@ def proof_trace(
     projected = [(fn_cells / mass).tolist() for fn_cells in cells]
     shearer_term = math.fsum(_projected_divergences(spec, projected)) / k
 
-    p_js = function_marginals(spec).per_function
+    p_js, p_bar = function_marginals(spec)
     q_js = _tail_marginals(spec, cells)
     dpi_term = math.fsum(kl_binary(q, p) for q, p in zip(q_js, p_js)) / k
 
-    p_bar = math.fsum(p_js) / r
     q_bar = math.fsum(q_js) / r
-    ratio = r / k
-    convexity_term = ratio * kl_binary(q_bar, p_bar)
+    convexity_term = (r / k) * kl_binary(q_bar, p_bar)
 
-    # Threshold ratio clamped to the mean when the event covers the mean's
-    # side; the chain then ends in a vacuous 0 instead of leaving [0, 1].
-    x = t / r
-    target = max(x, p_bar) if query.direction == "ge" else max(min(x, p_bar), 0.0)
-    final_term = ratio * kl_binary(min(target, 1.0), p_bar)
+    # An event on the mean's side, or a sure one past [0, r], ends the chain
+    # in a vacuous 0.
+    tail = "upper" if query.direction == "ge" else "lower"
+    eps = _deviation(t, r, p_bar, tail) if 0 <= t <= r else 0.0
+    final_term = -_log_bound(r, k, p_bar, eps, tail) if eps > 0 else 0.0
 
     trace = ProofTrace(neg_log_tail, shearer_term, dpi_term, convexity_term, final_term)
     if check and not trace.chain_holds():

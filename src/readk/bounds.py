@@ -4,9 +4,12 @@ For a read-k family of r indicators with mean one-probability p, the upper
 tail ``Pr[Y >= (p+eps) r]`` is at most ``exp(-KL(p+eps || p) * r/k)`` and
 the lower tail ``Pr[Y <= (p-eps) r]`` at most ``exp(-KL(p-eps || p) * r/k)``;
 ``k = 1`` recovers the classic Chernoff bound. The weaker
-``exp(-2 eps^2 r/k)`` form and the AND-event bound ``p^{r/k}`` are also
-provided. All arithmetic happens in log-space and is exponentiated last,
-so large ``r/k`` cannot underflow silently.
+``exp(-2 eps^2 r/k)`` form is also provided, and the AND-event bound
+``p^{r/k}``, which is the upper-tail bound at ``t = r``. All arithmetic
+happens in log-space and is exponentiated last, so large ``r/k`` cannot
+underflow silently. The exponent itself is computed in one place,
+:func:`_log_bound`: the tail bounds, the AND bound, ``readk verify`` and
+the last step of :func:`readk.audit.proof_trace` all go through it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DomainError, _check_int, _check_real
+from .errors import DomainError, _check_finite, _check_int, _check_real
 from .info_theory import Nats, kl_binary
 
 Direction = Literal["upper", "lower"]
@@ -77,12 +80,12 @@ def _deviation(t: float, r: int, p: float, tail: Direction) -> float:
     """The ``eps`` of threshold ``t``: ``t/r - p`` (upper) or ``p - t/r`` (lower).
 
     Positive exactly when the tail at ``t`` is a deviation from the mean
-    ``p*r``. Raises :class:`DomainError` unless ``t`` is finite and in ``[0, r]``.
+    ``p*r``. Raises :class:`DomainError`, naming the threshold, unless ``t``
+    is finite and in ``[0, r]``.
     """
     if not 0 <= t <= r:
-        if not math.isfinite(t):
-            raise DomainError(f"t must be finite, got {t!r}")
-        raise DomainError(f"t must lie in [0, r] = [0, {r}], got {t!r}")
+        _check_finite(t, "threshold")
+        raise DomainError(f"threshold must lie in [0, r] = [0, {r}], got {t!r}")
     return t / r - p if tail == "upper" else p - t / r
 
 
@@ -123,8 +126,10 @@ def simplified_tail_bound(q: BoundQuery) -> BoundResult:
 
 
 def shearer_and_bound(r: int, k: int, p: float) -> BoundResult:
-    """Bound ``p^{r/k}`` on the probability that all r indicators are one."""
+    """Bound ``p^{r/k}`` on the probability that all r indicators are one.
+
+    It is the upper-tail bound at ``t = r`` (``eps = 1 - p``): the shifted
+    mean snaps to 1 and ``KL(1 || p) = -ln p``, bit for bit.
+    """
     _check_rkp(r, k, p)
-    if p == 0.0:
-        return BoundResult(-math.inf, 0.0)
-    return BoundResult.from_log(math.log(p) * (r / k))
+    return BoundResult.from_log(_log_bound(r, k, p, 1.0 - p, "upper"))

@@ -184,11 +184,11 @@ def _cmd_gen(args) -> int:
 
     if args.preset == "block-tight":
         if args.k is None or args.blocks is None or args.p is None:
-            raise ReadkError("gen --preset block-tight needs --k, --blocks and --p")
+            raise DomainError("gen --preset block-tight needs --k, --blocks and --p")
         spec = gen_block_tight(args.k, args.blocks, args.p)
     else:
         if None in (args.m, args.r, args.k, args.max_arity, args.seed):
-            raise ReadkError(
+            raise DomainError(
                 "gen --preset random needs --m, --r, --k, --max-arity and --seed"
             )
         spec = gen_random_family(args.m, args.r, args.k, args.max_arity, args.seed)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and its integer and real argument checks."""
 
+import math
+
 
 class ReadkError(Exception):
     """Base class for every error raised by this package."""
@@ -45,3 +47,17 @@ def _check_real(value, name: str) -> None:
 
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_finite(value, name: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a finite real number.
+
+    An int too big for a float is not finite: it has no float to compare.
+    """
+    _check_real(value, name)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got an int too big for a float") from None
+    if not finite:
+        raise DomainError(f"{name} must be finite, got {value!r}")

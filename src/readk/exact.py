@@ -59,7 +59,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _check_int, _check_real
+from .errors import DomainError, ResourceError, _check_finite, _check_int
 from .family import Component, FamilySpec, _cell_masses, _product_law, read_width
 from .info_theory import _prob_vector
 
@@ -104,13 +104,7 @@ class TailQuery:
     def __post_init__(self) -> None:
         if self.direction not in ("ge", "le"):
             raise DomainError(f"direction must be 'ge' or 'le', got {self.direction!r}")
-        _check_real(self.threshold, "threshold")
-        try:
-            finite = math.isfinite(self.threshold)
-        except OverflowError:
-            raise DomainError("threshold must be finite, got an int too big for a float") from None
-        if not finite:
-            raise DomainError(f"threshold must be finite, got {self.threshold!r}")
+        _check_finite(self.threshold, "threshold")
 
     def effective_threshold(self) -> int:
         """Integer threshold actually compared against the (integer) sum."""

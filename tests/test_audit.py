@@ -244,10 +244,12 @@ class TestProofTrace:
             assert term == pytest.approx(2 * LN2, abs=EXACT_TOL)
 
     def test_whole_space_gives_zeros(self, xor_family):
-        trace = proof_trace(xor_family, TailQuery(0, "ge"))
-        assert trace.terms() == (0.0, 0.0, 0.0, 0.0, 0.0)
-        # a sure event's -ln 1 is +0.0, not -0.0
-        assert [math.copysign(1.0, term) for term in trace.terms()] == [1.0] * 5
+        # thresholds past [0, r] on the sure side end the chain in 0 as well
+        for query in (TailQuery(0, "ge"), TailQuery(-1, "ge"), TailQuery(3, "le")):
+            trace = proof_trace(xor_family, query)
+            assert trace.terms() == (0.0, 0.0, 0.0, 0.0, 0.0)
+            # a sure event's -ln 1 is +0.0, not -0.0
+            assert [math.copysign(1.0, term) for term in trace.terms()] == [1.0] * 5
 
     def test_first_term_inverts_tail_probability(self, xor_family):
         trace = proof_trace(xor_family, TailQuery(2, "ge"))
@@ -258,7 +260,7 @@ class TestProofTrace:
         # eps = t/r - p = 1 - 0.5 with r = k = 2
         trace = proof_trace(xor_family, TailQuery(2, "ge"))
         bound = read_k_tail_bound(BoundQuery(2, 2, 0.5, 0.5, "upper"))
-        assert trace.final_term == pytest.approx(-bound.log_bound, abs=EXACT_TOL)
+        assert trace.final_term == -bound.log_bound
 
     def test_lower_tail_chain(self, block_family):
         trace = proof_trace(block_family, TailQuery(0, "le"))

@@ -7,7 +7,7 @@ expressions at the exact float64 inputs.
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from readk.bounds import (
@@ -102,15 +102,28 @@ class TestShearerAndBound:
         res = shearer_and_bound(3, 1, 0.0)
         assert res.bound == 0.0 and res.log_bound == -math.inf
 
-    def test_matches_full_deviation_tail_bound_exactly(self):
-        # kl_binary(1, p) is computed as ln(1/p), so both routes emit the
-        # same product of the same two floats
-        for p in (0.5, 0.3, 0.17, 0.9, 0.999):
-            for r, k in ((4, 2), (7, 3), (100, 6)):
-                tail = read_k_tail_bound(BoundQuery(r, k, p, 1.0 - p, "upper"))
-                direct = shearer_and_bound(r, k, p)
-                assert tail.log_bound == direct.log_bound
-                assert tail.bound == direct.bound
+    @given(st.integers(1, 10_000), st.integers(1, 50), st.one_of(
+        st.sampled_from((0.0, 1.0, 5e-324, 1e-310, 0.5, 0.3, 0.17, 0.9, 0.999)),
+        st.floats(0.0, 1.0),
+    ))
+    @example(4, 2, 0.5)
+    @example(7, 3, 0.3)
+    @example(100, 6, 0.17)
+    @example(4, 2, 0.9)
+    @example(7, 3, 0.999)
+    @example(3, 1, 0.0)
+    @example(5, 2, 1.0)
+    @example(100, 6, 5e-324)
+    def test_matches_full_deviation_tail_bound_exactly(self, r, k, p):
+        # The AND bound is the upper-tail bound at t = r: kl_binary(1, p) is
+        # ln(1/p), so it is p^(r/k) in log space, bit for bit.
+        res = shearer_and_bound(r, k, p)
+        if p == 0.0:
+            assert res == BoundResult(-math.inf, 0.0)
+        else:
+            assert res == BoundResult.from_log(math.log(p) * (r / k))
+        if p < 1.0:
+            assert res == read_k_tail_bound(BoundQuery(r, k, p, 1.0 - p, "upper"))
 
 
 valid_queries = st.builds(

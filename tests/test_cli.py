@@ -73,7 +73,7 @@ class TestBound:
         assert res.stdout == ""
         assert res.stderr.count("\n") == 1
         assert res.stderr.startswith("error: ")
-        assert re.search(r"\bt\b", res.stderr)
+        assert re.search(r"\bthreshold\b", res.stderr)
         assert "eps" not in res.stderr
 
     def test_eps_and_t_are_mutually_exclusive(self):
@@ -268,6 +268,23 @@ class TestGen:
     def test_missing_random_params_is_exit_two(self, tmp_path):
         res = run_cli("gen", "--preset", "random", "--m", 6, "--out", tmp_path / "x.json")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("preset, given, message", [
+        ("block-tight", ["--k", "2", "--p", "1/2"],
+         "gen --preset block-tight needs --k, --blocks and --p"),
+        ("random", ["--m", "6"],
+         "gen --preset random needs --m, --r, --k, --max-arity and --seed"),
+    ])
+    def test_missing_params_are_a_domain_error(self, tmp_path, capsys, preset, given, message):
+        from readk import cli
+        from readk.errors import DomainError
+
+        argv = ["gen", "--preset", preset, *given, "--out", str(tmp_path / "x.json")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cli._cmd_gen(cli._build_parser().parse_args(argv))
+        assert not (tmp_path / "x.json").exists()
 
     def test_bad_rational_is_exit_two(self, tmp_path):
         res = run_cli("gen", "--preset", "block-tight", "--k", 2, "--blocks", 2,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from readk.audit import shearer_entropy_gap
-from readk.bounds import BoundQuery
+from readk.bounds import BoundQuery, shearer_and_bound
 from readk.errors import DomainError, ValidationError
-from readk.exact import TailQuery
+from readk.exact import TailQuery, _verify_rows
 from readk.family import (
     FamilySpec,
     ReadFunction,
@@ -303,6 +303,45 @@ def test_numpy_numbers_are_accepted_where_reals_belong():
 def test_library_path_rejects_what_the_file_format_rejects(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FamilySpec((), _BITS.functions), ValidationError,
+         "family needs at least one variable"),
+        (lambda: FamilySpec(_BITS.variables, ()), ValidationError,
+         "family needs at least one function"),
+        (lambda: family_from_json('{"variables": []}'), ValidationError,
+         "family: missing keys ['functions']"),
+        (lambda: eval_function(_BITS, 9, (0,) * _BITS.num_variables), DomainError,
+         "function index 9 out of range"),
+        (lambda: eval_function(_BITS, 0, (0,)), DomainError,
+         f"assignment has 1 values for {_BITS.num_variables} variables"),
+        (lambda: Distribution.uniform([]), ValidationError,
+         "uniform distribution needs a non-empty set"),
+        (lambda: Distribution.point_mass("c", ["a", "b"]), DomainError,
+         "'c' is not among the outcomes"),
+        (lambda: Distribution.uniform(["a", "b"]).prob_of("c"), DomainError,
+         "'c' is not among the outcomes"),
+        (lambda: gen_block_tight(1, 2, "x/y"), DomainError,
+         "cannot read 'x/y' as a rational: "),
+        (lambda: TailQuery(1, "gt"), DomainError, "direction must be 'ge' or 'le', got 'gt'"),
+        (lambda: BoundQuery(10, 2, 0.5, 0.1, direction="side"), DomainError,
+         "direction must be 'upper' or 'lower', got 'side'"),
+        (lambda: shearer_and_bound(3, 1, 1.5), DomainError, "p must lie in [0, 1], got 1.5"),
+        (lambda: _verify_rows(_BITS, math.nan), DomainError,
+         "tol must be finite and >= 0, got nan"),
+    ],
+    ids=["no-variables", "no-functions", "json-missing-key", "eval-index", "eval-length",
+         "uniform-empty", "point-mass-unlisted", "prob-of-missing", "rational", "tail-direction",
+         "bound-direction", "and-bound-p", "verify-tol"],
+)
+def test_bad_arguments_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}") as raised:
+        call()
+    assert type(raised.value) is error
+    assert "\n" not in str(raised.value)
 
 
 #: One well-formed variable, for cases whose fault is in the functions.

@@ -685,6 +685,38 @@ def check_trace_terms(spec, t, rows=None):
     )
 
 
+#: ``gen_random_family`` shapes ``(m, r, k, max_arity)``, each feasible.
+TRACE_SHAPES = ((5, 5, 3, 2), (6, 6, 2, 2), (4, 6, 3, 2), (6, 4, 2, 3), (5, 7, 3, 2), (8, 5, 2, 3))
+
+
+@st.composite
+def random_families(draw):
+    """A ``gen_random_family`` family, uniform or with random variable laws."""
+    spec = gen_random_family(*draw(st.sampled_from(TRACE_SHAPES)), draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        spec = weighted_variant(spec, np.random.default_rng(draw(st.integers(0, 2**16))))
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_families(), weighted_families()))
+def test_trace_final_term_is_the_bound_exponent(spec):
+    # The last chain step is read_k_tail_bound's exponent at the trace's own
+    # threshold, with its bits, and 0 where the event is no deviation.
+    pmf = sum_pmf(spec)
+    r = spec.num_functions
+    k = max(read_width(spec), 1)
+    p = function_marginals(spec).mean
+    for tail, direction in (("upper", "ge"), ("lower", "le")):
+        for t in range(r + 1):
+            query = TailQuery(t, direction)
+            if tail_prob(pmf, query) == 0.0:
+                continue
+            eps = t / r - p if tail == "upper" else p - t / r
+            want = -read_k_tail_bound(BoundQuery(r, k, p, eps, tail)).log_bound if eps > 0 else 0.0
+            assert proof_trace(spec, query, check=False).final_term == want, (tail, t)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_scan_on_supports_wider_than_a_byte(weighted):
     # Variable 0 takes values up to 256, so the digits need two bytes, and
