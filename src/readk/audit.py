@@ -11,7 +11,8 @@ event it evaluates, in order,
 3. the data-processing step ``(1/k) sum_j KL(q_j || p_j)`` through the
    functions themselves,
 4. the convexity step ``(r/k) KL(q || p)`` at the averaged marginals,
-5. the closed-form exponent ``(r/k) KL(t/r || p)``,
+5. the closed-form exponent ``(r/k) KL(p +/- eps || p)`` with
+   ``eps = bounds._deviation(t, r, p, tail)``,
 
 and checks that the sequence is non-increasing. The final term is
 ``-bounds._log_bound`` at the trace's threshold, the exponent that
@@ -49,7 +50,7 @@ import numpy as np
 
 from .bounds import _deviation, _log_bound
 from .errors import AuditError, DomainError, _check_int
-from .exact import TailQuery, function_marginals
+from .exact import _DIRECTIONS, TailQuery, function_marginals
 from .exact import _Lookup, _scan_in_tail, _scan_tail, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
@@ -313,9 +314,10 @@ def proof_trace(
     q_bar = math.fsum(q_js) / r
     convexity_term = (r / k) * kl_binary(q_bar, p_bar)
 
-    # An event on the mean's side, or a sure one past [0, r], ends the chain
-    # in a vacuous 0.
-    tail = "upper" if query.direction == "ge" else "lower"
+    # An event on the mean's side ends the chain in a vacuous 0. So does a
+    # sure event past [0, r] (``ge`` below 0, ``le`` above r): the guard
+    # keeps it from _deviation, which rejects such a threshold.
+    tail = next(tail for tail, d in _DIRECTIONS.items() if d == query.direction)
     eps = _deviation(t, r, p_bar, tail) if 0 <= t <= r else 0.0
     final_term = -_log_bound(r, k, p_bar, eps, tail) if eps > 0 else 0.0
 

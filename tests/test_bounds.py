@@ -107,10 +107,20 @@ class TestShearerAndBound:
         st.floats(0.0, 1.0),
     ))
     @example(4, 2, 0.5)
+    @example(7, 3, 0.5)
+    @example(100, 6, 0.5)
+    @example(4, 2, 0.3)
     @example(7, 3, 0.3)
+    @example(100, 6, 0.3)
+    @example(4, 2, 0.17)
+    @example(7, 3, 0.17)
     @example(100, 6, 0.17)
     @example(4, 2, 0.9)
+    @example(7, 3, 0.9)
+    @example(100, 6, 0.9)
+    @example(4, 2, 0.999)
     @example(7, 3, 0.999)
+    @example(100, 6, 0.999)
     @example(3, 1, 0.0)
     @example(5, 2, 1.0)
     @example(100, 6, 5e-324)
