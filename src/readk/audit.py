@@ -24,13 +24,15 @@ exposed directly for arbitrary joints and covers. Every audit holds for
 any product law, uniform or weighted: the divergence corollary needs only
 independent coordinates, each read at most k times.
 
-Both Shearer audits merge probabilities on integer keys: the divergence
-corollary on each function's truth-table positions, the entropy
-inequality on mixed-radix codes of each cover set's coordinates. The keys
-are grouped by one numpy group-by, :func:`_key_sums`: a stable sort of the
-keys, a gather of the probabilities, and one ``math.fsum`` per key, so
-every merged mass is correctly rounded and equals what the label group-by
-of :mod:`readk.info_theory` gives on the same outcomes. The sums over the
+Both Shearer audits merge probabilities on one kind of integer key,
+mixed-radix codes of a set's coordinates (:func:`_cover_keys`): the
+entropy inequality for each cover set, the divergence corollary for each
+function's variables with the supports as radices, so that its keys are
+the function's truth-table positions. The keys are grouped by one numpy
+group-by, :func:`_key_sums`: a stable sort of the keys, a gather of the
+probabilities, and one ``math.fsum`` per key, so every merged mass is
+correctly rounded and equals what the label group-by of
+:mod:`readk.info_theory` gives on the same outcomes. The sums over the
 whole law, the joint entropy and the full-law divergence, go through
 :func:`_log_sum`: one ``math.log`` per distinct argument, the products in
 numpy and one ``math.fsum`` over them, so they equal the per-outcome sums
@@ -51,7 +53,7 @@ import numpy as np
 from .bounds import _deviation, _log_bound
 from .errors import AuditError, DomainError, _check_int
 from .exact import _DIRECTIONS, TailQuery, function_marginals
-from .exact import _Lookup, _scan_in_tail, _scan_tail, _tail_marginals
+from .exact import _scan_in_tail, _scan_tail, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
 from .info_theory import kl_binary
@@ -223,11 +225,6 @@ def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     return values
 
 
-def _projected_divergences(spec: FamilySpec, cells: Sequence[Sequence[float]]) -> list[float]:
-    """Unclamped ``D(cells[j] || product law of f_j's variables)``, over f_j's table cells."""
-    return [_kl_sum(p, masses.tolist(), norm) for p, masses, norm in zip(cells, *spec._cell_laws)]
-
-
 def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, Nats]:
     """Both sides of the divergence corollary on a concrete family.
 
@@ -241,21 +238,20 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     """
     values = _assignment_values(spec, conditioned)
     k = read_width(spec)
-    masses, norm = _product_law(spec, range(spec.num_variables))
+    masses, norm = _product_law(spec)
     mass = math.prod(mass_i[row] for mass_i, row in zip(masses, values))
     probs = np.array(conditioned.probs)
     divergence = max(_array_kl_sum(probs, mass, norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
-    lookup = _Lookup(spec, range(spec.num_variables), values.dtype, values.shape[1])
-    cells = []
-    for pos, table in zip(lookup.each(values), spec.tables):
-        fn_cells = [0.0] * len(table)
-        keys, sums = _key_sums(pos, probs)
-        for c, mass_c in zip(keys.tolist(), sums):
-            fn_cells[c] = mass_c
-        cells.append(fn_cells)
-    rhs = math.fsum(max(d, 0.0) for d in _projected_divergences(spec, cells))
+    # With the supports as radices, a function's keys are its truth-table
+    # positions, and its span is its table's length.
+    codes = {i: (row, v.support_size) for i, (row, v) in enumerate(zip(values, spec.variables))}
+    terms = []
+    for fn, cell_masses, cell_norm in zip(spec.functions, *spec._cell_laws):
+        keys, sums = _key_sums(_cover_keys(codes, fn.vars, len(probs)), probs)
+        terms.append(max(_kl_sum(sums, cell_masses[keys].tolist(), cell_norm), 0.0))
+    rhs = math.fsum(terms)
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")
     return lhs, rhs
@@ -302,10 +298,10 @@ def proof_trace(
     k = max(read_width(spec), 1)
     t = query.effective_threshold()
 
-    _, norm = _product_law(spec, range(spec.num_variables))
+    _, norm = _product_law(spec)
     neg_log_tail = -math.log(mass / norm) + 0.0  # normalize -0.0 on a sure event
-    projected = [(fn_cells / mass).tolist() for fn_cells in cells]
-    shearer_term = math.fsum(_projected_divergences(spec, projected)) / k
+    shearer_term = math.fsum(_kl_sum((c / mass).tolist(), masses.tolist(), cell_norm)
+                             for c, masses, cell_norm in zip(cells, *spec._cell_laws)) / k
 
     p_js, p_bar = function_marginals(spec)
     q_js = _tail_marginals(spec, cells)

@@ -37,7 +37,9 @@ by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
 number of assignments. The scan holds one chunk of at most ``CHUNK``
 (``2**20``) assignments, one row of digits per variable as the Monte
 Carlo sampler holds its draws, and evaluates the functions on it through
-:class:`_Lookup`, the one kernel it shares with the sampler.
+:class:`_Lookup`, the one kernel it shares with the sampler. The Shearer
+audits group a law by its coordinates with mixed-radix keys of their own
+(:mod:`readk.audit`), not through the lookup.
 
 :func:`_verify_rows` is ``readk verify``'s one sweep: it checks r, k, p
 and the tolerance once and compares :func:`tail_prob` against the read-k
@@ -183,16 +185,19 @@ class _Lookup:
     cells) is looked up as ``(word >> pos) & 1``, any other as
     ``table[pos]``. The looked-up bits and the sums share one type, the
     narrowest unsigned type that holds the number of functions and every
-    word, so no shift, mask or add casts; their buffers are made on the
-    first :meth:`sums_of`, so a lookup used for positions alone makes none.
+    word, so no shift, mask or add casts.
     """
 
     def __init__(self, spec: FamilySpec, rows: Sequence[int], digits: np.dtype, size: int):
-        self._spec = spec
         sizes = [v.support_size for v in spec.variables]
         self._reads = [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
         dtype = np.promote_types(digits, np.min_scalar_type(max(map(len, spec.tables))))
         self._positions = np.empty(size, dtype=dtype)
+        words, word_dtype = spec._words
+        self._pairs = list(zip(spec.tables, words))
+        sum_dtype = np.promote_types(np.min_scalar_type(len(words)), word_dtype)
+        self._sums, self._bits = np.empty(size, sum_dtype), np.empty(size, sum_dtype)
+        self._one = np.array(1, sum_dtype)
 
     def each(self, values: np.ndarray) -> Iterator[np.ndarray]:
         """Each function's truth-table positions of the batch ``values``, in turn.
@@ -219,22 +224,12 @@ class _Lookup:
                     positions += values[row]
                 yield positions
 
-    @cached_property
-    def _sum_buffers(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(table, word)`` pairs, the sums and bits buffers, and a one of their type."""
-        words, word_dtype = self._spec._words
-        dtype = np.promote_types(np.min_scalar_type(len(words)), word_dtype)
-        size = len(self._positions)
-        pairs = list(zip(self._spec.tables, words))
-        return pairs, np.empty(size, dtype=dtype), np.empty(size, dtype=dtype), np.array(1, dtype)
-
     def sums_of(self, values: np.ndarray) -> np.ndarray:
         """Each assignment's function sum in the batch ``values``, in a buffer the next call reuses."""
-        pairs, sums, bits, one = self._sum_buffers
         n = values.shape[1]
-        sums, bits = sums[:n], bits[:n]
+        sums, bits, one = self._sums[:n], self._bits[:n], self._one
         sums.fill(0)
-        for (table, word), pos in zip(pairs, self.each(values)):
+        for (table, word), pos in zip(self._pairs, self.each(values)):
             if word is None:
                 sums += table[pos]
             else:
@@ -268,7 +263,7 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """
     sizes = [v.support_size for v in spec.variables]
     _check_guard(math.prod(sizes), enumeration_guard(guard), "family")
-    masses, _ = _product_law(spec, range(len(sizes)))
+    masses, _ = _product_law(spec)
     # A chunk fixes the leading variables and runs through every value of
     # the trailing ones, at most CHUNK assignments unless one variable has more.
     lead = len(sizes) - 1
@@ -491,7 +486,7 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     Independent cross-check path for :func:`sum_pmf`; quadratically more
     work on families with many components, so keep it to small inputs.
     """
-    _, norm = _product_law(spec, range(spec.num_variables))
+    _, norm = _product_law(spec)
     pmf = np.zeros(spec.num_functions + 1)
     for _, _, sums, masses in _scan(spec, guard):
         # Sums are uint64 when some table has 33 to 64 cells, which bincount

@@ -272,10 +272,9 @@ class FamilySpec:
         return tuple([_plan(reads) for reads in self._classes.reads])
 
 
-def _product_law(spec: FamilySpec, var_indices: Sequence[int]) -> tuple[list[np.ndarray], int]:
-    """The listed variables' masses (see :attr:`FamilySpec.laws`) and the product of their norms."""
-    laws = [spec.laws[i] for i in var_indices]
-    return [masses for masses, _ in laws], math.prod(norm for _, norm in laws)
+def _product_law(spec: FamilySpec) -> tuple[list[np.ndarray], int]:
+    """Every variable's masses (see :attr:`FamilySpec.laws`) and the product of their norms."""
+    return [masses for masses, _ in spec.laws], math.prod(norm for _, norm in spec.laws)
 
 
 def _cell_masses(masses: list[np.ndarray], lead: float = 1.0) -> np.ndarray:

@@ -984,6 +984,34 @@ def test_shearer_gaps_are_bit_identical_to_dict_oracle(spec, t, direction, data)
     assert_gaps_match_oracle(spec, law, cover, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_families(), weighted_families()), st.randoms(use_true_random=False))
+def test_shearer_gaps_do_not_depend_on_outcome_order(spec, rnd):
+    # The conditioned law listed in a shuffled order, and so without the
+    # scan's digits, gives both audits the same bits at every threshold.
+    pmf = sum_pmf(spec)
+    cover = [fn.vars for fn in spec.functions]
+    k = min(sum(i in p for p in cover) for i in range(spec.num_variables))
+    for direction in ("ge", "le"):
+        for t in range(spec.num_functions + 1):
+            query = TailQuery(t, direction)
+            if tail_prob(pmf, query) == 0.0:
+                continue
+            law = conditional_law(spec, query)
+            order = list(range(len(law.outcomes)))
+            rnd.shuffle(order)
+            shuffled = Distribution(
+                tuple(law.outcomes[i] for i in order), tuple(law.probs[i] for i in order)
+            )
+            assert shuffled._digits is None
+            assert hex_pair(shearer_kl_gap(spec, shuffled)) == hex_pair(
+                shearer_kl_gap(spec, law)
+            ), (direction, t)
+            assert hex_pair(shearer_entropy_gap(shuffled, cover, k)) == hex_pair(
+                shearer_entropy_gap(law, cover, k)
+            ), (direction, t)
+
+
 @pytest.mark.parametrize(
     "outcomes",
     [
