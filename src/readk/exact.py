@@ -6,24 +6,25 @@ a factor with one axis per variable it reads, standing for the polynomial
 ``z**f`` in the partial sum, and products carry a trailing axis of
 polynomial coefficients. Multiplying factors broadcasts their variable
 axes and convolves their sum axes; eliminating a variable sums its axis
-out against that variable's probabilities. Plan, then arithmetic:
-:func:`_plan` picks a greedy min-degree order from the read tuples alone,
-ties broken by variable index, and lists each bucket's input factors,
-scope and sum-axis length; :func:`_eliminate_pmf` checks the guard on the
-whole plan, then runs its steps, so the cost grows with a component's
-treewidth rather than its assignment count. Components of uniform
-variables with fewer than ``2**62`` assignments carry exact integer
-counts and divide by the total at the end; the rest carry float64
-weights. Components equal up to variable labels (same read tuples
-relabelled by rank, truth tables and variable laws) form one class,
-solved once per call by eliminating its representative, so a family of
-thousands of identical blocks costs one elimination. The component pmfs
-are then convolved in order of smallest function index. The family keeps
-the partition into components, their classes and one plan per class
-(``FamilySpec._partition``, ``FamilySpec._classes`` and
-``FamilySpec._plans``); no pmf and no tail sum is kept across calls, so
-every call eliminates each representative and runs the whole
-convolution.
+out against that variable's probabilities. Plan, then arithmetic: the
+structure comes from :mod:`readk.family`, which makes and keeps the
+partition into components, their classes and one plan per class
+(``FamilySpec._partition`` and ``FamilySpec._classes``); a plan
+(``readk.family._plan``) is a greedy min-degree order from the read
+tuples alone, ties broken by variable index, listing each bucket's input
+factors, scope and sum-axis length. This module holds only the
+arithmetic that runs a plan: :func:`_eliminate_pmf` checks the guard on
+the whole plan, then runs its steps, so the cost grows with a
+component's treewidth rather than its assignment count. Components of
+uniform variables with fewer than ``2**62`` assignments carry exact
+integer counts and divide by the total at the end; the rest carry
+float64 weights. Components equal up to variable labels (same read
+tuples relabelled by rank, truth tables and variable laws) form one
+class, solved once per call by eliminating its representative, so a
+family of thousands of identical blocks costs one elimination. The
+component pmfs are then convolved in order of smallest function index.
+No pmf and no tail sum is kept across calls, so every call eliminates
+each representative and runs the whole convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -51,7 +52,6 @@ for identical inputs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
@@ -175,12 +175,12 @@ class _Lookup:
     """The one kernel that evaluates a family's functions on batches of assignments.
 
     A batch holds one variable per row, variable ``i`` in row ``rows[i]``,
-    in the unsigned type ``digits``, and one assignment per column, at most
-    ``size`` of them. A function's truth-table position is mixed radix, its
-    first read variable most significant. A function of one variable takes
+    in the family's :func:`_digit_dtype`, and one assignment per column, at
+    most ``size`` of them. A function's truth-table position is mixed radix,
+    its first read variable most significant. A function of one variable takes
     its row of values as its positions, with no copy; any other computes
     them in one reused buffer of the narrowest unsigned type that holds
-    ``digits`` and every table's length, so position arithmetic never
+    the digits and every table's length, so position arithmetic never
     wraps. A truth table with a word (``FamilySpec._words``, at most 64
     cells) is looked up as ``(word >> pos) & 1``, any other as
     ``table[pos]``. The looked-up bits and the sums share one type, the
@@ -188,9 +188,10 @@ class _Lookup:
     word, so no shift, mask or add casts.
     """
 
-    def __init__(self, spec: FamilySpec, rows: Sequence[int], digits: np.dtype, size: int):
+    def __init__(self, spec: FamilySpec, rows: Sequence[int], size: int):
         sizes = [v.support_size for v in spec.variables]
         self._reads = [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
+        digits = _digit_dtype(spec)
         dtype = np.promote_types(digits, np.min_scalar_type(max(map(len, spec.tables))))
         self._positions = np.empty(size, dtype=dtype)
         words, word_dtype = spec._words
@@ -245,9 +246,23 @@ def _in_tail(sums: np.ndarray, query: TailQuery) -> np.ndarray:
 
 
 def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") -> None:
-    """Raise :class:`ResourceError` when ``what`` spans more than ``guard`` units."""
-    if size > guard:
-        raise ResourceError(f"{what} spans {size} {unit}, exceeding the guard {guard}")
+    """Raise :class:`ResourceError` when ``what`` spans more than ``guard`` units.
+
+    A count of more than 15 digits is printed with four significant digits
+    taken from its logarithm, like ``1.148e+602`` for ``2**2000``: its
+    decimal string would be as long as the count has digits, and Python
+    refuses to make one past 4300 digits.
+    """
+    if size <= guard:
+        return
+    if size < 10**15:
+        count = str(size)
+    else:
+        lg = math.log10(size)
+        # The mantissa's rounding may carry: 9.9996 prints as 1.000e+01.
+        mantissa, carry = f"{10 ** (lg % 1):.3e}".split("e")
+        count = f"{mantissa}e+{math.floor(lg) + int(carry)}"
+    raise ResourceError(f"{what} spans {count} {unit}, exceeding the guard {guard}")
 
 
 def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
@@ -272,7 +287,7 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     dtype = _digit_dtype(spec)
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
-    lookup = _Lookup(spec, range(len(sizes)), dtype, digits.shape[1])
+    lookup = _Lookup(spec, range(len(sizes)), digits.shape[1])
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
@@ -340,55 +355,6 @@ def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return out
 
 
-def _plan(reads: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int], list[int], int]]:
-    """A component's bucket elimination plan, in greedy min-degree order; builds no array.
-
-    Factor ids number the functions in the order of ``reads``, then the
-    message of step ``r`` as ``len(reads) + r``. Each step is ``(inputs,
-    scope, summed, length)``: the ids of the factors it multiplies, in id
-    order; the sorted variables they span; the variables it sums out; and
-    its sum-axis length, 1 plus the number of functions beneath it.
-    ``adj`` holds each variable's closed neighbourhood: the variables a
-    factor left shares with it, itself included. Each step takes a variable
-    of fewest neighbours, ties by smallest index, from a heap with lazy
-    deletion: its scope is that neighbourhood, its inputs the factors left
-    that read it. The first variable whose bucket spans all left stops the
-    loop, and the last step takes every factor left and sums out its scope.
-    """
-    adj = {i: set() for i in itertools.chain.from_iterable(reads)}
-    readers: dict[int, list[int]] = {i: [] for i in adj}
-    for f, read in enumerate(reads):
-        for i in read:
-            adj[i].update(read)
-            readers[i].append(f)
-    left = dict.fromkeys(range(len(reads)), 1)  # factor id -> functions beneath it
-    heap = [(len(nbrs), i) for i, nbrs in adj.items()]
-    heapq.heapify(heap)
-    steps = []
-    while heap:
-        size, v = heapq.heappop(heap)
-        nbrs = adj.get(v)
-        if nbrs is None or size != len(nbrs):  # eliminated, or stale
-            continue
-        if len(nbrs) == len(adj):
-            break
-        del adj[v]
-        inputs = [f for f in readers.pop(v) if f in left]
-        beneath = sum([left.pop(f) for f in inputs])
-        message = len(reads) + len(steps)
-        left[message] = beneath
-        steps.append((inputs, sorted(nbrs), [v], 1 + beneath))
-        nbrs.discard(v)
-        for u in nbrs:
-            adj[u] |= nbrs
-            adj[u].discard(v)
-            readers[u].append(message)
-            heapq.heappush(heap, (len(adj[u]), u))
-    scope = sorted(adj)
-    steps.append((list(left), scope, scope, 1 + sum(left.values())))
-    return steps
-
-
 def _eliminate_pmf(
     spec: FamilySpec, comp: Component, reads: Sequence[Sequence[int]], plan: list, guard: int
 ) -> np.ndarray:
@@ -401,7 +367,8 @@ def _eliminate_pmf(
     coefficients. Functions enter as sum factors, so the functions of one
     step are added, not convolved. ``reads`` holds each function's read
     tuple with every variable labelled by its rank in ``comp.variables``,
-    and ``plan`` is :func:`_plan` of those reads. The guard reads every step
+    and ``plan`` is ``readk.family._plan`` of those reads, as the family
+    keeps it (``FamilySpec._classes.plans``). The guard reads every step
     of the plan before any array is made; then the steps run in turn. The
     variables' laws are read from :attr:`FamilySpec.laws`: when each norm
     is its support (uniform laws), the steps count in int64; otherwise each
@@ -460,10 +427,11 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     by variable elimination of its representative (unread variables
     contribute weight one), and every component of the class convolves in
     that pmf. Each class's elimination plan is made once per family and
-    kept (``FamilySpec._plans``); no pmf is kept across calls: every call
-    eliminates each representative and runs the whole convolution. Raises
-    :class:`ResourceError` naming the first component whose elimination
-    would form a product factor of more cells than the guard.
+    kept with its class (``FamilySpec._classes.plans``); no pmf is kept
+    across calls: every call eliminates each representative and runs the
+    whole convolution. Raises :class:`ResourceError` naming the first
+    component whose elimination would form a product factor of more cells
+    than the guard.
     """
     guard = enumeration_guard(guard)
     classes = spec._classes
@@ -473,7 +441,7 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
         pmf = solved[c]
         if pmf is None:
             pmf = solved[c] = _eliminate_pmf(
-                spec, classes.representatives[c], classes.reads[c], spec._plans[c], guard
+                spec, classes.representatives[c], classes.reads[c], classes.plans[c], guard
             )
         acc = pmf if acc is None else np.convolve(acc, pmf)
     assert acc is not None and len(acc) == spec.num_functions + 1

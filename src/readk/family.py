@@ -26,14 +26,17 @@ marginals ``Pr[f_j = 1]`` (``_one_probs``, one per distinct truth table and
 cell law), and the dependency partition (``_partition``: one union-find
 pass gives arrays from function and variable to component, and the read
 width) and its classes (``_classes``: an array from component to class of
-components equal up to variable labels, and one representative component
-per class), with one elimination plan per class (``_plans``). It never
-keeps a pmf or a tail sum, nor the per-component tuples that
-:func:`dependency_components` returns.
+components equal up to variable labels, one representative component per
+class, and each class's elimination plan). This module derives all of that
+structure and imports nothing from the engine: the plans are made here
+(:func:`_plan`, from a class's read tuples alone) and kept in ``_classes``.
+The family never keeps a pmf or a tail sum, nor the per-component tuples
+that :func:`dependency_components` returns.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -202,8 +205,7 @@ class FamilySpec:
 
         ``(masses, norms, index)``: function j's cells have the law
         ``masses[index[j]] / norms[index[j]]``. One law is built per
-        distinct tuple of read-variable laws; the masses are read-only
-        views of one buffer.
+        distinct tuple of read-variable laws, as one read-only array.
         """
         distinct, law_of = self._law_index
         ids: dict[tuple[int, ...], int] = {}
@@ -211,14 +213,10 @@ class FamilySpec:
                        for fn in self.functions])
         laws = [([distinct[k][0] for k in key], math.prod(distinct[k][1] for k in key))
                 for key in ids]
-        sizes = (math.prod(map(len, masses)) for masses, _ in laws)
-        bounds = list(itertools.accumulate(sizes, initial=0))
-        flat = np.empty(bounds[-1])
-        for (masses, _), a, b in zip(laws, bounds, bounds[1:]):
-            flat[a:b] = _cell_masses(masses)
-        flat.flags.writeable = False
-        cells = tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
-        return cells, tuple(norm for _, norm in laws), index
+        cells = [_cell_masses(masses) for masses, _ in laws]
+        for masses in cells:
+            masses.flags.writeable = False
+        return tuple(cells), tuple(norm for _, norm in laws), index
 
     @cached_property
     def _cell_laws(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
@@ -258,18 +256,6 @@ class FamilySpec:
     def _classes(self) -> _Classes:
         """The classes of equal components and their representatives (see :func:`_classes`)."""
         return _classes(self)
-
-    @cached_property
-    def _plans(self) -> tuple[list, ...]:
-        """Each class's elimination plan (see :func:`readk.exact._plan`), on its ranked reads.
-
-        The components of one class have the same read tuples once each
-        variable is relabelled to its rank (``_Classes.reads``), so one plan
-        serves every component of the class.
-        """
-        from .exact import _plan  # exact imports this module
-
-        return tuple([_plan(reads) for reads in self._classes.reads])
 
 
 def _product_law(spec: FamilySpec) -> tuple[list[np.ndarray], int]:
@@ -363,14 +349,16 @@ class _Classes(NamedTuple):
     among the component's variables, the same truth tables in function
     order, and the same variable laws (``FamilySpec._law_index``, which
     keys them by bits, so ``0.0`` and ``-0.0`` make two classes).
-    Components of one class take the same elimination plan and give
-    bit-identical pmfs. Classes are numbered by their first component,
-    which is kept as the class's representative.
+    Components of one class take the same elimination plan, made once on
+    the class's ranked reads, and give bit-identical pmfs. Classes are
+    numbered by their first component, which is kept as the class's
+    representative.
     """
 
     component_class: np.ndarray  # component -> class
     representatives: tuple[Component, ...]  # the first component of each class
     reads: tuple[tuple[tuple[int, ...], ...], ...]  # each class's read tuples, variables by rank
+    plans: tuple[list, ...]  # each class's elimination plan (see _plan), on its ranked reads
 
 
 def _index_array(values: list[int]) -> np.ndarray:
@@ -428,7 +416,10 @@ def _members(part: _Partition) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _classes(spec: FamilySpec) -> _Classes:
-    """One pass over the components of :attr:`FamilySpec._partition`, keying each by its class."""
+    """One pass over the components of :attr:`FamilySpec._partition`, keying each by its class.
+
+    Then one :func:`_plan` per class, on its ranked reads.
+    """
     functions, variables = _members(spec._partition)
     rank = [0] * spec.num_variables
     for members in variables:
@@ -440,16 +431,65 @@ def _classes(spec: FamilySpec) -> _Classes:
     classes: dict[tuple, int] = {}
     component_class = []
     representatives = []
-    class_reads = []
     for fns, vs in zip(functions, variables):
         ranked = tuple([tuple([rank[i] for i in reads[j]]) for j in fns])
         key = (ranked, tuple([tables[j] for j in fns]), tuple([law_of[i] for i in vs]))
         c = classes.setdefault(key, len(classes))
         if c == len(representatives):
             representatives.append(Component(tuple(fns), tuple(vs)))
-            class_reads.append(ranked)
         component_class.append(c)
-    return _Classes(_index_array(component_class), tuple(representatives), tuple(class_reads))
+    class_reads = tuple([ranked for ranked, _, _ in classes])  # keys in class order
+    return _Classes(_index_array(component_class), tuple(representatives), class_reads,
+                    tuple([_plan(ranked) for ranked in class_reads]))
+
+
+def _plan(reads: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int], list[int], int]]:
+    """A component's bucket elimination plan, in greedy min-degree order; builds no array.
+
+    Factor ids number the functions in the order of ``reads``, then the
+    message of step ``r`` as ``len(reads) + r``. Each step is ``(inputs,
+    scope, summed, length)``: the ids of the factors it multiplies, in id
+    order; the sorted variables they span; the variables it sums out; and
+    its sum-axis length, 1 plus the number of functions beneath it.
+    ``adj`` holds each variable's closed neighbourhood: the variables a
+    factor left shares with it, itself included. Each step takes a variable
+    of fewest neighbours, ties by smallest index, from a heap with lazy
+    deletion: its scope is that neighbourhood, its inputs the factors left
+    that read it. The first variable whose bucket spans all left stops the
+    loop, and the last step takes every factor left and sums out its scope.
+    """
+    adj = {i: set() for i in itertools.chain.from_iterable(reads)}
+    readers: dict[int, list[int]] = {i: [] for i in adj}
+    for f, read in enumerate(reads):
+        for i in read:
+            adj[i].update(read)
+            readers[i].append(f)
+    left = dict.fromkeys(range(len(reads)), 1)  # factor id -> functions beneath it
+    heap = [(len(nbrs), i) for i, nbrs in adj.items()]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        size, v = heapq.heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or size != len(nbrs):  # eliminated, or stale
+            continue
+        if len(nbrs) == len(adj):
+            break
+        del adj[v]
+        inputs = [f for f in readers.pop(v) if f in left]
+        beneath = sum([left.pop(f) for f in inputs])
+        message = len(reads) + len(steps)
+        left[message] = beneath
+        steps.append((inputs, sorted(nbrs), [v], 1 + beneath))
+        nbrs.discard(v)
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u].discard(v)
+            readers[u].append(message)
+            heapq.heappush(heap, (len(adj[u]), u))
+    scope = sorted(adj)
+    steps.append((list(left), scope, scope, 1 + sum(left.values())))
+    return steps
 
 
 def dependency_components(spec: FamilySpec) -> tuple[Component, ...]:

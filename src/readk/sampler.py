@@ -201,7 +201,7 @@ def estimate_tail(
     # in their pages anew.
     chunk = min(_SAMPLE_CHUNK, max(1, _UNIFORM_CHUNK // spec.num_variables), samples)
     values = np.empty((spec.num_variables, chunk), dtype=cdf.dtype)
-    lookup = _Lookup(spec, cdf.rows, cdf.dtype, chunk)
+    lookup = _Lookup(spec, cdf.rows, chunk)
     successes = 0
     chunks = _drawn_chunks(rng, cdf, samples, values)
     try:

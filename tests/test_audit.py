@@ -14,7 +14,7 @@ from readk.audit import (
     shearer_kl_gap,
 )
 from readk.bounds import BoundQuery, read_k_tail_bound
-from readk.errors import DomainError, ResourceError
+from readk.errors import AuditError, DomainError, ResourceError
 from readk.exact import TailQuery, sum_pmf, tail_prob
 from readk.family import FamilySpec, ReadFunction, Variable, read_width
 from readk.generators import gen_random_family
@@ -307,6 +307,28 @@ class TestGuard:
             conditional_law(xor_family, TailQuery(0, "ge"))
         with pytest.raises(ResourceError):
             proof_trace(xor_family, TailQuery(0, "ge"))
+
+
+class TestFailuresRaise:
+    """Each audit raises AuditError when its check fails."""
+
+    def test_shearer_gaps_without_slack(self, xor_family, monkeypatch):
+        # With GAP_TOL = -inf no pair of finite sides passes.
+        from readk import audit
+
+        monkeypatch.setattr(audit, "GAP_TOL", -math.inf)
+        law = conditional_law(xor_family, TailQuery(2, "ge"))
+        with pytest.raises(AuditError, match="^entropy inequality violated: "):
+            shearer_entropy_gap(law, [fn.vars for fn in xor_family.functions], 1)
+        with pytest.raises(AuditError, match="^divergence inequality violated: "):
+            shearer_kl_gap(xor_family, law)
+
+    def test_proof_trace_with_a_broken_chain(self, xor_family, monkeypatch):
+        monkeypatch.setattr(ProofTrace, "chain_holds", lambda self, rel_tol=0.0: False)
+        trace = proof_trace(xor_family, TailQuery(2, "ge"), check=False)
+        with pytest.raises(AuditError) as raised:
+            proof_trace(xor_family, TailQuery(2, "ge"))
+        assert str(raised.value) == f"proof chain violated: {trace.terms()!r}"
 
 
 def test_chain_holds_detects_violations():

@@ -41,6 +41,11 @@ class TestBound:
             '{"log_bound": -1.3862943611198906e+00, "bound": 2.5000000000000000e-01}\n'
         )
 
+    def test_zero_p_prints_a_minus_infinity_exponent(self):
+        res = run_cli("bound", "--r", 10, "--k", 1, "--p", 0, "--eps", 0.5, "--tail", "upper")
+        assert res.returncode == 0
+        assert res.stdout == '{"log_bound": -Infinity, "bound": 0.0000000000000000e+00}\n'
+
     def test_threshold_flag_converts_to_eps(self):
         via_eps = run_cli("bound", "--r", 4, "--k", 2, "--p", 0.5, "--eps", 0.5,
                           "--tail", "upper")
@@ -228,6 +233,45 @@ class TestTraceAndShearer:
         assert out["result"] == "PASS"
         assert out["corollary_lhs"] >= out["corollary_rhs"]
 
+    def test_shearer_reports_failed_gaps_as_nan(self, block_file, monkeypatch, capsys):
+        # With no slack at all, both inequalities fail on finite sides.
+        from readk import audit, cli
+
+        monkeypatch.setattr(audit, "GAP_TOL", -math.inf)
+        assert cli.main(["shearer", str(block_file), "--t", "4", "--tail", "upper"]) == 1
+        out = capsys.readouterr()
+        assert out.out == (
+            '{"lemma_k": 2, "lemma_lhs": NaN, "lemma_rhs": NaN, "corollary_k": 2, '
+            '"corollary_lhs": NaN, "corollary_rhs": NaN, "result": "FAIL"}\n'
+        )
+        assert out.err == ""
+
+    def test_trace_reports_a_broken_chain(self, block_file, monkeypatch, capsys):
+        from readk import cli
+        from readk.audit import ProofTrace
+
+        monkeypatch.setattr(ProofTrace, "chain_holds", lambda self, rel_tol=0.0: False)
+        assert cli.main(["trace", str(block_file), "--t", "4", "--tail", "upper"]) == 1
+        out = capsys.readouterr()
+        line = json.loads(out.out)
+        assert (line["chain_ok"], line["result"]) == (False, "FAIL")
+        assert out.out.endswith(', "chain_ok": false, "result": "FAIL"}\n')
+        assert out.err == ""
+
+    def test_trace_names_a_long_count_in_brief(self, tmp_path):
+        # 2^2000 assignments: 603 digits in full.
+        fam = tmp_path / "fam.json"
+        res = run_cli("gen", "--preset", "block-tight", "--k", 1, "--blocks", 2000,
+                      "--p", "1/3", "--out", fam)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("trace", fam, "--t", 700, "--tail", "upper")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: family spans 1.148e+602 assignments, exceeding the guard 16777216\n"
+        )
+        assert len(res.stderr.encode()) < 200
+
 
 class TestMc:
     def test_deterministic_given_seed(self, block_file):
@@ -290,6 +334,40 @@ class TestGen:
         res = run_cli("gen", "--preset", "block-tight", "--k", 2, "--blocks", 2,
                       "--p", "1/100", "--out", tmp_path / "x.json")
         assert res.returncode == 2
+
+
+PRETTY_COMMANDS = {
+    "bound": ["bound", "--r", 4, "--k", 2, "--p", 0.5, "--eps", 0.5, "--tail", "upper"],
+    "gen": ["gen", "--preset", "block-tight", "--k", 1, "--blocks", 2, "--p", "1/2",
+            "--out", "{dir}/gen.json"],
+    "exact": ["exact", "{family}", "--t", 4, "--tail", "upper"],
+    "mc": ["mc", "{family}", "--t", 4, "--tail", "upper", "--samples", 2000, "--seed", 5],
+    "trace": ["trace", "{family}", "--t", 4, "--tail", "upper"],
+    "shearer": ["shearer", "{family}", "--t", 4, "--tail", "upper"],
+}
+
+
+@pytest.mark.parametrize("command", list(PRETTY_COMMANDS))
+def test_pretty_prints_one_aligned_line_per_key(block_file, tmp_path, command):
+    args = [str(a).format(family=block_file, dir=tmp_path) for a in PRETTY_COMMANDS[command]]
+    plain, pretty = run_cli(*args), run_cli(*args, "--pretty")
+    assert plain.returncode == pretty.returncode == 0, pretty.stderr
+    [line] = plain.stdout.splitlines()
+    keys = list(json.loads(line))
+    rows = pretty.stdout.splitlines()
+    assert len(rows) == len(keys)
+    # Each row is the key right-aligned in 14 columns, " = ", then its JSON token,
+    # so the rows put back together give the JSON line.
+    assert [row[:17] for row in rows] == [f"{key:>14} = " for key in keys]
+    assert "{" + ", ".join(f'"{key}": {row[17:]}' for key, row in zip(keys, rows)) + "}" == line
+
+
+def test_fmt_tokens_for_non_finite_floats_and_unknown_types():
+    from readk.cli import _fmt
+
+    assert [_fmt(x) for x in (math.nan, math.inf, -math.inf)] == ["NaN", "Infinity", "-Infinity"]
+    with pytest.raises(TypeError, match="^cannot serialize None$"):
+        _fmt(None)
 
 
 def test_unknown_subcommand_is_exit_two():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from readk import exact
+from readk import exact, family
 from readk.audit import conditional_law, proof_trace
 from readk.errors import DomainError, ResourceError
 from readk.exact import (
@@ -419,13 +419,13 @@ class TestSharedSolves:
     def test_plans_are_made_once_per_class_and_kept(self, monkeypatch):
         spec = gen_random_family(40, 30, 3, 2, 0)
         plans = []
-        plan = exact._plan
-        monkeypatch.setattr(exact, "_plan", lambda reads: plans.append(reads) or plan(reads))
+        plan = family._plan
+        monkeypatch.setattr(family, "_plan", lambda reads: plans.append(reads) or plan(reads))
         pmf = sum_pmf(spec)
         assert len(plans) == len(spec._classes.representatives) > 1
         assert sum_pmf(spec) == pmf
         assert len(plans) == len(spec._classes.representatives)
-        assert spec._plans is spec._plans
+        assert spec._classes is spec._classes
 
 
 def structure_outputs(spec):
@@ -487,6 +487,32 @@ class TestGuard:
         monkeypatch.setenv("READK_ENUM_GUARD", env)
         with pytest.raises(DomainError, match="^READK_ENUM_GUARD must be a positive int, got "):
             sum_pmf(xor_family)
+
+    @pytest.mark.parametrize("size, count", [
+        (10**15 - 1, "999999999999999"),
+        (10**15, "1.000e+15"),
+        (2**2000, "1.148e+602"),
+        (99996 * 10**20, "1.000e+25"),
+    ])
+    def test_counts_past_15_digits_print_four_significant_digits(self, size, count):
+        with pytest.raises(ResourceError) as raised:
+            exact._check_guard(size, 7, "family")
+        assert str(raised.value) == f"family spans {count} assignments, exceeding the guard 7"
+
+    @pytest.mark.parametrize("run", [
+        sum_pmf_enumerate,
+        lambda spec: conditional_law(spec, TailQuery(1, "ge")),
+        lambda spec: proof_trace(spec, TailQuery(1, "ge")),
+        lambda spec: conditional_function_marginals(spec, TailQuery(1, "ge")),
+    ], ids=["sum_pmf_enumerate", "conditional_law", "proof_trace", "conditional_marginals"])
+    def test_counts_past_4300_digits_raise_the_guard_error(self, monkeypatch, run):
+        # 2^15000 assignments: Python makes no decimal string of 4516 digits.
+        monkeypatch.delenv("READK_ENUM_GUARD", raising=False)
+        with pytest.raises(ResourceError) as raised:
+            run(gen_block_tight(1, 15000, "1/2"))
+        assert str(raised.value) == (
+            "family spans 2.818e+4515 assignments, exceeding the guard 16777216"
+        )
 
     def test_guard_reads_the_plan_before_any_array(self, monkeypatch):
         # Its widest factor would span 134159328 cells, 1 GiB at 8 bytes a cell;

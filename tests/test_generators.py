@@ -95,6 +95,16 @@ class TestRandomFamily:
         with pytest.raises(DomainError):
             gen_random_family(m=2, r=10, k=1, max_arity=2, seed=0)
 
+    def test_exhausted_retry_budget_rejected(self, monkeypatch):
+        # This draw needs one retry: late on, the only variables left with
+        # capacity are fewer than the arity drawn.
+        from readk import generators
+
+        gen_random_family(m=4, r=4, k=2, max_arity=2, seed=4)
+        monkeypatch.setattr(generators, "_RETRY_BUDGET", 0)
+        with pytest.raises(DomainError, match="^retry budget exhausted while drawing variable sets$"):
+            gen_random_family(m=4, r=4, k=2, max_arity=2, seed=4)
+
     def test_arity_beyond_m_rejected(self):
         with pytest.raises(DomainError):
             gen_random_family(m=2, r=1, k=2, max_arity=3, seed=0)

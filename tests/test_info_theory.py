@@ -48,6 +48,11 @@ class TestEntropy:
     def test_point_mass_is_zero(self):
         assert entropy(Distribution.point_mass("a", ("a", "b", "c"))) == 0.0
 
+    def test_point_mass_defaults_to_the_singleton(self):
+        d = Distribution.point_mass("a")
+        assert (d.outcomes, d.probs) == (("a",), (1.0,))
+        assert entropy(d) == 0.0
+
     def test_skewed_value(self):
         assert entropy(skewed4()) == pytest.approx(0.940447988655326421, abs=IDENTITY_TOL)
 

@@ -29,7 +29,6 @@ from readk.exact import (
     _check_guard,
     _eliminate_pmf,
     _Lookup,
-    _plan,
     _times_poly,
     _verify_rows,
     conditional_function_marginals,
@@ -44,6 +43,7 @@ from readk.family import (
     FamilySpec,
     ReadFunction,
     Variable,
+    _plan,
     dependency_components,
     eval_function,
     read_width,
@@ -1345,7 +1345,7 @@ def test_table_positions_and_function_sums_match_scalar_reference(case):
     values = np.empty_like(digits)
     values[rows] = digits
     n = digits.shape[1]
-    lookup = _Lookup(spec, rows, digits.dtype, n)
+    lookup = _Lookup(spec, rows, n)
     # A batch of other assignments first leaves junk in every buffer.
     lookup.sums_of(values[:, ::-1])
     assignments = list(zip(*digits.tolist()))
