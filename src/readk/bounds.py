@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import DomainError, _check_finite, _check_int, _check_real
-from .info_theory import Nats, kl_binary
+from .info_theory import Nats, _kl_binary
 
 Direction = Literal["upper", "lower"]
 
@@ -112,8 +112,13 @@ def read_k_tail_bound(q: BoundQuery) -> BoundResult:
 
 
 def _log_bound(r: int, k: int, p: float, eps: float, direction: Direction) -> Nats:
-    """:func:`read_k_tail_bound`'s ``log_bound`` on unchecked arguments, ``-0.0`` not normalized."""
-    return -(kl_binary(_shifted_mean(p, eps, direction), p) * (r / k))
+    """:func:`read_k_tail_bound`'s ``log_bound`` on unchecked arguments, ``-0.0`` not normalized.
+
+    Every caller has checked ``p`` in [0, 1] and ``eps`` at least 0, and
+    :func:`_shifted_mean` keeps ``p +/- eps`` inside [0, 1], so the divergence
+    skips its range check.
+    """
+    return -(_kl_binary(_shifted_mean(p, eps, direction), p) * (r / k))
 
 
 def simplified_tail_bound(q: BoundQuery) -> BoundResult:

@@ -269,9 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AuditError as e:
-        print(f"audit failure: {e}", file=sys.stderr)
-        return 1
     except (ReadkError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

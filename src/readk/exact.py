@@ -12,26 +12,32 @@ partition into components, their classes and one plan per class
 (``FamilySpec._partition`` and ``FamilySpec._classes``); a plan
 (``readk.family._plan``) is a greedy min-degree order from the read
 tuples alone, ties broken by variable index, listing each bucket's input
-factors, scope and sum-axis length. This module holds only the
-arithmetic that runs a plan: :func:`_eliminate_pmf` checks the guard on
-the whole plan, then runs its steps, so the cost grows with a
-component's treewidth rather than its assignment count. Components of
-uniform variables with fewer than ``2**62`` assignments carry exact
-integer counts and divide by the total at the end; the rest carry
-float64 weights. Components equal up to variable labels (same read
-tuples relabelled by rank, truth tables and variable laws) form one
-class, solved once per call by eliminating its representative, so a
-family of thousands of identical blocks costs one elimination. The
-component pmfs are then convolved in order of smallest function index.
-No pmf and no tail sum is kept across calls, so every call eliminates
-each representative and runs the whole convolution.
+factors, scope and sum-axis length. This module compiles a plan and
+runs it. A class's :class:`_Program` is made by the first
+:func:`sum_pmf` that eliminates the class and kept by the family beside
+its plan (``FamilySpec._classes.programs``): the number type, each
+step's cell count, and read-only views of the truth tables, each step's
+function sums, axes and weights, none with a sum axis. Then
+:func:`_eliminate_pmf` checks the guard on every step's cell count and
+runs only the arithmetic, so the cost grows with a component's treewidth
+rather than its assignment count. Components of uniform variables with
+fewer than ``2**62`` assignments carry exact integer counts and divide
+by the total at the end; the rest carry float64 weights. Components
+equal up to variable labels (same read tuples relabelled by rank, truth
+tables and variable laws) form one class, solved once per call by
+eliminating its representative, so a family of thousands of identical
+blocks costs one elimination. The component pmfs are then convolved in
+order of smallest function index. No pmf, message or tail sum is kept
+across calls, so every call eliminates each representative and runs the
+whole convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
 different paths. In :func:`sum_pmf` it bounds the cells (variable axes
 times sum axis) of the largest product factor formed while eliminating a
-component; the guard reads the plan before any array is made. The flat
-enumerations, :func:`sum_pmf_enumerate`,
+component; the guard reads the plan's cell counts before any array of
+the call is made, and on a class's first call before its program's
+arrays are made. The flat enumerations, :func:`sum_pmf_enumerate`,
 :func:`conditional_function_marginals` and the audits ``conditional_law``
 and ``proof_trace``, share one scan of the full assignment space, weighted
 by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
@@ -75,6 +81,10 @@ _INT_COUNT_LIMIT = 1 << 62
 
 #: Assignments handled per vectorized block; bounds peak memory.
 CHUNK = 1 << 20
+
+#: The values a sum of up to 255 truth tables takes, in the type the sum is kept in.
+_COUNTS = np.arange(256, dtype=np.uint8)
+_COUNTS.flags.writeable = False
 
 
 def enumeration_guard(guard: int | None = None) -> int:
@@ -355,9 +365,103 @@ def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return out
 
 
-def _eliminate_pmf(
-    spec: FamilySpec, comp: Component, reads: Sequence[Sequence[int]], plan: list, guard: int
-) -> np.ndarray:
+class _Program:
+    """A class's elimination plan compiled against its supports, tables and laws.
+
+    The family keeps one per class (``FamilySpec._classes.programs``),
+    made by the first :func:`sum_pmf` that eliminates the class, so only
+    the arithmetic runs on later calls. It is made in two parts. At once,
+    from the plan and the supports alone: the number type (``counting``:
+    int64 counts divided by ``total`` at the end, or float64 weights) and
+    each step's cell count (``cells``: variable axes times sum axis), which
+    the guard reads. Then, on the first run that passes the guard,
+    ``steps`` (see :meth:`compile`), one ``(shape, messages, sums, values,
+    weights, axes)`` per plan step: the product's variable axes; each
+    message it multiplies, as ``(step, aligned shape or None)``; its
+    functions' sums aligned to its scope (``None`` if it has none) and the
+    values ``0 .. number of functions`` they take, in the sums' type; each
+    summed variable's ``masses / norm`` shaped to broadcast on its axis
+    (none when counting); and the summed axes. Every array it keeps is
+    read-only and has no sum axis: the truth tables are views of
+    ``FamilySpec.tables``, a step's function sums are one view or one array
+    of the step's variable axes, and the weights and values are support-
+    and step-sized vectors. The one-hot polynomials, products and messages
+    are made by each run.
+    """
+
+    __slots__ = ("reads", "plan", "laws", "sizes", "total", "counting", "cells", "steps")
+
+    def __init__(
+        self, spec: FamilySpec, comp: Component, reads: Sequence[Sequence[int]], plan: list
+    ):
+        self.reads, self.plan = reads, plan
+        self.laws = laws = [spec.laws[i] for i in comp.variables]
+        self.sizes = sizes = [len(masses) for masses, _ in laws]
+        self.total = math.prod(sizes)
+        self.counting = self.total < _INT_COUNT_LIMIT and all(
+            norm == len(masses) for masses, norm in laws
+        )
+        self.cells = tuple([math.prod([sizes[i] for i in scope]) * length
+                            for _, scope, _, length in plan])
+        self.steps: tuple[tuple, ...] | None = None
+
+    def compile(self, spec: FamilySpec, comp: Component) -> tuple[tuple, ...]:
+        """Each step of the plan with its arrays: what every run would otherwise redo.
+
+        A function's table is reshaped to its read variables and transposed
+        to their sorted order; a step with one function keeps that view
+        aligned to its scope, and one with several keeps their sum, in the
+        narrowest unsigned type that holds their number; the values they
+        take are a view of ``_COUNTS`` below 256 functions. A weight is the
+        law's masses themselves when its norm is 1, as ``x / 1 == x``.
+        """
+        laws, sizes, reads, plan = self.laws, self.sizes, self.reads, self.plan
+        n = len(reads)
+        scopes = [sorted(read) for read in reads]
+        steps = []
+        for inputs, scope, summed, _ in plan:
+            messages, sums, count = [], None, 0
+            for f in inputs:
+                vs = scopes[f]
+                aligned = None if vs == scope else [sizes[i] if i in vs else 1 for i in scope]
+                if f >= n:  # the message of step f - n, with its sum axis
+                    length = plan[f - n][3]
+                    messages.append((f - n, None if aligned is None else (*aligned, length)))
+                    continue
+                read = reads[f]
+                table = spec.tables[comp.functions[f]].reshape([sizes[i] for i in read])
+                if vs != list(read):
+                    table = table.transpose(sorted(range(len(read)), key=read.__getitem__))
+                if aligned is not None:
+                    table = table.reshape(aligned)
+                count += 1
+                sums = table if sums is None else _read_only(
+                    np.add(sums, table, dtype=np.min_scalar_type(count)))
+            values = None
+            if sums is not None:
+                values = (_COUNTS[:count + 1] if count < len(_COUNTS)
+                          else _read_only(np.arange(count + 1, dtype=sums.dtype)))
+            axes = tuple(map(scope.index, summed))
+            weights = []
+            if not self.counting:
+                for i, a in zip(summed, axes):
+                    masses, norm = laws[i]
+                    shape = [1] * (len(scope) + 1)
+                    shape[a] = sizes[i]
+                    weights.append(masses.reshape(shape) if norm == 1
+                                   else _read_only((masses / norm).reshape(shape)))
+            steps.append((tuple([sizes[i] for i in scope]), tuple(messages), sums, values,
+                          tuple(weights), axes))
+            scopes.append([i for i in scope if i not in summed])
+        return tuple(steps)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _eliminate_pmf(spec: FamilySpec, comp: Component, program: _Program, guard: int) -> np.ndarray:
     """Exact pmf of one component's partial sum by bucket elimination: plan, then arithmetic.
 
     A factor is ``(scope, array)``: ``scope`` lists its variables in
@@ -365,57 +469,42 @@ def _eliminate_pmf(
     sum ``s`` of its functions, standing for the polynomial ``z**s``, and has
     no further axis; a polynomial factor adds a trailing axis of
     coefficients. Functions enter as sum factors, so the functions of one
-    step are added, not convolved. ``reads`` holds each function's read
-    tuple with every variable labelled by its rank in ``comp.variables``,
-    and ``plan`` is ``readk.family._plan`` of those reads, as the family
-    keeps it (``FamilySpec._classes.plans``). The guard reads every step
-    of the plan before any array is made; then the steps run in turn. The
-    variables' laws are read from :attr:`FamilySpec.laws`: when each norm
-    is its support (uniform laws), the steps count in int64; otherwise each
-    summed variable weighs by its ``masses / norm``.
+    step are added, not convolved. ``program`` is the component's class's
+    :class:`_Program`, made from ``readk.family._plan`` of the class's
+    ranked reads (``FamilySpec._classes.plans``). The guard reads every
+    step's kept cell count before any array of the call is made, and on a
+    first run before the program's arrays are made; then the steps run in
+    turn: the step's messages multiply in input order, then the one-hot
+    polynomial of its function sums, then each summed variable's weights
+    (when the program counts, none), and the summed axes reduce. Only the
+    one-hot polynomials, products and messages are made per call.
     """
-    laws = [spec.laws[i] for i in comp.variables]
-    sizes = [len(masses) for masses, _ in laws]
-    total = math.prod(sizes)
-    counting = total < _INT_COUNT_LIMIT and all(norm == len(masses) for masses, norm in laws)
-    dtype = np.int64 if counting else np.float64
-    names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
-    more = ", ..." if len(comp.functions) > 4 else ""
-    what = f"component [{names}{more}]: an elimination factor"
-    for _, scope, _, length in plan:
-        _check_guard(math.prod([sizes[i] for i in scope]) * length, guard, what, "cells")
-    factors = {}
-    for f, (j, read) in enumerate(zip(comp.functions, reads)):
-        scope = sorted(read)
-        table = spec.tables[j].reshape([sizes[i] for i in read])
-        if scope != list(read):
-            table = table.transpose(sorted(range(len(read)), key=read.__getitem__))
-        factors[f] = (scope, table)
-    for f, (inputs, scope, summed, _) in enumerate(plan, len(reads)):
-        shape = tuple([sizes[i] for i in scope])
-        sums, sum_length, product = None, 1, None
-        for vs, arr in map(factors.pop, inputs):  # frees the factors summed out
-            if vs != scope:
-                aligned = [sizes[i] if i in vs else 1 for i in scope]
-                arr = arr.reshape(aligned + list(arr.shape[len(vs):]))
-            if arr.ndim == len(scope):
-                sums = arr if sums is None else np.add(sums, arr, dtype=np.intp)
-                sum_length += 1
-            else:
-                product = arr if product is None else _times_poly(product, arr, shape)
+    cells = program.cells
+    if max(cells) > guard:
+        names = ", ".join(spec.functions[j].name for j in comp.functions[:4])
+        more = ", ..." if len(comp.functions) > 4 else ""
+        for size in cells:
+            _check_guard(size, guard, f"component [{names}{more}]: an elimination factor", "cells")
+    steps = program.steps
+    if steps is None:
+        steps = program.steps = program.compile(spec, comp)
+    dtype = np.int64 if program.counting else np.float64
+    messages: list[np.ndarray | None] = []
+    for shape, inputs, sums, values, weights, axes in steps:
+        product = None
+        for r, aligned in inputs:
+            arr, messages[r] = messages[r], None  # frees the messages summed out
+            if aligned is not None:
+                arr = arr.reshape(aligned)
+            product = arr if product is None else _times_poly(product, arr, shape)
         if sums is not None:
-            poly = (sums[..., np.newaxis] == np.arange(sum_length)).astype(dtype)
+            poly = (sums[..., np.newaxis] == values).astype(dtype)
             product = poly if product is None else _times_poly(product, poly, shape)
-        axes = tuple(map(scope.index, summed))
-        if not counting:
-            for i, a in zip(summed, axes):
-                masses, norm = laws[i]
-                weights = [1] * product.ndim
-                weights[a] = sizes[i]
-                product = product * (masses / norm).reshape(weights)
-        message = np.add.reduce(product, axis=axes)
-        factors[f] = ([i for i in scope if i not in summed], message)
-    return message / total if counting else message
+        for weight in weights:
+            product = product * weight
+        messages.append(np.add.reduce(product, axis=axes))
+    message = messages[-1]
+    return message / program.total if program.counting else message
 
 
 def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
@@ -427,22 +516,28 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     by variable elimination of its representative (unread variables
     contribute weight one), and every component of the class convolves in
     that pmf. Each class's elimination plan is made once per family and
-    kept with its class (``FamilySpec._classes.plans``); no pmf is kept
-    across calls: every call eliminates each representative and runs the
-    whole convolution. Raises :class:`ResourceError` naming the first
-    component whose elimination would form a product factor of more cells
-    than the guard.
+    kept with its class (``FamilySpec._classes.plans``), and so is its
+    :class:`_Program`, made by the first call that eliminates the class:
+    the number type, each step's cell count for the guard, and the
+    read-only table views, function sums and weights the steps read. No
+    pmf, message or tail sum is kept across calls: every call eliminates
+    each representative and runs the whole convolution. Raises
+    :class:`ResourceError` naming the first component whose elimination
+    would form a product factor of more cells than the guard.
     """
     guard = enumeration_guard(guard)
     classes = spec._classes
+    programs = classes.programs
     solved: list[np.ndarray | None] = [None] * len(classes.representatives)
     acc: np.ndarray | None = None
     for c in classes.component_class.tolist():
         pmf = solved[c]
         if pmf is None:
-            pmf = solved[c] = _eliminate_pmf(
-                spec, classes.representatives[c], classes.reads[c], classes.plans[c], guard
-            )
+            comp = classes.representatives[c]
+            program = programs[c]
+            if program is None:
+                program = programs[c] = _Program(spec, comp, classes.reads[c], classes.plans[c])
+            pmf = solved[c] = _eliminate_pmf(spec, comp, program, guard)
         acc = pmf if acc is None else np.convolve(acc, pmf)
     assert acc is not None and len(acc) == spec.num_functions + 1
     return SumPmf(tuple(float(p) for p in acc))

@@ -27,11 +27,16 @@ cell law), and the dependency partition (``_partition``: one union-find
 pass gives arrays from function and variable to component, and the read
 width) and its classes (``_classes``: an array from component to class of
 components equal up to variable labels, one representative component per
-class, and each class's elimination plan). This module derives all of that
-structure and imports nothing from the engine: the plans are made here
-(:func:`_plan`, from a class's read tuples alone) and kept in ``_classes``.
-The family never keeps a pmf or a tail sum, nor the per-component tuples
-that :func:`dependency_components` returns.
+class, each class's elimination plan, and a slot per class for its
+compiled plan). This module derives all of that structure and imports
+nothing from the engine: the plans are made here (:func:`_plan`, from a
+class's read tuples alone) and kept in ``_classes``. The compiled plans
+are made by ``readk.exact.sum_pmf``, the first time it eliminates each
+class, and kept in the slots (``_classes.programs``): the number type,
+each step's cell count, and read-only views of the truth tables, each
+step's function sums, axes and weights, none with a sum axis. The family
+never keeps a pmf, an elimination message or a tail sum, nor the
+per-component tuples that :func:`dependency_components` returns.
 """
 
 from __future__ import annotations
@@ -352,13 +357,16 @@ class _Classes(NamedTuple):
     Components of one class take the same elimination plan, made once on
     the class's ranked reads, and give bit-identical pmfs. Classes are
     numbered by their first component, which is kept as the class's
-    representative.
+    representative. ``programs`` is the one field that changes: ``None``
+    per class until ``readk.exact.sum_pmf`` first eliminates the class and
+    puts its compiled plan there.
     """
 
     component_class: np.ndarray  # component -> class
     representatives: tuple[Component, ...]  # the first component of each class
     reads: tuple[tuple[tuple[int, ...], ...], ...]  # each class's read tuples, variables by rank
     plans: tuple[list, ...]  # each class's elimination plan (see _plan), on its ranked reads
+    programs: list  # each class's compiled plan (readk.exact._Program), or None
 
 
 def _index_array(values: list[int]) -> np.ndarray:
@@ -440,7 +448,7 @@ def _classes(spec: FamilySpec) -> _Classes:
         component_class.append(c)
     class_reads = tuple([ranked for ranked, _, _ in classes])  # keys in class order
     return _Classes(_index_array(component_class), tuple(representatives), class_reads,
-                    tuple([_plan(ranked) for ranked in class_reads]))
+                    tuple([_plan(ranked) for ranked in class_reads]), [None] * len(class_reads))
 
 
 def _plan(reads: Sequence[Sequence[int]]) -> list[tuple[list[int], list[int], list[int], int]]:

@@ -202,6 +202,11 @@ def kl_binary(q: float, p: float) -> Nats:
     """
     if not (0.0 <= q <= 1.0) or not (0.0 <= p <= 1.0):
         raise DomainError(f"kl_binary arguments must lie in [0, 1], got {q!r}, {p!r}")
+    return _kl_binary(q, p)
+
+
+def _kl_binary(q: float, p: float) -> Nats:
+    """:func:`kl_binary` on arguments the caller has already kept inside [0, 1]."""
     if q == p:
         return 0.0
     # The one-sided cases collapse to a single logarithm; computing them

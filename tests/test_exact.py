@@ -428,6 +428,81 @@ class TestSharedSolves:
         assert spec._classes is spec._classes
 
 
+def many_readers_of_one_bit(r):
+    """``r`` functions of one fair bit, each the bit or its negation, all in one step."""
+    return FamilySpec(
+        (Variable("x", 2),),
+        tuple(ReadFunction(f"y{j}", (0,), "01" if j % 3 else "10") for j in range(r)),
+    )
+
+
+class TestKeptProgram:
+    """Each class's compiled plan is made by its first ``sum_pmf`` and kept by the family."""
+
+    @pytest.mark.parametrize("source", ["argument", "environment"])
+    def test_a_kept_program_reads_a_later_guard(self, monkeypatch, source):
+        monkeypatch.delenv("READK_ENUM_GUARD", raising=False)
+        spec = gen_random_family(18, 36, 4, 2, 1)
+        pmf = sum_pmf(spec)
+        programs = list(spec._classes.programs)
+        cells = sorted({n for program in programs for n in program.cells})
+        assert len(cells) > 2
+        for guard in (cells[-1] - 1, cells[len(cells) // 2] - 1):
+            if source == "environment":
+                monkeypatch.setenv("READK_ENUM_GUARD", str(guard))
+            kwargs = {"guard": guard} if source == "argument" else {}
+            with pytest.raises(ResourceError) as kept:
+                sum_pmf(spec, **kwargs)
+            with pytest.raises(ResourceError) as fresh:
+                sum_pmf(FamilySpec(spec.variables, spec.functions), **kwargs)
+            assert str(kept.value) == str(fresh.value)
+            assert str(kept.value).endswith(f" cells, exceeding the guard {guard}")
+        monkeypatch.delenv("READK_ENUM_GUARD", raising=False)
+        assert sum_pmf(spec) == pmf
+        assert all(a is b for a, b in zip(spec._classes.programs, programs))
+
+    @pytest.mark.parametrize("r", [255, 256, 300])
+    def test_a_step_of_many_functions_sums_them_in_a_wider_type(self, r):
+        spec = many_readers_of_one_bit(r)
+        assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
+        ((_, _, sums, values, _, _),) = spec._classes.programs[0].steps
+        assert sums.dtype == values.dtype == np.min_scalar_type(r)
+        assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_block_tight(3, 4, "1/3"),
+        lambda: gen_random_family(18, 36, 4, 2, 1),
+        lambda: weighted_variant(gen_random_family(12, 8, 2, 3, 5), np.random.default_rng(5)),
+        lambda: FamilySpec(  # two functions of one step; a uniform law among weighted ones
+            (Variable("a", 3), Variable("b", 2, (0.25, 0.75))),
+            (ReadFunction("y0", (1, 0), "011010"), ReadFunction("y1", (0, 1), "100101"),
+             ReadFunction("y2", (), "1")),
+        ),
+        lambda: many_readers_of_one_bit(300),
+    ])
+    def test_kept_arrays_are_read_only_and_have_no_sum_axis(self, make):
+        spec = make()
+        sum_pmf(spec)
+        supports = {v.support_size for v in spec.variables}
+        flat = spec.tables[0].base
+        for program in spec._classes.programs:
+            for shape, messages, sums, values, weights, axes in program.steps:
+                kept = [a for a in (sums, values, *weights) if a is not None]
+                assert not any(a.flags.writeable for a in kept)
+                if sums is not None:
+                    # The variable axes alone; the one-hot's sum axis is made per call.
+                    assert sums.ndim == len(shape)
+                    assert values.dtype == sums.dtype
+                    functions = len(values) - 1
+                    assert values.tolist() == list(range(functions + 1))
+                    # One function's table is a view of the family's, never a copy.
+                    assert np.shares_memory(sums, flat) == (functions == 1)
+                assert not weights or len(weights) == len(axes)
+                assert all(w.size in supports for w in weights)
+                for _, aligned in messages:
+                    assert aligned is None or len(aligned) == len(shape) + 1
+
+
 def structure_outputs(spec):
     """The pmf, marginals and read width, floats as ``float.hex``."""
     marginals = function_marginals(spec)

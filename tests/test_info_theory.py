@@ -7,11 +7,13 @@ the defining sums at the exact float64 inputs used here.
 import itertools
 import math
 import re
+from fractions import Fraction
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readk.audit import shearer_entropy_gap, shearer_kl_gap
@@ -20,6 +22,7 @@ from readk.exact import SumPmf
 from readk.family import FamilySpec, ReadFunction, Variable
 from readk.info_theory import (
     Distribution,
+    _kl_binary,
     conditional_entropy,
     entropy,
     kl_binary,
@@ -171,6 +174,12 @@ class TestKlBinary:
             kl_binary(1.2, 0.5)
         with pytest.raises(DomainError):
             kl_binary(0.5, -0.1)
+
+    @example(q=1.0, p=5e-324)
+    @example(q=0.5, p=2.225073858507e-311)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_unchecked_form_has_the_same_bits(self, q, p):
+        assert kl_binary(q, p).hex() == _kl_binary(q, p).hex()
 
 
 class TestProject:
@@ -334,12 +343,30 @@ def _weighted(lam: float, value: float) -> float:
     return 0.0 if lam == 0.0 else lam * value
 
 
+def _exact_kl_binary(q: Fraction, p: Fraction) -> float:
+    """KL(q || p) at exact rationals, evaluated in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for a, b in ((q, p), (1 - q, 1 - p)):
+            if a == 0:
+                continue
+            if b == 0:
+                return math.inf
+            ratio = mpmath.mpf(a.numerator * b.denominator) / (a.denominator * b.numerator)
+            total += mpmath.mpf(a.numerator) / a.denominator * mpmath.log(ratio)
+        return float(total)
+
+
+@example(lam=1.0055091139701796e-198, q1=1.0, q2=0.0, p1=1.0055091139701796e-198, p2=0.0)
 @given(prob_floats, prob_floats, prob_floats, prob_floats, prob_floats)
 def test_binary_divergence_convexity(lam, q1, q2, p1, p2):
-    mix_q = lam * q1 + (1 - lam) * q2
-    mix_p = lam * p1 + (1 - lam) * p2
+    # The mixtures are exact: a float one can round lam * p1 to 0.0 while
+    # lam * q1 stays positive, an infinite divergence the true mixture has not.
+    weight = Fraction(lam)
+    mix_q = weight * Fraction(q1) + (1 - weight) * Fraction(q2)
+    mix_p = weight * Fraction(p1) + (1 - weight) * Fraction(p2)
     rhs = _weighted(lam, kl_binary(q1, p1)) + _weighted(1 - lam, kl_binary(q2, p2))
-    lhs = kl_binary(min(mix_q, 1.0), min(mix_p, 1.0))
+    lhs = _exact_kl_binary(mix_q, mix_p)
     assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs)) or math.isinf(rhs)
 
 

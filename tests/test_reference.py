@@ -29,6 +29,7 @@ from readk.exact import (
     _check_guard,
     _eliminate_pmf,
     _Lookup,
+    _Program,
     _times_poly,
     _verify_rows,
     conditional_function_marginals,
@@ -137,7 +138,8 @@ def eliminate_alone(spec, comp):
     """
     rank = {i: n for n, i in enumerate(comp.variables)}
     reads = [tuple(rank[i] for i in spec.functions[j].vars) for j in comp.functions]
-    return _eliminate_pmf(spec, comp, reads, _plan(reads), enumeration_guard())
+    program = _Program(spec, comp, reads, _plan(reads))
+    return _eliminate_pmf(spec, comp, program, enumeration_guard())
 
 
 def per_component_reference(spec):
@@ -279,6 +281,21 @@ def elimination_families(draw):
 @given(elimination_families())
 def test_elimination_is_bit_identical_to_the_interleaved_loop(spec):
     assert_eliminations_match_reference(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_families(), st.booleans())
+def test_kept_programs_give_a_fresh_familys_bits(spec, uniform):
+    """Repeated calls on one family equal a fresh family's pmf, counting and weighing alike."""
+    if uniform:
+        spec = FamilySpec(tuple(Variable(v.name, v.support_size) for v in spec.variables),
+                          spec.functions)
+    first = [p.hex() for p in sum_pmf(spec).probs]
+    assert None not in spec._classes.programs
+    for _ in range(2):
+        assert [p.hex() for p in sum_pmf(spec).probs] == first
+    fresh = FamilySpec(spec.variables, spec.functions)
+    assert [p.hex() for p in sum_pmf(fresh).probs] == first
 
 
 def weighted_chain(links, seed):
