@@ -1,14 +1,13 @@
 """Exact distribution of the function-sum of a family.
 
 :func:`sum_pmf` works per dependency component by variable elimination
-(bucket elimination) over generating-polynomial factors: each function is
-a factor with one axis per variable it reads, standing for the polynomial
-``z**f`` in the partial sum, and products carry a trailing axis of
-polynomial coefficients. Multiplying factors broadcasts their variable
-axes and convolves their sum axes; eliminating a variable sums its axis
-out against that variable's probabilities. Plan, then arithmetic: the
-structure comes from :mod:`readk.family`, which makes and keeps the
-partition into components, their classes and one plan per class
+(bucket elimination) over generating-polynomial factors with one axis
+per variable and a trailing axis of coefficients. Multiplying messages
+broadcasts their variable axes and convolves their sum axes; a step's
+functions, ``z**s`` for their sum ``s`` on each cell, place the product
+at offset ``s``; eliminating a variable sums its axis out against its
+probabilities. The structure comes from :mod:`readk.family`, which keeps
+the partition into components, their classes and one plan per class
 (``FamilySpec._partition`` and ``FamilySpec._classes``); a plan
 (``readk.family._plan``) is a greedy min-degree order from the read
 tuples alone, ties broken by variable index, listing each bucket's input
@@ -16,11 +15,10 @@ factors, scope and sum-axis length. This module compiles a plan and
 runs it. A class's :class:`_Program` is made by the first
 :func:`sum_pmf` that eliminates the class and kept by the family beside
 its plan (``FamilySpec._classes.programs``): the number type, each
-step's cell count, and read-only views of the truth tables, each step's
-function sums, axes and weights, none with a sum axis. Then
-:func:`_eliminate_pmf` checks the guard on every step's cell count and
-runs only the arithmetic, so the cost grows with a component's treewidth
-rather than its assignment count. Components of uniform variables with
+step's cell count, and its read-only one-hot of function sums, axes and
+weights. Then :func:`_eliminate_pmf` checks the guard on every step's
+cell count and runs only the arithmetic, so the cost grows with a
+component's treewidth rather than its assignment count. Components of uniform variables with
 fewer than ``2**62`` assignments carry exact integer counts and divide
 by the total at the end; the rest carry float64 weights. Components
 equal up to variable labels (same read tuples relabelled by rank, truth
@@ -81,10 +79,6 @@ _INT_COUNT_LIMIT = 1 << 62
 
 #: Assignments handled per vectorized block; bounds peak memory.
 CHUNK = 1 << 20
-
-#: The values a sum of up to 255 truth tables takes, in the type the sum is kept in.
-_COUNTS = np.arange(256, dtype=np.uint8)
-_COUNTS.flags.writeable = False
 
 
 def enumeration_guard(guard: int | None = None) -> int:
@@ -365,6 +359,20 @@ def _times_poly(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return out
 
 
+def _place(product: np.ndarray, one_hot: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``product`` times ``z**s``, ``s`` each cell's function sum: placed at offset ``s``.
+
+    ``one_hot[..., s]`` is true on the cells of sum ``s``; variable axes
+    broadcast to ``shape``. Each term of a product with a 0/1 one-hot is
+    ``x * 1`` or ``+0.0``, so this equals :func:`_times_poly` bit for bit.
+    """
+    la, lb = product.shape[-1], one_hot.shape[-1]
+    out = np.zeros(shape + (la + lb - 1,), dtype=product.dtype)
+    for s in range(lb):
+        np.copyto(out[..., s:s + la], product, where=one_hot[..., s:s + 1])
+    return out
+
+
 class _Program:
     """A class's elimination plan compiled against its supports, tables and laws.
 
@@ -375,18 +383,15 @@ class _Program:
     int64 counts divided by ``total`` at the end, or float64 weights) and
     each step's cell count (``cells``: variable axes times sum axis), which
     the guard reads. Then, on the first run that passes the guard,
-    ``steps`` (see :meth:`compile`), one ``(shape, messages, sums, values,
+    ``steps`` (see :meth:`compile`), one ``(shape, messages, one_hot,
     weights, axes)`` per plan step: the product's variable axes; each
-    message it multiplies, as ``(step, aligned shape or None)``; its
-    functions' sums aligned to its scope (``None`` if it has none) and the
-    values ``0 .. number of functions`` they take, in the sums' type; each
-    summed variable's ``masses / norm`` shaped to broadcast on its axis
-    (none when counting); and the summed axes. Every array it keeps is
-    read-only and has no sum axis: the truth tables are views of
-    ``FamilySpec.tables``, a step's function sums are one view or one array
-    of the step's variable axes, and the weights and values are support-
-    and step-sized vectors. The one-hot polynomials, products and messages
-    are made by each run.
+    message it multiplies, as ``(step, aligned shape or None)``; the mask
+    of each sum ``s`` of its functions, ``one_hot[..., s]`` (``None`` if
+    it has none); each summed variable's ``masses / norm`` shaped to
+    broadcast on its axis (none when counting); and the summed axes.
+    Every kept array is read-only and has the step's variable axes and at
+    most the one-hot's axis of sums, so a byte per cell at most. Products
+    and messages are made by each run.
     """
 
     __slots__ = ("reads", "plan", "laws", "sizes", "total", "counting", "cells", "steps")
@@ -408,12 +413,11 @@ class _Program:
     def compile(self, spec: FamilySpec, comp: Component) -> tuple[tuple, ...]:
         """Each step of the plan with its arrays: what every run would otherwise redo.
 
-        A function's table is reshaped to its read variables and transposed
-        to their sorted order; a step with one function keeps that view
-        aligned to its scope, and one with several keeps their sum, in the
-        narrowest unsigned type that holds their number; the values they
-        take are a view of ``_COUNTS`` below 256 functions. A weight is the
-        law's masses themselves when its norm is 1, as ``x / 1 == x``.
+        A function's table is reshaped to its read variables, transposed to
+        their sorted order and aligned to the step's scope; a step's tables
+        add in the narrowest unsigned type that holds their number, and the
+        sum's one-hot is where a run places the product (:func:`_place`). A
+        weight is the law's masses themselves when its norm is 1, as ``x / 1 == x``.
         """
         laws, sizes, reads, plan = self.laws, self.sizes, self.reads, self.plan
         n = len(reads)
@@ -435,12 +439,10 @@ class _Program:
                 if aligned is not None:
                     table = table.reshape(aligned)
                 count += 1
-                sums = table if sums is None else _read_only(
-                    np.add(sums, table, dtype=np.min_scalar_type(count)))
-            values = None
-            if sums is not None:
-                values = (_COUNTS[:count + 1] if count < len(_COUNTS)
-                          else _read_only(np.arange(count + 1, dtype=sums.dtype)))
+                sums = table if sums is None else np.add(
+                    sums, table, dtype=np.min_scalar_type(count))
+            one_hot = None if sums is None else _read_only(
+                sums[..., np.newaxis] == np.arange(count + 1))
             axes = tuple(map(scope.index, summed))
             weights = []
             if not self.counting:
@@ -450,7 +452,7 @@ class _Program:
                     shape[a] = sizes[i]
                     weights.append(masses.reshape(shape) if norm == 1
                                    else _read_only((masses / norm).reshape(shape)))
-            steps.append((tuple([sizes[i] for i in scope]), tuple(messages), sums, values,
+            steps.append((tuple([sizes[i] for i in scope]), tuple(messages), one_hot,
                           tuple(weights), axes))
             scopes.append([i for i in scope if i not in summed])
         return tuple(steps)
@@ -464,20 +466,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _eliminate_pmf(spec: FamilySpec, comp: Component, program: _Program, guard: int) -> np.ndarray:
     """Exact pmf of one component's partial sum by bucket elimination: plan, then arithmetic.
 
-    A factor is ``(scope, array)``: ``scope`` lists its variables in
-    increasing order, one array axis each. A *sum* factor holds the partial
-    sum ``s`` of its functions, standing for the polynomial ``z**s``, and has
-    no further axis; a polynomial factor adds a trailing axis of
-    coefficients. Functions enter as sum factors, so the functions of one
-    step are added, not convolved. ``program`` is the component's class's
-    :class:`_Program`, made from ``readk.family._plan`` of the class's
-    ranked reads (``FamilySpec._classes.plans``). The guard reads every
-    step's kept cell count before any array of the call is made, and on a
-    first run before the program's arrays are made; then the steps run in
-    turn: the step's messages multiply in input order, then the one-hot
-    polynomial of its function sums, then each summed variable's weights
-    (when the program counts, none), and the summed axes reduce. Only the
-    one-hot polynomials, products and messages are made per call.
+    ``program`` is the component's class's :class:`_Program`, made from
+    ``readk.family._plan`` of the class's ranked reads
+    (``FamilySpec._classes.plans``). The guard reads every step's kept cell
+    count before any array of the call is made, and on a first run before
+    the program's arrays are made; then the steps run in turn: the step's
+    messages multiply in input order, convolving their sum axes; the
+    product (the unit polynomial if the step has no message) is placed at
+    its sum offset on each cell, so a step's functions add, not convolve;
+    each summed variable's weights multiply in place (none when counting);
+    and the summed axes reduce. Only products and messages are made per call.
     """
     cells = program.cells
     if max(cells) > guard:
@@ -490,18 +488,17 @@ def _eliminate_pmf(spec: FamilySpec, comp: Component, program: _Program, guard: 
         steps = program.steps = program.compile(spec, comp)
     dtype = np.int64 if program.counting else np.float64
     messages: list[np.ndarray | None] = []
-    for shape, inputs, sums, values, weights, axes in steps:
+    for shape, inputs, one_hot, weights, axes in steps:
         product = None
         for r, aligned in inputs:
             arr, messages[r] = messages[r], None  # frees the messages summed out
             if aligned is not None:
                 arr = arr.reshape(aligned)
             product = arr if product is None else _times_poly(product, arr, shape)
-        if sums is not None:
-            poly = (sums[..., np.newaxis] == values).astype(dtype)
-            product = poly if product is None else _times_poly(product, poly, shape)
-        for weight in weights:
-            product = product * weight
+        if one_hot is not None:  # the unit polynomial placed is the one-hot itself
+            product = one_hot.astype(dtype) if product is None else _place(product, one_hot, shape)
+        for weight in weights:  # the product is this run's own, and read by this step alone
+            np.multiply(product, weight, out=product)
         messages.append(np.add.reduce(product, axis=axes))
     message = messages[-1]
     return message / program.total if program.counting else message
@@ -517,9 +514,7 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     contribute weight one), and every component of the class convolves in
     that pmf. Each class's elimination plan is made once per family and
     kept with its class (``FamilySpec._classes.plans``), and so is its
-    :class:`_Program`, made by the first call that eliminates the class:
-    the number type, each step's cell count for the guard, and the
-    read-only table views, function sums and weights the steps read. No
+    :class:`_Program`, made by the first call that eliminates the class. No
     pmf, message or tail sum is kept across calls: every call eliminates
     each representative and runs the whole convolution. Raises
     :class:`ResourceError` naming the first component whose elimination
@@ -540,7 +535,7 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
             pmf = solved[c] = _eliminate_pmf(spec, comp, program, guard)
         acc = pmf if acc is None else np.convolve(acc, pmf)
     assert acc is not None and len(acc) == spec.num_functions + 1
-    return SumPmf(tuple(float(p) for p in acc))
+    return SumPmf(tuple(acc.tolist()))
 
 
 def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
@@ -555,7 +550,7 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
         # Sums are uint64 when some table has 33 to 64 cells, which bincount
         # does not take; it casts narrower ones to intp all the same.
         pmf += np.bincount(sums.astype(np.intp), weights=masses, minlength=len(pmf))
-    return SumPmf(tuple(float(p) for p in pmf / norm))
+    return SumPmf(tuple((pmf / norm).tolist()))
 
 
 def tail_prob(pmf: SumPmf, query: TailQuery) -> float:

@@ -33,10 +33,10 @@ nothing from the engine: the plans are made here (:func:`_plan`, from a
 class's read tuples alone) and kept in ``_classes``. The compiled plans
 are made by ``readk.exact.sum_pmf``, the first time it eliminates each
 class, and kept in the slots (``_classes.programs``): the number type,
-each step's cell count, and read-only views of the truth tables, each
-step's function sums, axes and weights, none with a sum axis. The family
-never keeps a pmf, an elimination message or a tail sum, nor the
-per-component tuples that :func:`dependency_components` returns.
+each step's cell count, and each step's axes, weights and read-only
+one-hot of its function sums. The family never keeps a pmf, an
+elimination message or a tail sum, nor the per-component tuples that
+:func:`dependency_components` returns.
 """
 
 from __future__ import annotations

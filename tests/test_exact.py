@@ -463,11 +463,17 @@ class TestKeptProgram:
 
     @pytest.mark.parametrize("r", [255, 256, 300])
     def test_a_step_of_many_functions_sums_them_in_a_wider_type(self, r):
-        spec = many_readers_of_one_bit(r)
-        assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
-        ((_, _, sums, values, _, _),) = spec._classes.programs[0].steps
-        assert sums.dtype == values.dtype == np.min_scalar_type(r)
-        assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
+        # Negated every third function, the bit's sums stay below 256; read
+        # plain by all, the set bit's sum is r, which a byte would wrap.
+        plain = FamilySpec((Variable("x", 2),),
+                           tuple(ReadFunction(f"y{j}", (0,), "01") for j in range(r)))
+        for spec in (many_readers_of_one_bit(r), plain):
+            assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
+            ((shape, _, one_hot, _, _),) = spec._classes.programs[0].steps
+            want = [sum(int(fn.truth_table[x]) for fn in spec.functions) for x in (0, 1)]
+            assert shape == (2,) and one_hot.shape == (2, r + 1)
+            assert [np.flatnonzero(row).tolist() for row in one_hot] == [[s] for s in want]
+            assert sum_pmf(spec).probs == sum_pmf_enumerate(spec).probs
 
     @pytest.mark.parametrize("make", [
         lambda: gen_block_tight(3, 4, "1/3"),
@@ -484,23 +490,48 @@ class TestKeptProgram:
         spec = make()
         sum_pmf(spec)
         supports = {v.support_size for v in spec.variables}
-        flat = spec.tables[0].base
-        for program in spec._classes.programs:
-            for shape, messages, sums, values, weights, axes in program.steps:
-                kept = [a for a in (sums, values, *weights) if a is not None]
+        classes = spec._classes
+        for comp, program in zip(classes.representatives, classes.programs):
+            n = len(program.reads)
+            for plan_step, step in zip(program.plan, program.steps, strict=True):
+                inputs, scope, _, length = plan_step
+                shape, messages, one_hot, weights, axes = step
+                kept = [a for a in (one_hot, *weights) if a is not None]
                 assert not any(a.flags.writeable for a in kept)
-                if sums is not None:
-                    # The variable axes alone; the one-hot's sum axis is made per call.
-                    assert sums.ndim == len(shape)
-                    assert values.dtype == sums.dtype
-                    functions = len(values) - 1
-                    assert values.tolist() == list(range(functions + 1))
-                    # One function's table is a view of the family's, never a copy.
-                    assert np.shares_memory(sums, flat) == (functions == 1)
+                functions = sum(f < n for f in inputs)
+                if one_hot is None:
+                    assert functions == 0
+                else:
+                    # One mask per sum of the step's functions, made at compile time:
+                    # each read-only, of the variable axes and a trailing 1, and
+                    # together a partition of the cells, each true where its sum is.
+                    assert one_hot.dtype == bool and one_hot.shape == (*shape, functions + 1)
+                    masks = [one_hot[..., s:s + 1] for s in range(functions + 1)]
+                    assert all(m.shape == (*shape, 1) and not m.flags.writeable for m in masks)
+                    assert (sum(m.astype(int) for m in masks) == 1).all()
+                    sums = step_function_sums(spec, comp, program, inputs, scope)
+                    assert all((m[..., 0] == (sums == s)).all() for s, m in enumerate(masks))
+                    # So the product's sum axis is never kept: a byte per cell at most.
+                    assert one_hot.size <= math.prod(shape) * length
                 assert not weights or len(weights) == len(axes)
                 assert all(w.size in supports for w in weights)
                 for _, aligned in messages:
                     assert aligned is None or len(aligned) == len(shape) + 1
+
+
+def step_function_sums(spec, comp, program, inputs, scope):
+    """The sum of a plan step's functions on each cell of its scope, read off the truth tables."""
+    sizes, reads = program.sizes, program.reads
+    sums = np.zeros([sizes[i] for i in scope], dtype=int)
+    for cell in np.ndindex(*sums.shape):
+        value = dict(zip(scope, cell))
+        for f in inputs:
+            if f < len(reads):
+                pos = 0
+                for i in reads[f]:
+                    pos = pos * sizes[i] + value[i]
+                sums[cell] += int(spec.functions[comp.functions[f]].truth_table[pos])
+    return sums
 
 
 def structure_outputs(spec):

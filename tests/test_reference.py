@@ -29,6 +29,7 @@ from readk.exact import (
     _check_guard,
     _eliminate_pmf,
     _Lookup,
+    _place,
     _Program,
     _times_poly,
     _verify_rows,
@@ -315,6 +316,48 @@ def weighted_chain(links, seed):
 ], ids=["weighted-chain-200", "random-60", "random-60-weighted"])
 def test_elimination_is_bit_identical_to_the_interleaved_loop_on_large_components(make):
     assert_eliminations_match_reference(make())
+
+
+@st.composite
+def placements(draw):
+    """``(product, sums, shape, functions)``: a step's product and its functions' sums.
+
+    Both broadcast to the variable axes ``shape``, either one aligned (size
+    1 on some axes); the product is nonnegative int64 or float64, zeros and
+    subnormals included, and shorter or longer than the one-hot of
+    ``functions + 1`` sums.
+    """
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    aligned = [tuple(n if draw(st.booleans()) else 1 for n in shape) for _ in range(2)]
+    functions = draw(st.one_of(st.integers(1, 4), st.integers(5, 300)))
+    length = draw(st.one_of(st.integers(1, functions + 2), st.integers(1, 12)))
+    if draw(st.booleans()):
+        dtype, values = np.int64, st.integers(0, 2**62)
+    else:
+        floats = st.floats(0.0, allow_infinity=False, allow_subnormal=True).map(abs)
+        dtype, values = np.float64, st.one_of(floats, st.sampled_from([0.0, 5e-324, 1e-310]))
+    size = math.prod(aligned[0]) * length
+    product = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+    size = math.prod(aligned[1])
+    sums = draw(st.lists(st.integers(0, functions), min_size=size, max_size=size))
+    return (product.reshape(*aligned[0], length), np.reshape(sums, aligned[1]), shape, functions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_placing_a_product_at_its_sum_offset_is_the_one_hot_convolution(placement):
+    product, sums, shape, functions = placement
+    one_hot = sums[..., np.newaxis] == np.arange(functions + 1)
+    want = _times_poly(product, one_hot.astype(product.dtype), shape)
+    got = _place(product, one_hot, shape)
+    assert got.dtype == want.dtype == product.dtype
+    assert np.array_equal(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too
+    # The unit polynomial placed is the one-hot itself.
+    unit = np.ones(1, product.dtype)
+    full = np.broadcast_to(one_hot.astype(product.dtype), (*shape, functions + 1))
+    assert np.array_equal(_place(unit, one_hot, shape), full)
+    assert np.array_equal(_times_poly(unit, one_hot.astype(product.dtype), shape), full)
 
 
 def replay_min_degree_order(reads):
