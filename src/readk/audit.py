@@ -24,22 +24,27 @@ exposed directly for arbitrary joints and covers. Every audit holds for
 any product law, uniform or weighted: the divergence corollary needs only
 independent coordinates, each read at most k times.
 
-Both Shearer audits merge probabilities on one kind of integer key,
-mixed-radix codes of a set's coordinates (:func:`_cover_keys`): the
-entropy inequality for each cover set, the divergence corollary for each
-function's variables with the supports as radices, so that its keys are
-the function's truth-table positions. The keys are grouped by one numpy
-group-by, :func:`_key_sums`: a stable sort of the keys, a gather of the
-probabilities, and one ``math.fsum`` per key, so every merged mass is
-correctly rounded and equals what the label group-by of
-:mod:`readk.info_theory` gives on the same outcomes. The sums over the
-whole law, the joint entropy and the full-law divergence, go through
-:func:`_log_sum`: one ``math.log`` per distinct argument, the products in
-numpy and one ``math.fsum`` over them, so they equal the per-outcome sums
-of :mod:`readk.info_theory` bit for bit. The law that
-:func:`conditional_law` returns keeps the scan's digits, so its outcomes
-are never parsed back from tuples; any other law is coded from its
-outcomes, equal values (``1``, ``1.0`` and ``True``) sharing a code.
+Both Shearer audits merge probabilities by one group-by per read set,
+:func:`_grouped`, on one kind of integer key, mixed-radix codes of a
+set's coordinates (:func:`_cover_keys`): a stable sort of the keys, a
+gather of the probabilities, and one ``math.fsum`` per group, so every
+merged mass is correctly rounded and equals what the label group-by of
+:mod:`readk.info_theory` gives on the same outcomes. Each group-by is made
+once per law and coordinate tuple and kept on the law, as each group's
+first outcome and its sum: the entropy inequality reads the sums of each
+cover set, the divergence corollary those of each function's variables,
+finding each group's truth-table position from the values of its first
+outcome. ``readk shearer`` passes the read sets to both, so the law is
+grouped once. The sums over the whole law, the joint entropy and the
+full-law divergence, go through :func:`_log_sum`: one ``math.log`` per
+distinct argument, the products in numpy and one ``math.fsum`` over them,
+so they equal the per-outcome sums of :mod:`readk.info_theory` bit for
+bit. The law that :func:`conditional_law` returns keeps the scan's
+digits, its probabilities as an array and the scan's product-law masses,
+so its outcomes are never parsed back from tuples and the corollary
+multiplies no masses again for the family it was conditioned on; any
+other law is coded from its outcomes, equal values (``1``, ``1.0`` and
+``True``) sharing a code, and its probabilities become an array once.
 """
 
 from __future__ import annotations
@@ -105,15 +110,13 @@ def shearer_entropy_gap(
     short = [i for i, c in enumerate(multiplicity) if c < k]
     if short:
         raise DomainError(f"coordinates {short} are covered fewer than k={k} times")
-    probs = np.array(joint.probs)
     if k == 0:
         lhs = 0.0  # 0 * H(joint), as H(joint) is finite
     else:
+        probs = _prob_array(joint)
         positive = probs[probs > 0.0]
         lhs = k * max(_log_sum(-positive, positive), 0.0)
-    codes = _coordinate_codes(joint, sorted({i for p in sets for i in p}))
-    masses = (_key_sums(_cover_keys(codes, p, len(probs)), probs)[1] for p in sets)
-    rhs = math.fsum(map(_entropy_sum, masses))
+    rhs = math.fsum(_entropy_sum(sums) for _, sums in _grouped(joint, sets))
     if lhs > rhs + GAP_TOL:
         raise AuditError(f"entropy inequality violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
@@ -150,19 +153,44 @@ def _array_kl_sum(probs: np.ndarray, masses: np.ndarray, norm: int) -> float:
     return _log_sum(p, args)
 
 
-def _key_sums(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """The distinct ``keys``, ascending, and the ``math.fsum`` of ``probs`` over each.
+def _prob_array(law: Distribution) -> np.ndarray:
+    """``law.probs`` as a read-only array: kept by :func:`conditional_law`, else made once per law."""
+    if law._prob_array is None:
+        probs = np.array(law.probs)
+        probs.flags.writeable = False
+        law.__dict__["_prob_array"] = probs
+    return law._prob_array
 
-    The one group-by on integer keys: a stable sort of the keys, a gather of
-    the probabilities in that order and one correctly rounded sum per run of
-    equal keys, so the sums do not depend on the outcome order.
+
+def _grouped(
+    law: Distribution, sets: Sequence[tuple[int, ...]]
+) -> list[tuple[np.ndarray, tuple[float, ...]]]:
+    """Each set's group-by of ``law``: ``(first, sums)`` per group of equal values on the set.
+
+    ``first`` holds the index of each group's first outcome and ``sums``
+    the ``math.fsum`` of its probabilities, groups in ascending key order.
+    The one group-by of the audits, made once per law and coordinate tuple
+    and kept on the law (:attr:`Distribution._groups`): a stable sort of
+    the set's keys (:func:`_cover_keys`), a gather of the probabilities in
+    that order and one correctly rounded sum per run of equal keys, so the
+    sums do not depend on the outcome order or on the keys' radices.
     """
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
-    # a memoryview yields each float as fsum reads it: no list of them all
-    gathered = memoryview(probs[order])
-    return ordered[bounds[:-1]], [math.fsum(gathered[a:b]) for a, b in zip(bounds, bounds[1:])]
+    kept = law._groups
+    missing = [p for p in dict.fromkeys(sets) if p not in kept]
+    if missing:
+        probs = _prob_array(law)
+        codes = _coordinate_codes(law, sorted({i for p in missing for i in p}))
+        for p in missing:
+            keys = _cover_keys(codes, p, len(probs))
+            order = np.argsort(keys, kind="stable")
+            ordered = keys[order]
+            bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
+            first = order[bounds[:-1]]
+            first.flags.writeable = False
+            # a memoryview yields each float as fsum reads it: no list of them all
+            gathered = memoryview(probs[order])
+            kept[p] = first, tuple([math.fsum(gathered[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return [kept[p] for p in sets]
 
 
 def _coordinate_codes(
@@ -193,7 +221,7 @@ def _cover_keys(
     The keys are built in int64: when the codes would span more than
     ``_KEY_LIMIT`` keys, the key so far is re-coded to the ranks of its
     distinct values. They are returned in the narrowest unsigned type that
-    holds the span, so that the stable sort of :func:`_key_sums` is a radix
+    holds the span, so that the stable sort of :func:`_grouped` is a radix
     sort wherever they fit in 16 bits.
     """
     key = np.zeros(size, dtype=np.int64)
@@ -214,7 +242,17 @@ def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
     m = spec.num_variables
     if d._tuple_width != m:
         raise DomainError(f"outcomes are not assignments of {m} variables")
-    values = d._digits if d._digits is not None else np.array(list(zip(*d.outcomes)))
+    if d._digits is not None:
+        values = d._digits
+    else:
+        # numpy reads a boolean as an integer beside integers, and rejects
+        # only a column of nothing else: both are found here, by position.
+        flagged = next(((a, i) for a in d.outcomes for i, x in enumerate(a)
+                        if isinstance(x, (bool, np.bool_))), None)
+        if flagged is not None:
+            a, i = flagged
+            raise DomainError(f"outcome {a!r}: value {a[i]!r} is not an integer at position {i}")
+        values = np.array(list(zip(*d.outcomes)))
     if values.dtype.kind not in "iu":
         raise DomainError("outcome values must be integers")
     out = (values < 0) | (values >= [[v.support_size] for v in spec.variables])
@@ -239,18 +277,23 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     values = _assignment_values(spec, conditioned)
     k = read_width(spec)
     masses, norm = _product_law(spec)
-    mass = math.prod(mass_i[row] for mass_i, row in zip(masses, values))
-    probs = np.array(conditioned.probs)
-    divergence = max(_array_kl_sum(probs, mass, norm), 0.0)
+    if conditioned._family is spec:
+        mass = conditioned._masses  # the scan's, multiplied in the same order
+    else:
+        mass = math.prod(mass_i[row] for mass_i, row in zip(masses, values))
+    divergence = max(_array_kl_sum(_prob_array(conditioned), mass, norm), 0.0)
     # k = 0 leaves every function without variables: both sides are 0.
     lhs = k * divergence if k else 0.0
-    # With the supports as radices, a function's keys are its truth-table
-    # positions, and its span is its table's length.
-    codes = {i: (row, v.support_size) for i, (row, v) in enumerate(zip(values, spec.variables))}
+    sizes = [v.support_size for v in spec.variables]
+    groups = _grouped(conditioned, [fn.vars for fn in spec.functions])
     terms = []
-    for fn, cell_masses, cell_norm in zip(spec.functions, *spec._cell_laws):
-        keys, sums = _key_sums(_cover_keys(codes, fn.vars, len(probs)), probs)
-        terms.append(max(_kl_sum(sums, cell_masses[keys].tolist(), cell_norm), 0.0))
+    for fn, (first, sums), cell_masses, cell_norm in zip(spec.functions, groups, *spec._cell_laws):
+        # Each group's truth-table position, from the values of its first outcome.
+        position = np.zeros(len(first), dtype=np.int64)
+        for i in fn.vars:
+            position *= sizes[i]
+            position += values[i, first]
+        terms.append(max(_kl_sum(sums, cell_masses[position].tolist(), cell_norm), 0.0))
     rhs = math.fsum(terms)
     if lhs < rhs - GAP_TOL:
         raise AuditError(f"divergence inequality violated: {lhs!r} < {rhs!r}")
@@ -262,10 +305,14 @@ def conditional_law(
 ) -> Distribution:
     """Exact law of the full assignment conditioned on the tail event.
 
-    Outcomes are the surviving assignment tuples in lexicographic order;
-    the law also keeps them as the scan's digits, which the Shearer audits
-    read. Raises :class:`ResourceError` when the family spans more assignments
-    than the guard.
+    Outcomes are the surviving assignment tuples in lexicographic order.
+    For the Shearer audits the law also keeps, as read-only arrays outside
+    its fields, the outcomes as the scan's digits, its probabilities, and
+    each outcome's product-law mass from the scan together with ``spec``,
+    the family those masses belong to; equality, ``repr`` and ``asdict``
+    ignore them (see :meth:`Distribution._trusted`). Raises
+    :class:`ResourceError` when the family spans more assignments than the
+    guard.
     """
     _, kept_digits, kept_masses = zip(*_scan_in_tail(spec, query, guard))
     weights = np.concatenate(kept_masses)
@@ -273,13 +320,14 @@ def conditional_law(
     if z <= 0.0:
         raise DomainError("conditioning event has probability zero")
     values = np.concatenate(kept_digits, axis=1)
-    values.flags.writeable = False
     del kept_digits  # the chunks' copies go before the outcome tuples are built
+    outcomes = tuple(zip(*values.tolist()))
+    probs = weights / z  # made after the outcomes, past the peak that building them makes
+    for kept in (values, weights, probs):
+        kept.flags.writeable = False
     # The scan yields distinct assignments, and weights / z are finite and
     # non-negative with a sum of one up to rounding: nothing left to check.
-    outcomes = tuple(zip(*values.tolist()))
-    probs = tuple((weights / z).tolist())
-    return Distribution._trusted(outcomes, probs, values)
+    return Distribution._trusted(outcomes, tuple(probs.tolist()), values, probs, weights, spec)
 
 
 def proof_trace(

@@ -12,16 +12,16 @@ through a plain-Python group-by, :func:`_group_sums`, with one
 whatever the outcome order. It groups hashable labels by equality, so
 ``1``, ``1.0`` and ``True`` are one label, and it keeps this module free
 of numpy. The audits hold their laws as integer keys and group those
-with numpy instead (``audit._key_sums``); both group-bys round each
-group once, so they give the same bits. Every probability vector given
-to the package (a variable's law, a :class:`Distribution`, a sum pmf)
-passes one check, and every divergence from an explicit law is one
-summation kernel, :func:`_kl_sum`, except the audits' sums over a whole
-law: ``audit._log_sum`` takes one log per distinct value and gives the
-bits of :func:`_kl_sum` and :func:`_entropy_sum`. Laws the package
-derives from laws that passed it (projections, push-forwards,
-conditioned laws) are built by :meth:`Distribution._trusted`, which
-does not check them again.
+with numpy instead (``audit._grouped``, kept on the law per coordinate
+tuple); both group-bys round each group once, so they give the same
+bits. Every probability vector given to the package (a variable's law, a
+:class:`Distribution`, a sum pmf) passes one check, and every divergence
+from an explicit law is one summation kernel, :func:`_kl_sum`, except the
+audits' sums over a whole law: ``audit._log_sum`` takes one log per
+distinct value and gives the bits of :func:`_kl_sum` and
+:func:`_entropy_sum`. Laws the package derives from laws that passed it
+(projections, push-forwards, conditioned laws) are built by
+:meth:`Distribution._trusted`, which does not check them again.
 Coordinates, of a projection, of a conditional entropy, of a Shearer
 cover or of the functions' read sets (for the read width), are checked
 and counted by one function, :func:`cover_multiplicity`, and a law's
@@ -82,10 +82,18 @@ class Distribution:
     outcomes: tuple[Hashable, ...]
     probs: tuple[float, ...]
 
-    #: The outcomes as integer digits, one read-only numpy row per
-    #: coordinate, on laws that ``audit.conditional_law`` builds; ``None``
-    #: otherwise. Not a field: equality, ``repr`` and ``asdict`` ignore it.
+    #: What ``audit.conditional_law`` keeps on the law it builds (see
+    #: :meth:`_trusted`): the outcomes as integer digits, one read-only
+    #: numpy row per coordinate; the outcomes' product-law masses, a
+    #: read-only numpy array, and the family they belong to. ``None`` on
+    #: any other law. Not fields: equality, ``repr`` and ``asdict`` ignore
+    #: them, as they do :attr:`_prob_array` and :attr:`_groups`.
     _digits = None
+    _masses = None
+    _family = None
+    #: The probabilities as a read-only numpy array: kept by
+    #: ``audit.conditional_law``, made once by the audits on any other law.
+    _prob_array = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -96,21 +104,26 @@ class Distribution:
 
     @classmethod
     def _trusted(
-        cls, outcomes: tuple[Hashable, ...], probs: tuple[float, ...], digits: object = None
+        cls, outcomes: tuple[Hashable, ...], probs: tuple[float, ...], digits: object = None,
+        prob_array: object = None, masses: object = None, family: object = None,
     ) -> "Distribution":
         """A law the package derived from checked input, built without checking it again.
 
         The caller vouches for what ``__post_init__`` would check: a tuple
         of distinct outcomes and a tuple of as many finite non-negative
         floats summing to one. ``digits``, when given, are the outcomes as
-        in :attr:`_digits`, and their rows fix :attr:`_tuple_width`.
+        in :attr:`_digits`, and their rows fix :attr:`_tuple_width`;
+        ``prob_array`` holds ``probs``, and ``masses`` each outcome's mass
+        under the product law of ``family``. The law keeps what it is
+        given, outside its fields.
         """
         law = object.__new__(cls)
         object.__setattr__(law, "outcomes", outcomes)
         object.__setattr__(law, "probs", probs)
         if digits is not None:
-            law.__dict__["_digits"] = digits
-            law.__dict__["_tuple_width"] = len(digits)
+            law.__dict__.update(_digits=digits, _tuple_width=len(digits))
+        if prob_array is not None:
+            law.__dict__.update(_prob_array=prob_array, _masses=masses, _family=family)
         return law
 
     @classmethod
@@ -147,6 +160,14 @@ class Distribution:
         if len(lengths) != 1:
             raise DomainError("outcomes must all be tuples of one common length")
         return lengths.pop()
+
+    @cached_property
+    def _groups(self) -> dict:
+        """The audits' group-bys of this law, by coordinate tuple, filled as they are asked for.
+
+        Not a field: equality, ``repr`` and ``asdict`` ignore it.
+        """
+        return {}
 
     def allclose(self, other: "Distribution", tol: float = PROB_SUM_TOL) -> bool:
         """Same ordered outcome set and probabilities equal within ``tol``."""

@@ -168,13 +168,18 @@ class TestKlGap:
             (((0,), (1,)), "outcomes are not assignments of 2 variables"),
             (((0, 1.0), (1, 0)), "outcome values must be integers"),
             (((0, 1.5), (1, 0)), "outcome values must be integers"),
+            # a column of booleans alone, which numpy would not read as integers
+            (((False, True), (True, False)),
+             "outcome (False, True): value False is not an integer at position 0"),
+            # a boolean beside integers, which numpy would read as 1
+            (((0, 1), (1, True)), "outcome (1, True): value True is not an integer at position 1"),
             (((1, 2), (0, -1)), "outcome (0, -1): value -1 out of range at position 1"),
             (((1, 2), (2, 0)), "outcome (2, 0): value 2 out of range at position 0"),
             # two bad outcomes: the first outcome is reported, not the lowest position
             (((0, 5), (2, 0)), "outcome (0, 5): value 5 out of range at position 1"),
         ],
-        ids=["too-wide", "too-narrow", "integral-float", "float", "negative", "too-large",
-             "two-bad-outcomes"],
+        ids=["too-wide", "too-narrow", "integral-float", "float", "all-booleans",
+             "boolean-beside-integers", "negative", "too-large", "two-bad-outcomes"],
     )
     def test_rejects_laws_that_are_not_assignments(self, outcomes, message):
         spec = FamilySpec(

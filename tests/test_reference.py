@@ -6,6 +6,7 @@ so it shares no indexing or reduction code with the numpy engine.
 """
 
 import bisect
+import dataclasses
 import heapq
 import itertools
 import math
@@ -57,6 +58,7 @@ from readk.info_theory import (
     _entropy_sum,
     _kl_sum,
     conditional_entropy,
+    cover_multiplicity,
     entropy,
     kl_binary,
     kl_divergence,
@@ -1070,6 +1072,69 @@ def test_shearer_gaps_do_not_depend_on_outcome_order(spec, rnd):
             assert hex_pair(shearer_entropy_gap(shuffled, cover, k)) == hex_pair(
                 shearer_entropy_gap(law, cover, k)
             ), (direction, t)
+
+
+def kept_arrays(law):
+    """Every array a law keeps: the conditioned law's, and the group-bys' first outcomes."""
+    kept = [law._digits, law._prob_array, law._masses]
+    return [a for a in kept if a is not None] + [first for first, _ in law._groups.values()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    uniform_families() | weighted_families(),
+    st.integers(0, 5),
+    st.sampled_from(["ge", "le"]),
+    st.booleans(),
+)
+def test_kept_group_bys_keep_the_oracle_bits(spec, t, direction, kl_first):
+    # Either audit may run first and make the group-bys the other reads;
+    # a second call reads them all. Conditioned and explicit laws alike.
+    query = TailQuery(t, direction)
+    assume(tail_prob(sum_pmf(spec), query) > 0.0)
+    cover = [fn.vars for fn in spec.functions]
+    k = min(cover_multiplicity(cover, spec.num_variables))
+    law = conditional_law(spec, query)
+    explicit = Distribution(law.outcomes, law.probs)
+    want_kl = hex_pair(reference_shearer_kl_gap(spec, law))
+    want_entropy = hex_pair(reference_shearer_entropy_gap(law, cover, k))
+    for joint in (law, explicit):
+        shown = repr(joint), dataclasses.asdict(joint)
+        for _ in range(2):
+            if kl_first:
+                assert hex_pair(shearer_kl_gap(spec, joint)) == want_kl
+            assert hex_pair(shearer_entropy_gap(joint, cover, k)) == want_entropy
+            if not kl_first:
+                assert hex_pair(shearer_kl_gap(spec, joint)) == want_kl
+        # what the audits keep is no part of the law's value
+        assert joint == explicit and hash(joint) == hash(explicit)
+        assert (repr(joint), dataclasses.asdict(joint)) == shown
+        kept = kept_arrays(joint)
+        assert len(kept) == (3 if joint is law else 1) + len(set(map(tuple, cover)))
+        assert not any(a.flags.writeable for a in kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    uniform_families() | weighted_families(),
+    st.integers(0, 5),
+    st.sampled_from(["ge", "le"]),
+    st.integers(0, 2**16),
+)
+def test_kept_masses_serve_only_their_own_family(spec, t, direction, seed):
+    # A family of the same shape with other weights, and one equal to the
+    # law's own but another object: each gets its own oracle's bits, so the
+    # masses the law keeps are read only for the family they belong to.
+    query = TailQuery(t, direction)
+    assume(tail_prob(sum_pmf(spec), query) > 0.0)
+    law = conditional_law(spec, query)
+    other = weighted_variant(spec, np.random.default_rng(seed))
+    equal = FamilySpec(spec.variables, spec.functions)
+    for family in (other, spec, equal, other):
+        assert hex_pair(shearer_kl_gap(family, law)) == hex_pair(
+            reference_shearer_kl_gap(family, law)
+        )
+    assert law._family is spec
 
 
 @pytest.mark.parametrize(
