@@ -42,7 +42,8 @@ by the product law of :attr:`FamilySpec.laws`; there the guard bounds the
 number of assignments. The scan holds one chunk of at most ``CHUNK``
 (``2**20``) assignments, one row of digits per variable as the Monte
 Carlo sampler holds its draws, and evaluates the functions on it through
-:class:`_Lookup`, the one kernel it shares with the sampler. The Shearer
+:class:`_Lookup`, the one kernel it shares with the sampler, one group of
+functions of equal arity and lookup mode at a time. The Shearer
 audits group a law by its coordinates with mixed-radix keys of their own
 (:mod:`readk.audit`), not through the lookup.
 
@@ -66,7 +67,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError, _check_finite, _check_int
-from .family import Component, FamilySpec, _cell_masses, _product_law, read_width
+from .family import Component, FamilySpec, _cell_masses, _product_law, _read_only, read_width
 from .info_theory import _prob_vector
 
 DEFAULT_GUARD = 1 << 24
@@ -79,6 +80,10 @@ _INT_COUNT_LIMIT = 1 << 62
 
 #: Assignments handled per vectorized block; bounds peak memory.
 CHUNK = 1 << 20
+
+#: Cells (functions times columns) that :class:`_Lookup` evaluates per block
+#: of columns: a block's buffers stay in cache, and a large scan streams.
+_LOOKUP_CELLS = 1 << 18
 
 
 def enumeration_guard(guard: int | None = None) -> int:
@@ -172,37 +177,56 @@ class Marginals(NamedTuple):
 
 def _digit_dtype(spec: FamilySpec) -> np.dtype:
     """The narrowest unsigned type that holds every variable's values: digits and draws."""
-    return np.min_scalar_type(max(v.support_size for v in spec.variables) - 1)
+    return spec._layout.digits
 
 
 class _Lookup:
     """The one kernel that evaluates a family's functions on batches of assignments.
 
-    A batch holds one variable per row, variable ``i`` in row ``rows[i]``,
-    in the family's :func:`_digit_dtype`, and one assignment per column, at
-    most ``size`` of them. A function's truth-table position is mixed radix,
-    its first read variable most significant. A function of one variable takes
-    its row of values as its positions, with no copy; any other computes
-    them in one reused buffer of the narrowest unsigned type that holds
-    the digits and every table's length, so position arithmetic never
-    wraps. A truth table with a word (``FamilySpec._words``, at most 64
-    cells) is looked up as ``(word >> pos) & 1``, any other as
-    ``table[pos]``. The looked-up bits and the sums share one type, the
-    narrowest unsigned type that holds the number of functions and every
-    word, so no shift, mask or add casts.
+    A batch holds one variable per row, variable ``i`` in row ``rows[i]``
+    (in row ``i`` when ``rows`` is ``None``), in the family's
+    :func:`_digit_dtype`, and one assignment per column, at most ``size``
+    of them. The family keeps its functions grouped by arity and by lookup
+    mode (``FamilySpec._layout``); a lookup maps each group's read
+    variables to their rows and holds the group's buffers. :meth:`sums_of`
+    evaluates one group at a time, in one pass over a block of columns: it
+    gathers the group's rows, combines them into truth-table positions
+    mixed radix in place, looks every position up with one shift and mask
+    (word groups, tables of at most 64 cells) or one ``take`` from the
+    group's concatenated tables (any larger), reduces over the group's rows
+    and adds that into the sums. A block holds at most ``_LOOKUP_CELLS``
+    cells (functions times columns) and one column at least, so the
+    buffers stay small and in cache whatever the batch, and a large scan
+    streams through them. Each group's positions, bits and counts take its
+    own narrowest unsigned types (see ``readk.family._Group``), and the
+    sums the narrowest that holds the number of functions. Sums are
+    integers, so neither the grouping nor the blocks can move them.
+
+    :meth:`each` stays per function: ``_scan_tail`` counts each function's
+    positions over the whole batch with one ``np.bincount`` of float
+    weights, and splitting that count by blocks would change the order of
+    its additions, and so its bits.
     """
 
-    def __init__(self, spec: FamilySpec, rows: Sequence[int], size: int):
-        sizes = [v.support_size for v in spec.variables]
-        self._reads = [[(rows[i], sizes[i]) for i in fn.vars] for fn in spec.functions]
-        digits = _digit_dtype(spec)
-        dtype = np.promote_types(digits, np.min_scalar_type(max(map(len, spec.tables))))
-        self._positions = np.empty(size, dtype=dtype)
-        words, word_dtype = spec._words
-        self._pairs = list(zip(spec.tables, words))
-        sum_dtype = np.promote_types(np.min_scalar_type(len(words)), word_dtype)
-        self._sums, self._bits = np.empty(size, sum_dtype), np.empty(size, sum_dtype)
-        self._one = np.array(1, sum_dtype)
+    def __init__(self, spec: FamilySpec, rows: Sequence[int] | None, size: int):
+        self._spec, self._rows = spec, range(spec.num_variables) if rows is None else rows
+        layout = spec._layout
+        self._ones = layout.ones
+        self._block = block = min(size, max(1, _LOOKUP_CELLS // spec.num_functions))
+        row_of = None if rows is None else np.asarray(rows, dtype=np.intp)
+        self._passes = []
+        for group in layout.groups:
+            reads = group.reads if row_of is None else row_of[group.reads]
+            shape = (reads.shape[1], block)
+            self._passes.append((
+                reads[0], list(zip(reads[1:], group.radices)), group.words, group.offsets,
+                group.cells, np.empty(shape, layout.digits), np.empty(shape, group.positions),
+                np.empty(shape, group.bits), np.empty(block, group.count)))
+        self._sums = np.empty(size, np.min_scalar_type(spec.num_functions))
+        # A block of a wider batch, copied to be contiguous: ``take`` copies
+        # a strided array whole on every call.
+        self._batch = np.empty(spec.num_variables * block, layout.digits)
+        self._positions: np.ndarray | None = None
 
     def each(self, values: np.ndarray) -> Iterator[np.ndarray]:
         """Each function's truth-table positions of the batch ``values``, in turn.
@@ -211,8 +235,14 @@ class _Lookup:
         other yields the positions buffer, which holds its function's
         positions only until the next one is written.
         """
+        spec, rows = self._spec, self._rows
+        if self._positions is None:
+            dtype = np.promote_types(spec._layout.digits, np.min_scalar_type(max(map(len, spec.tables))))
+            self._positions = np.empty(len(self._sums), dtype=dtype)
         positions = self._positions[:values.shape[1]]
-        for read in self._reads:
+        sizes = [v.support_size for v in spec.variables]
+        for fn in spec.functions:
+            read = [(rows[i], sizes[i]) for i in fn.vars]
             if len(read) == 1:
                 yield values[read[0][0]]
             elif not read:
@@ -231,16 +261,40 @@ class _Lookup:
 
     def sums_of(self, values: np.ndarray) -> np.ndarray:
         """Each assignment's function sum in the batch ``values``, in a buffer the next call reuses."""
-        n = values.shape[1]
-        sums, bits, one = self._sums[:n], self._bits[:n], self._one
-        sums.fill(0)
-        for (table, word), pos in zip(self._pairs, self.each(values)):
-            if word is None:
-                sums += table[pos]
-            else:
-                np.right_shift(word, pos, out=bits)
-                np.bitwise_and(bits, one, out=bits)
-                np.add(sums, bits, out=sums)
+        n, block = values.shape[1], self._block
+        sums = self._sums[:n]
+        sums.fill(self._ones)
+        for start in range(0, n, block):
+            batch = values[:, start:start + block]
+            width = batch.shape[1]
+            if not batch.flags.c_contiguous:
+                dense = self._batch[:batch.size].reshape(batch.shape)
+                np.copyto(dense, batch)
+                batch = dense
+            out = sums[start:start + width]
+            for first, steps, words, offsets, cells, gathered, positions, bits, part in self._passes:
+                if width < block:
+                    gathered, positions, bits = gathered[:, :width], positions[:, :width], bits[:, :width]
+                    part = part[:width]
+                # Every index is in range; a mode other than "raise" takes
+                # into ``out`` without a buffer.
+                batch.take(first, axis=0, out=gathered, mode="wrap")
+                held = gathered
+                for row, radix in steps:
+                    # Horner's rule in the positions' type: in the digits'
+                    # narrower one the first product would wrap.
+                    np.multiply(held, radix, out=positions)
+                    batch.take(row, axis=0, out=gathered, mode="wrap")
+                    np.add(positions, gathered, out=positions)
+                    held = positions
+                if words is None:
+                    np.add(held, offsets, out=positions)
+                    cells.take(positions, out=bits, mode="wrap")
+                else:
+                    np.right_shift(words, held, out=bits)
+                    np.bitwise_and(bits, 1, out=bits)
+                np.add.reduce(bits, axis=0, out=part)
+                np.add(out, part, out=out)
         return sums
 
 
@@ -291,7 +345,7 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     dtype = _digit_dtype(spec)
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
-    lookup = _Lookup(spec, range(len(sizes)), digits.shape[1])
+    lookup = _Lookup(spec, None, digits.shape[1])
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
@@ -456,11 +510,6 @@ class _Program:
                           tuple(weights), axes))
             scopes.append([i for i in scope if i not in summed])
         return tuple(steps)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _eliminate_pmf(spec: FamilySpec, comp: Component, program: _Program, guard: int) -> np.ndarray:

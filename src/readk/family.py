@@ -18,8 +18,10 @@ boolean is not a number, and ``name`` and ``truth_table`` must be strings.
 
 A :class:`FamilySpec` is immutable, and keeps what is derived from its
 structure the first time it is asked for: the decoded truth tables
-(``tables``) and, for every table of at most 64 cells, its word
-(``_words``: bit ``c`` is cell ``c``), the variable laws (``laws``, one
+(``tables``), the functions grouped by arity and lookup mode for the
+lookup kernel (``_layout``: each group's read variables and radices, and
+its tables as words, bit ``c`` being cell ``c``, or concatenated when a
+table has more than 64 cells), the variable laws (``laws``, one
 read-only array per distinct law), each function's law on its truth-table
 cells (``_cell_laws``, one per distinct tuple of read-variable laws), the
 marginals ``Pr[f_j = 1]`` (``_one_probs``, one per distinct truth table and
@@ -56,7 +58,7 @@ import numpy as np
 from .errors import DomainError, ValidationError, _check_int
 from .info_theory import _prob_vector, cover_multiplicity
 
-#: Truth tables of at most this many cells are also kept as one machine word.
+#: Truth tables of at most this many cells are looked up as one machine word.
 _WORD_CELLS = 64
 
 
@@ -153,20 +155,9 @@ class FamilySpec:
         return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
-    def _words(self) -> _Words:
-        """Each truth table of at most 64 cells as one unsigned word (see :class:`_Words`).
-
-        Decoded from the ``'0'``/``'1'`` strings once per family: a string
-        read backwards is its word in binary. The words are read-only 0-d
-        views of one array, which numpy's ufuncs take faster than scalars.
-        """
-        tables = [fn.truth_table for fn in self.functions]
-        small = [len(t) for t in tables if len(t) <= _WORD_CELLS]
-        dtype = np.min_scalar_type((1 << max(small, default=0)) - 1)
-        flat = np.array([int(t[::-1], 2) if len(t) <= _WORD_CELLS else 0 for t in tables], dtype)
-        flat.flags.writeable = False
-        words = [flat[j, ...] if len(t) <= _WORD_CELLS else None for j, t in enumerate(tables)]
-        return _Words(tuple(words), dtype)
+    def _layout(self) -> _Layout:
+        """The functions grouped for the lookup kernel (see :func:`_layout`)."""
+        return _layout(self)
 
     @cached_property
     def _law_index(self) -> tuple[tuple[tuple[np.ndarray, int], ...], tuple[int, ...]]:
@@ -315,16 +306,38 @@ def eval_function(spec: FamilySpec, j: int, assignment: Sequence[int]) -> int:
     return int(spec.functions[j].truth_table[table_index(spec, j, assignment)])
 
 
-class _Words(NamedTuple):
-    """Each truth table of at most 64 cells as one unsigned word, kept by the family.
+class _Group(NamedTuple):
+    """The functions of one arity and one lookup mode, laid out for one pass over a batch.
 
-    Bit ``c`` of a word is cell ``c`` of its table, so ``(word >> pos) & 1``
-    looks a table up. A table of more than 64 cells has no word (``None``).
-    All words have one type, the narrowest that holds the largest of them.
+    Column ``g`` of ``reads`` and row ``g`` of the other arrays is the
+    group's ``g``-th function, in function order. A function's truth-table
+    position is mixed radix, its first read variable most significant, so
+    Horner's rule finds it: the digit of the first read variable, then for
+    each later one, times its support plus its digit. A table of at most 64
+    cells is looked up as ``(word >> position) & 1``, bit ``c`` of the word
+    being cell ``c``; any larger one as ``cells[offset + position]``.
     """
 
-    words: tuple[np.ndarray | None, ...]
-    dtype: np.dtype
+    reads: np.ndarray  # (arity, functions) intp: the variable read at each position
+    radices: np.ndarray  # (arity - 1, functions, 1): the supports of positions 1 on
+    words: np.ndarray | None  # (functions, 1): each word, of the narrowest type that holds them
+    offsets: np.ndarray | None  # (functions, 1): each table's offset into ``cells``
+    cells: np.ndarray | None  # the group's truth tables, concatenated, uint8 0/1
+    positions: np.dtype  # the narrowest unsigned type that holds digits, radices and positions
+    bits: np.dtype  # the looked-up bits: the type of ``word >> position``, or uint8
+    count: np.dtype  # the group's bits added up: the bits' type, or wider to hold the count
+
+
+class _Layout(NamedTuple):
+    """A family's functions grouped by arity and lookup mode, kept by the family.
+
+    ``ones`` counts the functions of no variable whose table is ``"1"``:
+    their sum is the same on every assignment.
+    """
+
+    digits: np.dtype  # the narrowest unsigned type that holds every variable's values
+    ones: int
+    groups: tuple[_Group, ...]
 
 
 class Component(NamedTuple):
@@ -369,10 +382,63 @@ class _Classes(NamedTuple):
     programs: list  # each class's compiled plan (readk.exact._Program), or None
 
 
-def _index_array(values: list[int]) -> np.ndarray:
-    array = np.array(values, dtype=np.int32)
+def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _index_array(values: list[int]) -> np.ndarray:
+    return _read_only(np.array(values, dtype=np.int32))
+
+
+def _layout(spec: FamilySpec) -> _Layout:
+    """One pass over the functions that groups them by arity and by lookup mode.
+
+    A group is word-mode when every table in it has at most 64 cells, each
+    table decoded once, read backwards as its word in binary; otherwise its
+    tables are concatenated. The positions' type holds the largest digit,
+    every radix and, in table mode, the largest offset plus the largest
+    position.
+    """
+    supports = [v.support_size for v in spec.variables]
+    digits = np.min_scalar_type(max(supports) - 1)
+    members: dict[tuple[int, bool], list[ReadFunction]] = {}
+    for fn in spec.functions:
+        members.setdefault((len(fn.vars), len(fn.truth_table) <= _WORD_CELLS), []).append(fn)
+    # Every group's reads, position by position, and their supports: two
+    # arrays that the groups view.
+    flat = [fn.vars[p] for (arity, _), fns in members.items() for p in range(arity) for fn in fns]
+    all_reads = _read_only(np.array(flat, np.intp))
+    all_radices = _read_only(np.array([supports[i] for i in flat], np.min_scalar_type(max(supports))))
+    ones = start = 0
+    groups = []
+    for (arity, small), fns in members.items():
+        tables = [fn.truth_table for fn in fns]
+        if not arity:
+            ones += tables.count("1")
+            continue
+        n = len(fns)
+        stop = start + arity * n
+        reads, radices = all_reads[start:stop].reshape(arity, n), all_radices[start + n:stop]
+        start = stop
+        if small:
+            values = [int(table[::-1], 2) for table in tables]
+            words = _read_only(np.array(values, np.min_scalar_type(max(values)))[:, np.newaxis])
+            # Positions and radices are below 65, so the digits' type holds them.
+            positions, offsets, cells, bits = digits, None, None, np.promote_types(words.dtype, digits)
+        else:
+            words, bits = None, np.dtype(np.uint8)
+            bounds = list(itertools.accumulate(map(len, tables), initial=0))
+            cells = _read_only(np.frombuffer("".join(tables).encode("ascii"), np.uint8) - ord("0"))
+            # The last bound itself, not only the largest position: a radix may equal it.
+            positions = np.promote_types(digits, np.min_scalar_type(bounds.pop()))
+            offsets = _read_only(np.array(bounds, positions)[:, np.newaxis])
+        if radices.dtype != positions:
+            radices = _read_only(radices.astype(positions))
+        count = np.promote_types(bits, np.min_scalar_type(n))
+        groups.append(_Group(reads, radices.reshape(arity - 1, n, 1), words, offsets, cells,
+                             positions, bits, count))
+    return _Layout(digits, ones, tuple(groups))
 
 
 def _partition(spec: FamilySpec) -> _Partition:

@@ -18,9 +18,11 @@ binary search, so the stream is consumed as before and every estimate is
 unchanged.
 
 Sampled assignments are held one row per variable, the rows sorted by the
-variables' number of thresholds, and every function is looked up on them
+variables' number of thresholds, and the functions are evaluated on them
 through :class:`readk.exact._Lookup`, the kernel the exact engine's scan
-shares.
+shares: by group, each group's functions of one arity and one lookup mode
+in one pass over a chunk, not one function at a time. The sums are
+integers, so the grouping moves no estimate.
 
 Confidence intervals are distribution-free two-sided 99% Hoeffding
 intervals with half-width ``sqrt(ln(2/0.01) / (2 n))``, clamped to [0, 1].

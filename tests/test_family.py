@@ -156,7 +156,7 @@ class TestKeptStructure:
             assert not array.flags.writeable
 
     def test_words_hold_the_tables_of_at_most_64_cells(self):
-        # Tables of 1, 2, 9, 64, 65 and 128 cells; the 64-cell one sets the words' type.
+        # Tables of 1, 2, 9, 64, 65 and 128 cells, grouped by arity and lookup mode.
         sizes = (2, 3, 3, 8, 8, 5, 13, 2)
         variables = tuple(Variable(f"x{i}", s) for i, s in enumerate(sizes))
         rng = np.random.default_rng(64)
@@ -165,18 +165,33 @@ class TestKeptStructure:
         spec = FamilySpec(variables, tuple(
             ReadFunction(f"y{j}", read, table) for j, (read, table) in enumerate(zip(reads, tables))
         ))
-        words, dtype = spec._words
-        assert dtype == np.uint64
         assert [len(t) for t in spec.tables] == [1, 2, 9, 64, 65, 128]
-        for word, table in zip(words, spec.tables):
-            if len(table) > 64:
-                assert word is None
+        layout = spec._layout
+        assert layout.ones == int(tables[0])  # y0 reads nothing: the same on every assignment
+        groups = {(len(g.reads), g.words is not None): g for g in layout.groups}
+        members = {(1, True): [1], (2, True): [2, 3], (2, False): [4], (3, False): [5]}
+        assert list(groups) == list(members)  # in order of their first function
+        for key, fns in members.items():
+            group = groups[key]
+            assert group.reads.T.tolist() == [list(reads[j]) for j in fns]
+            assert group.radices[..., 0].T.tolist() == [[sizes[i] for i in reads[j][1:]] for j in fns]
+            for array in (group.reads, group.radices, group.words, group.offsets, group.cells):
+                assert array is None or not array.flags.writeable
+            if group.words is None:  # concatenated, each table at its offset
+                assert group.offsets[:, 0].tolist() == [0] and group.cells.tolist() == [
+                    int(c) for c in tables[fns[0]]]
                 continue
-            assert word.dtype == dtype
-            assert [(int(word) >> c) & 1 for c in range(len(table))] == table.tolist()
-            assert int(word) >> len(table) == 0
-        assert spec._words is spec._words
-        assert self.spec()._words.dtype == np.uint8  # tables of 4 cells
+            for word, j in zip(group.words[:, 0].tolist(), fns):
+                table = spec.tables[j]
+                assert [(word >> c) & 1 for c in range(len(table))] == table.tolist()
+                assert word >> len(table) == 0
+        # Each group's words take the narrowest type that holds them: the 64-cell table sets y2's.
+        assert groups[(1, True)].words.dtype == np.uint8
+        assert groups[(2, True)].words.dtype == np.uint64
+        # Positions hold the digits, every radix and each table's largest position.
+        assert [groups[key].positions for key in members] == [np.uint8, np.uint8, np.uint8, np.uint8]
+        assert spec._layout is spec._layout
+        assert self.spec()._layout.groups[0].words.dtype == np.uint8  # tables of 4 cells
 
 
 class TestValidation:

@@ -13,6 +13,7 @@ import math
 import random
 import re
 from collections.abc import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from readk.bounds import BoundQuery, read_k_tail_bound
 from readk.errors import DomainError
 from readk.exact import (
     _INT_COUNT_LIMIT,
+    _LOOKUP_CELLS,
     SumPmf,
     TailQuery,
     _check_guard,
@@ -1437,15 +1439,17 @@ def kernel_cases(draw):
 
     Tables of 1 to 4096 cells, with a 64-cell and a 65-cell table (the
     largest with a word, and the smallest without) read through two
-    variables each, one in reverse order; supports up to 300, so digits and
-    positions take uint8 and uint16; functions of no and of one variable,
-    and read tuples in any order.
+    variables each, one in reverse order, so a group of tables over 64 cells
+    stands beside a word group of the same arity; a function of four
+    variables, which no drawn read has, so its group holds it alone;
+    supports up to 300, so digits and positions take uint8 and uint16;
+    functions of no and of one variable, and read tuples in any order.
     """
     rng, variables = draw(mixed_variables())
-    variables += tuple(Variable(f"b{i}", size) for i, size in enumerate((8, 8, 5, 13)))
+    variables += tuple(Variable(f"b{i}", size) for i, size in enumerate((8, 8, 5, 13, 2)))
     sizes = [v.support_size for v in variables]
     m = len(sizes)
-    reads = [(m - 4, m - 3), (m - 1, m - 2)]
+    reads = [(m - 5, m - 4), (m - 2, m - 3), (m - 1, m - 5, m - 3, m - 2)]
     for _ in range(draw(st.integers(0, 6))):
         read = draw(st.permutations(range(m)))[:draw(st.integers(0, 3))]
         while math.prod(sizes[i] for i in read) > 4096:
@@ -1470,15 +1474,19 @@ def test_table_positions_and_function_sums_match_scalar_reference(case):
     values = np.empty_like(digits)
     values[rows] = digits
     n = digits.shape[1]
-    lookup = _Lookup(spec, rows, n)
-    # A batch of other assignments first leaves junk in every buffer.
-    lookup.sums_of(values[:, ::-1])
     assignments = list(zip(*digits.tolist()))
-    # The full batch, then a shorter one: its last columns.
-    for batch, cut in ((values, assignments), (values[:, n // 2:], assignments[n // 2:])):
-        for j, pos in enumerate(lookup.each(batch)):
-            assert pos.tolist() == [table_index(spec, j, a) for a in cut]
-            if len(spec.functions[j].vars) == 1:
-                assert np.shares_memory(pos, batch)
-        want = [sum(eval_function(spec, j, a) for j in range(spec.num_functions)) for a in cut]
-        assert lookup.sums_of(batch).tolist() == want
+    # Blocks of one column, of 7, and of the default budget: a batch spans
+    # several blocks, and its last one is short.
+    for cells in (1, 7 * spec.num_functions, _LOOKUP_CELLS):
+        with mock.patch("readk.exact._LOOKUP_CELLS", cells):
+            lookup = _Lookup(spec, rows, n)
+        # A batch of other assignments first leaves junk in every buffer.
+        lookup.sums_of(values[:, ::-1])
+        # The full batch, then a shorter one: its last columns.
+        for batch, cut in ((values, assignments), (values[:, n // 2:], assignments[n // 2:])):
+            for j, pos in enumerate(lookup.each(batch)):
+                assert pos.tolist() == [table_index(spec, j, a) for a in cut]
+                if len(spec.functions[j].vars) == 1:
+                    assert np.shares_memory(pos, batch)
+            want = [sum(eval_function(spec, j, a) for j in range(spec.num_functions)) for a in cut]
+            assert lookup.sums_of(batch).tolist() == want

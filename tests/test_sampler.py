@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from readk import sampler
+from readk import exact, sampler
 from readk.errors import DomainError
 from readk.exact import TailQuery, _Lookup
 from readk.family import FamilySpec, ReadFunction, Variable, eval_function
@@ -141,11 +141,16 @@ CHUNK = 8
     "patch, samples, weighted",
     # 40 variables: budgets of 1, 79, 80, 3880 and 20480 uniforms give chunks
     # of 1, 1, 2, 97 and 512 samples
-    [pytest.param(("_UNIFORM_CHUNK", budget), 1000, False, id=str(budget))
+    [pytest.param((sampler, "_UNIFORM_CHUNK", budget), 1000, False, id=str(budget))
      for budget in (1, 79, 80, 40 * 97, 40 * 512)]
+    # 30 functions: lookup budgets of 1 and 210 cells give blocks of 1 and 7
+    # columns
+    + [pytest.param((exact, "_LOOKUP_CELLS", cells), 1000, weighted,
+                    id=f"{'weighted' if weighted else 'uniform'}-cells-{cells}")
+       for cells in (1, 30 * 7) for weighted in (False, True)]
     # chunks of 8 samples: one short chunk, one full one, a full one and a
     # sample, two full ones, three and a short one
-    + [pytest.param(("_SAMPLE_CHUNK", CHUNK), n, weighted,
+    + [pytest.param((sampler, "_SAMPLE_CHUNK", CHUNK), n, weighted,
                     id=f"{'weighted' if weighted else 'uniform'}-{n}-of-{CHUNK}")
        for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5)
        for weighted in (False, True)],
@@ -155,7 +160,7 @@ def test_estimates_bit_identical_across_uniform_budgets(monkeypatch, patch, samp
     if weighted:
         spec = weighted_variant(spec, np.random.default_rng(1))
     query = TailQuery(15, "ge")
-    monkeypatch.setattr(sampler, *patch)
+    monkeypatch.setattr(*patch)
     chunk = min(sampler._SAMPLE_CHUNK, max(1, sampler._UNIFORM_CHUNK // spec.num_variables))
     for seed in range(2):
         want = serial_estimate(spec, query, samples, seed, chunk)
