@@ -36,15 +36,31 @@ def _check_rkp(r: int, k: int, p: float) -> None:
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundQuery:
-    """Parameters of one tail-bound evaluation."""
+    """Parameters of one tail-bound evaluation.
+
+    A frozen dataclass whose ``__init__`` is written out: it stores the
+    fields straight into the instance's ``__dict__``, in field order, and
+    then runs ``__post_init__``, where the generated one would call
+    ``object.__setattr__`` once per field. Equality, hashing, ``repr``,
+    ``dataclasses.replace``, ``asdict`` and pickling are the dataclass's own.
+    """
 
     r: int
     k: int
     p: float
     eps: float
     direction: Direction = "upper"
+
+    def __init__(self, r: int, k: int, p: float, eps: float, direction: Direction = "upper") -> None:
+        fields = self.__dict__
+        fields["r"] = r
+        fields["k"] = k
+        fields["p"] = p
+        fields["eps"] = eps
+        fields["direction"] = direction
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_rkp(self.r, self.k, self.p)
@@ -98,8 +114,18 @@ class BoundResult:
 
     @classmethod
     def from_log(cls, log_bound: float) -> "BoundResult":
+        """The result of ``log_bound``, with ``-0.0`` read as ``0.0``.
+
+        Built as ``Distribution._trusted`` builds a law: ``object.__new__``
+        and both fields stored straight into the new instance's
+        ``__dict__``, in field order, without the generated ``__init__``.
+        """
         log_bound = log_bound + 0.0  # normalize -0.0
-        return cls(log_bound, math.exp(log_bound))
+        result = object.__new__(cls)
+        fields = result.__dict__
+        fields["log_bound"] = log_bound
+        fields["bound"] = math.exp(log_bound)
+        return result
 
 
 def read_k_tail_bound(q: BoundQuery) -> BoundResult:

@@ -36,12 +36,14 @@ def _check_int(value, name: str, minimum: int = 1, error: type[ReadkError] = Dom
 def _check_real(value, name: str) -> None:
     """Raise :class:`DomainError` unless ``value`` is a real number, numpy's too, not a bool.
 
-    A float passes on the first test, without the ``numbers`` import or the
-    ``numbers.Real`` test (about 0.5 us): the numpy-free ``readk bound``
+    A float, or an exact ``int`` such as the threshold of ``TailQuery(5,
+    "ge")``, passes on the first tests, without the ``numbers`` import or
+    the ``numbers.Real`` test (about 0.5 us): the numpy-free ``readk bound``
     would otherwise pay the import, and every public ``BoundQuery`` and
-    ``TailQuery`` the test.
+    ``TailQuery`` the test. A bool is not exactly an ``int``, so it still
+    reaches the test and fails it.
     """
-    if isinstance(value, float):
+    if isinstance(value, float) or type(value) is int:
         return
     import numbers
 

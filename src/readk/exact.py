@@ -25,9 +25,17 @@ equal up to variable labels (same read tuples relabelled by rank, truth
 tables and variable laws) form one class, solved once per call by
 eliminating its representative, so a family of thousands of identical
 blocks costs one elimination. The component pmfs are then convolved in
-order of smallest function index. No pmf, message or tail sum is kept
-across calls, so every call eliminates each representative and runs the
-whole convolution.
+order of smallest function index into one running pmf of ``r + 1``
+bins, made when there is a second component. A component of one
+function, of pmf ``(q0, q1)``, updates it in place in three array
+passes; its bins are then ``acc[s] * q0 + acc[s - 1] * q1``, the two
+terms ``np.convolve`` adds in the other order, and as a two-term sum
+rounds the same in either order and no pmf bin is ever ``-0.0``, they
+equal ``np.convolve``'s bit for bit. A longer pmf keeps
+``np.convolve``, whose sums of three or more terms no fixed in-place
+order reproduces. No pmf, message or tail sum is kept across calls, so
+every call eliminates each representative and runs the whole
+convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -105,12 +113,25 @@ def enumeration_guard(guard: int | None = None) -> int:
     return guard
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TailQuery:
-    """A one-sided threshold event on the function sum: ``Y >= t`` or ``Y <= t``."""
+    """A one-sided threshold event on the function sum: ``Y >= t`` or ``Y <= t``.
+
+    A frozen dataclass whose ``__init__`` is written out: it stores the
+    fields straight into the instance's ``__dict__``, in field order,
+    and then runs ``__post_init__``, where the generated one would call
+    ``object.__setattr__`` once per field. Equality, hashing, ``repr``,
+    ``dataclasses.replace``, ``asdict`` and pickling are the dataclass's own.
+    """
 
     threshold: float
     direction: Literal["ge", "le"] = "ge"
+
+    def __init__(self, threshold: float, direction: Literal["ge", "le"] = "ge") -> None:
+        fields = self.__dict__
+        fields["threshold"] = threshold
+        fields["direction"] = direction
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.direction not in ("ge", "le"):
@@ -427,6 +448,39 @@ def _place(product: np.ndarray, one_hot: np.ndarray, shape: tuple[int, ...]) -> 
     return out
 
 
+def _convolve_in_order(pmfs: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """``np.convolve`` of ``pmfs`` from left to right, bit for bit: a pmf of ``size`` bins.
+
+    ``size`` is one more than the sum of every pmf's last index. A single
+    pmf is returned as it is; otherwise the running pmf lives in one
+    buffer of ``size`` bins, which starts as a copy of the first pmf, so
+    no input is written. A two-bin pmf updates the buffer in place in
+    three passes, and a longer one goes through ``np.convolve``; the bits
+    equal ``np.convolve``'s when no bin is negative or ``-0.0`` (see
+    :func:`sum_pmf`).
+    """
+    acc = pmfs[0]
+    if len(pmfs) == 1:
+        return acc
+    buf, spare = np.zeros(size), np.empty(size - 1)
+    n = len(acc)
+    buf[:n] = acc
+    acc = buf[:n]
+    for pmf in pmfs[1:]:
+        m = n + len(pmf) - 1
+        if len(pmf) == 2:
+            q0, q1 = pmf.tolist()
+            tmp = spare[:n]
+            np.multiply(acc, q1, out=tmp)
+            np.multiply(acc, q0, out=acc)
+            shifted = buf[1:m]  # its last bin, buf[n], is still 0.0
+            np.add(shifted, tmp, out=shifted)
+        else:
+            buf[:m] = np.convolve(acc, pmf)
+        acc, n = buf[:m], m
+    return acc
+
+
 class _Program:
     """A class's elimination plan compiled against its supports, tables and laws.
 
@@ -565,7 +619,24 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     kept with its class (``FamilySpec._classes.plans``), and so is its
     :class:`_Program`, made by the first call that eliminates the class. No
     pmf, message or tail sum is kept across calls: every call eliminates
-    each representative and runs the whole convolution. Raises
+    each representative and runs the whole convolution.
+
+    The pmfs then convolve in component order (:func:`_convolve_in_order`)
+    in one buffer of ``r + 1`` bins, made only when there is a second
+    component, so a one-component family makes none; it starts as a copy
+    of the first pmf, which its class's later components read again.
+    A two-bin pmf ``(q0, q1)``, a component of one function, updates the
+    buffer in place: ``q1`` times the running pmf into a scratch row,
+    ``q0`` times it in place, then the scratch row added one bin up, onto
+    a last bin still ``0.0``. ``np.convolve`` forms each bin as ``0.0 +
+    acc[s - 1] * q1 + acc[s] * q0``. Every bin here is a pmf's, whose sum
+    takes in a term of positive mass, so it is never negative and never
+    ``-0.0``: the leading ``0.0`` moves no bit, and a sum of two terms
+    rounds the same in either order, so the bins are ``np.convolve``'s
+    bit for bit. A longer pmf is convolved by ``np.convolve`` and copied
+    into the buffer, because its sums of three or more terms depend on
+    their order and neither fixed order of an in-place update matches
+    ``np.convolve``'s on every length. Raises
     :class:`ResourceError` naming the first component whose elimination
     would form a product factor of more cells than the guard.
     """
@@ -573,7 +644,7 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     classes = spec._classes
     programs = classes.programs
     solved: list[np.ndarray | None] = [None] * len(classes.representatives)
-    acc: np.ndarray | None = None
+    pmfs = []
     for c in classes.component_class.tolist():
         pmf = solved[c]
         if pmf is None:
@@ -582,8 +653,9 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
             if program is None:
                 program = programs[c] = _Program(spec, comp, classes.reads[c], classes.plans[c])
             pmf = solved[c] = _eliminate_pmf(spec, comp, program, guard)
-        acc = pmf if acc is None else np.convolve(acc, pmf)
-    assert acc is not None and len(acc) == spec.num_functions + 1
+        pmfs.append(pmf)
+    acc = _convolve_in_order(pmfs, spec.num_functions + 1)
+    assert len(acc) == spec.num_functions + 1
     return SumPmf(tuple(acc.tolist()))
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import pickle
 import warnings
 
 import numpy as np
@@ -59,3 +62,44 @@ def weighted_variant(spec, rng):
             Variable(v.name, v.support_size, tuple(float(x) for x in raw / raw.sum()))
         )
     return FamilySpec(tuple(variables), spec.functions)
+
+
+def assert_frozen_dataclass_contract(obj, args):
+    """``obj``, built from the positional ``args``, keeps the frozen dataclass contract.
+
+    Its ``__init__`` takes the fields in order, positionally or by keyword,
+    with the fields' defaults; the fields sit in ``__dict__`` in field order;
+    assignment and deletion raise ``FrozenInstanceError``; ``==``,
+    ``hash``, ``repr``, ``asdict``, ``astuple`` and a pickle round trip are
+    the dataclass's.
+    """
+    cls = type(obj)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    values = dict(zip(names, args))
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields]
+    for twin in (cls(*args), cls(**values), cls(*args[:1], **dict(list(values.items())[1:]))):
+        assert twin == obj and hash(twin) == hash(obj)
+    assert list(vars(obj).items()) == list(values.items())
+    assert repr(obj) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+    assert dataclasses.asdict(obj) == values
+    assert dataclasses.astuple(obj) == tuple(args)
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is cls and back == obj and hash(back) == hash(obj)
+    assert list(vars(back).items()) == list(values.items())
+    for name in (*names, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, args[0])
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert list(vars(obj).items()) == list(values.items())
+    for bad in ((), (*args, None)):
+        with pytest.raises(TypeError):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        cls(*args, other=None)

@@ -4,7 +4,9 @@ Frozen expected values come from 40-digit evaluation of the defining
 expressions at the exact float64 inputs.
 """
 
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -19,6 +21,8 @@ from readk.bounds import (
 )
 from readk.errors import DomainError
 from readk.info_theory import kl_binary
+
+from conftest import assert_frozen_dataclass_contract
 
 
 class TestReadKTailBound:
@@ -170,3 +174,45 @@ def test_result_invariants(q):
 
 def test_from_log_normalizes_negative_zero():
     assert str(BoundResult.from_log(-0.0).log_bound) == "0.0"
+
+
+class TestDataclassContract:
+    """The written-out ``BoundQuery.__init__`` and ``BoundResult.from_log`` keep the contract."""
+
+    @pytest.mark.parametrize("args", [(100, 4, 0.5, 0.25, "upper"), (10, 2, 0.5, 0.3, "lower"),
+                                      (10, 1, 1, 0.5, "lower"), (7, 3, 0.25, 0.75, "upper")])
+    def test_query_contract(self, args):
+        assert_frozen_dataclass_contract(BoundQuery(*args), args)
+
+    def test_query_default_direction(self):
+        q = BoundQuery(100, 4, 0.5, 0.25)
+        assert q == BoundQuery(r=100, k=4, p=0.5, eps=0.25) == BoundQuery(100, 4, 0.5, 0.25, "upper")
+        assert hash(q) == hash(BoundQuery(100, 4, 0.5, 0.25, "upper"))
+
+    def test_replace_checks_again(self):
+        q = BoundQuery(10, 1, 0.5, 0.1, "upper")
+        assert dataclasses.replace(q, eps=0.2, direction="lower") == BoundQuery(10, 1, 0.5, 0.2, "lower")
+        for changes, message in [
+            ({"eps": 0.0}, "eps must be positive and finite, got 0.0"),
+            ({"eps": -0.1}, "eps must be positive and finite, got -0.1"),
+            ({"eps": math.inf}, "eps must be positive and finite, got inf"),
+            ({"eps": math.nan}, "eps must be positive and finite, got nan"),
+            ({"eps": "0.1"}, "eps must be a real number, got '0.1'"),
+            ({"eps": 0.6}, "upper tail at p+eps = 1.1 > 1 is vacuous; choose eps <= 1-p"),
+            ({"eps": 0.6, "direction": "lower"},
+             "lower tail at p-eps = -0.09999999999999998 < 0 is ill-posed; choose eps <= p"),
+            ({"p": 1.5}, "p must lie in [0, 1], got 1.5"),
+            ({"r": 0}, "r must be a positive int, got 0"),
+            ({"k": True}, "k must be a positive int, got True"),
+            ({"direction": "side"}, "direction must be 'upper' or 'lower', got 'side'"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(q, **changes)
+
+    @pytest.mark.parametrize("log_bound", [-3.0, 0.0, -0.0, -math.inf, -800.0, -745.5])
+    def test_result_contract(self, log_bound):
+        res = BoundResult.from_log(log_bound)
+        args = (log_bound + 0.0, math.exp(log_bound))
+        assert type(res) is BoundResult
+        assert res == BoundResult(*args) and hash(res) == hash(BoundResult(*args))
+        assert_frozen_dataclass_contract(res, args)

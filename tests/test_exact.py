@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -28,7 +30,7 @@ from readk.family import (
 )
 from readk.generators import gen_block_tight, gen_random_family
 
-from conftest import weighted_variant
+from conftest import assert_frozen_dataclass_contract, weighted_variant
 from test_reference import component_key
 
 EXACT_TOL = 1e-12
@@ -96,6 +98,32 @@ class TestTailProb:
         pmf = sum_pmf(xor_family)
         assert tail_prob(pmf, TailQuery(3, "ge")) == 0.0
         assert tail_prob(pmf, TailQuery(-1, "le")) == 0.0
+
+
+class TestTailQueryDataclass:
+    """The written-out ``__init__`` keeps the frozen dataclass's contract and checks."""
+
+    @pytest.mark.parametrize("args", [(5, "ge"), (2.5, "le"), (-3, "le"), (np.float64(1.5), "ge")])
+    def test_contract(self, args):
+        assert_frozen_dataclass_contract(TailQuery(*args), args)
+
+    def test_default_direction(self):
+        assert TailQuery(5) == TailQuery(threshold=5) == TailQuery(5, "ge")
+        assert hash(TailQuery(5)) == hash(TailQuery(5, "ge"))
+
+    def test_replace_checks_again(self):
+        q = TailQuery(5, "ge")
+        assert dataclasses.replace(q, direction="le") == TailQuery(5, "le")
+        assert dataclasses.replace(q, threshold=2.5) == TailQuery(2.5, "ge")
+        for changes, message in [
+            ({"threshold": math.inf}, "threshold must be finite, got inf"),
+            ({"threshold": 10**400}, "threshold must be finite, got an int too big for a float"),
+            ({"threshold": "3"}, "threshold must be a real number, got '3'"),
+            ({"threshold": True}, "threshold must be a real number, got True"),
+            ({"direction": "gt"}, "direction must be 'ge' or 'le', got 'gt'"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(q, **changes)
 
 
 def fsum_tail(pmf, t, direction):

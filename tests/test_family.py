@@ -1,13 +1,17 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from readk.audit import shearer_entropy_gap
 from readk.bounds import BoundQuery, shearer_and_bound
-from readk.errors import DomainError, ValidationError
+from readk.errors import DomainError, ValidationError, _check_real
 from readk.exact import TailQuery, _verify_rows
 from readk.family import (
     FamilySpec,
@@ -293,6 +297,32 @@ def test_booleans_and_non_numbers_are_rejected_where_reals_belong(call, message)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as raised:
         call()
     assert type(raised.value) is DomainError
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value, real", [
+    (5, True), (-3, True), (0, True), (2**70, True), (2.5, True), (_Count(4), True),
+    (Fraction(1, 3), True), (np.int64(2), True), (np.float32(2.5), True),
+    (True, False), (np.bool_(False), False), (Decimal("1"), False), ("3", False),
+    (None, False), (1j, False),
+], ids=repr)
+def test_real_check_verdicts(value, real):
+    if real:
+        _check_real(value, "x")
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(f'x must be a real number, got {value!r}')}$"):
+            _check_real(value, "x")
+
+
+def test_ints_and_floats_pass_the_real_check_without_the_numbers_module():
+    code = ("import sys; from readk.bounds import BoundQuery; from readk.errors import _check_real; "
+            "_check_real(5, 't'); _check_real(2.5, 't'); BoundQuery(10, 1, 1, 0.5, 'lower'); "
+            "print('numbers' in sys.modules, 'numpy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout == "False False\n"
 
 
 def test_numpy_numbers_are_accepted_where_reals_belong():

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from collections.abc import Mapping
 from unittest import mock
 
@@ -30,6 +31,7 @@ from readk.exact import (
     SumPmf,
     TailQuery,
     _check_guard,
+    _convolve_in_order,
     _eliminate_pmf,
     _Lookup,
     _place,
@@ -495,14 +497,15 @@ def blocks(draw):
 
 
 @st.composite
-def repeated_block_unions(draw):
+def repeated_block_unions(draw, block=blocks()):
     """Disjoint unions of random blocks, some repeated, plus the look-alikes, in any order.
 
     Each copy of a block reads its own variables, scattered over the family
     by a random permutation; a copy either keeps its variables' relative
-    order (equal signature) or takes them in permuted order.
+    order (equal signature) or takes them in permuted order. ``block``
+    draws the original blocks.
     """
-    originals = draw(st.lists(blocks(), min_size=1, max_size=4))
+    originals = draw(st.lists(block, min_size=1, max_size=4))
     repeats = draw(st.lists(st.sampled_from(originals), max_size=6))
     instances = draw(st.permutations(originals + repeats + list(LOOK_ALIKES)))
     places = draw(st.permutations(range(sum(len(probs) for probs, _ in instances))))
@@ -525,6 +528,85 @@ def repeated_block_unions(draw):
 @given(repeated_block_unions())
 def test_shared_solves_are_bit_identical_to_per_component_elimination(spec):
     got = sum_pmf(spec).probs
+    want = per_component_reference(spec)
+    assert [p.hex() for p in got] == [p.hex() for p in want]
+
+
+@st.composite
+def running_pmfs(draw):
+    """Pmfs to convolve in order: a first of 1 to 6000 bins, then one to three mostly of two.
+
+    Bins are non-negative and never ``-0.0``, as a pmf's are. Each bin of
+    the first is scaled to between about ``1e-250`` and ``1e-320``, so runs
+    of normal, subnormal and zero bins mix, and some bins are zeroed; any
+    bin of a later pmf may be zero or subnormal, and a later pmf may be
+    the first itself.
+    """
+    n = draw(st.integers(1, 6000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lowest = draw(st.floats(250.0, 320.0))
+    first = rng.random(n) * 10.0 ** -rng.uniform(lowest - 70.0, lowest, n)
+    first[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    bins = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 1.0]))
+    sizes = st.one_of(st.just(2), st.integers(1, 9))
+    pmfs = [first]
+    for size in draw(st.lists(sizes, min_size=1, max_size=3)):
+        pmfs.append(first if draw(st.integers(0, 9)) == 0 else
+                    np.array(draw(st.lists(bins, min_size=size, max_size=size))))
+    return pmfs
+
+
+@settings(max_examples=300, deadline=None)
+@given(running_pmfs())
+def test_convolving_in_order_is_np_convolve_bit_for_bit(pmfs):
+    """The in-place two-bin update, and the copied ``np.convolve`` of longer pmfs.
+
+    A first convolution reads the first pmf, a later one the buffer's own
+    bins; no input is written.
+    """
+    copies = [pmf.copy() for pmf in pmfs]
+    want = pmfs[0]
+    for pmf in pmfs[1:]:
+        want = np.convolve(want, pmf)
+    got = _convolve_in_order(pmfs, len(want))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pmfs, copies))
+
+
+def one_function_blocks():
+    """Random blocks cut to their first function: each a component of a two-bin pmf."""
+    return blocks().map(lambda block: (block[0], block[1][:1]))
+
+
+def disjoint_union(*specs):
+    """The families side by side, each reading its own variables, functions in the given order."""
+    variables, functions = [], []
+    for spec in specs:
+        start = len(variables)
+        variables += [Variable(f"x{start + i}", v.support_size, v.probs)
+                      for i, v in enumerate(spec.variables)]
+        functions += [ReadFunction(f"y{len(functions) + j}", tuple(start + i for i in fn.vars),
+                                   fn.truth_table) for j, fn in enumerate(spec.functions)]
+    return FamilySpec(tuple(variables), tuple(functions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_block_unions(st.one_of(blocks(), one_function_blocks())))
+def test_one_function_components_mixed_with_longer_ones_match_sequential_convolution(spec):
+    got = sum_pmf(spec).probs
+    want = per_component_reference(spec)
+    assert [p.hex() for p in got] == [p.hex() for p in want]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_block_tight(1, 1100, "1/3"),
+    lambda: disjoint_union(gen_block_tight(1, 600, "1/3"), gen_block_tight(3, 40, "1/4"),
+                           gen_random_family(8, 8, 3, 3, 4), gen_block_tight(1, 500, "2/5")),
+], ids=["block-tight-1100", "mixed"])
+def test_one_function_components_with_subnormal_bins_match_sequential_convolution(make):
+    spec = make()
+    got = sum_pmf(spec).probs
+    assert 0.0 < min(p for p in got if p > 0.0) < sys.float_info.min  # subnormal bins
     want = per_component_reference(spec)
     assert [p.hex() for p in got] == [p.hex() for p in want]
 
