@@ -26,20 +26,21 @@ independent coordinates, each read at most k times.
 
 Both Shearer audits merge probabilities by one group-by per read set,
 :func:`_grouped`, on one kind of integer key, mixed-radix codes of a
-set's coordinates (:func:`_cover_keys`): a stable sort of the keys, a
+set's coordinates (``readk.exact._mixed_radix``, the rule that also
+gives the scan's truth-table positions): a stable sort of the keys, a
 gather of the probabilities, and one ``math.fsum`` per group, so every
 merged mass is correctly rounded and equals what the label group-by of
 :mod:`readk.info_theory` gives on the same outcomes. Each group-by is made
 once per law and coordinate tuple and kept on the law, as each group's
 first outcome and its sum: the entropy inequality reads the sums of each
 cover set, the divergence corollary those of each function's variables,
-finding each group's truth-table position from the values of its first
-outcome. ``readk shearer`` passes the read sets to both, so the law is
-grouped once. The sums over the whole law, the joint entropy and the
-full-law divergence, go through :func:`_log_sum`: one ``math.log`` per
-distinct argument, the products in numpy and one ``math.fsum`` over them,
-so they equal the per-outcome sums of :mod:`readk.info_theory` bit for
-bit. The law that :func:`conditional_law` returns keeps the scan's
+and takes each group's truth-table position by the same rule from the
+values of its first outcome. ``readk shearer`` passes the read sets to
+both, so the law is grouped once. The sums over the whole law, the joint
+entropy and the full-law divergence, go through :func:`_log_sum`: one
+``math.log`` per distinct argument, the products in numpy and one
+``math.fsum`` over them, so they equal the per-outcome sums of
+:mod:`readk.info_theory` bit for bit. The law that :func:`conditional_law` returns keeps the scan's
 digits, its probabilities as an array and the scan's product-law masses,
 so its outcomes are never parsed back from tuples and the corollary
 multiplies no masses again for the family it was conditioned on; any
@@ -58,7 +59,7 @@ import numpy as np
 from .bounds import _deviation, _log_bound
 from .errors import AuditError, DomainError, _check_int
 from .exact import _DIRECTIONS, TailQuery, function_marginals
-from .exact import _scan_in_tail, _scan_tail, _tail_marginals
+from .exact import _mixed_radix, _scan_in_tail, _scan_tail, _tail_marginals
 from .family import FamilySpec, _product_law, read_width
 from .info_theory import Distribution, Nats, _entropy_sum, _kl_sum, cover_multiplicity
 from .info_theory import kl_binary
@@ -68,9 +69,6 @@ CHAIN_REL_TOL = 1e-9
 
 #: Absolute slack for the standalone entropy/divergence inequalities.
 GAP_TOL = 1e-9
-
-#: Largest number of mixed-radix codes a cover key may span: int64 holds them.
-_KEY_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,11 @@ def _grouped(
     the ``math.fsum`` of its probabilities, groups in ascending key order.
     The one group-by of the audits, made once per law and coordinate tuple
     and kept on the law (:attr:`Distribution._groups`): a stable sort of
-    the set's keys (:func:`_cover_keys`), a gather of the probabilities in
-    that order and one correctly rounded sum per run of equal keys, so the
-    sums do not depend on the outcome order or on the keys' radices.
+    the set's mixed-radix keys (``readk.exact._mixed_radix``, in the
+    narrowest unsigned type that holds them, so the sort is a radix sort
+    wherever they fit in 16 bits), a gather of the probabilities in that
+    order and one correctly rounded sum per run of equal keys, so the sums
+    do not depend on the outcome order or on the keys' radices.
     """
     kept = law._groups
     missing = [p for p in dict.fromkeys(sets) if p not in kept]
@@ -181,7 +181,7 @@ def _grouped(
         probs = _prob_array(law)
         codes = _coordinate_codes(law, sorted({i for p in missing for i in p}))
         for p in missing:
-            keys = _cover_keys(codes, p, len(probs))
+            keys = _mixed_radix([codes[c][0] for c in p], [codes[c][1] for c in p], len(probs))
             order = np.argsort(keys, kind="stable")
             ordered = keys[order]
             bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
@@ -211,30 +211,6 @@ def _coordinate_codes(
         column = [index.setdefault(a[c], len(index)) for a in joint.outcomes]
         codes[c] = (np.array(column, dtype=np.int64), len(index))
     return codes
-
-
-def _cover_keys(
-    codes: dict[int, tuple[np.ndarray, int]], coords: Sequence[int], size: int
-) -> np.ndarray:
-    """Mixed-radix keys of the outcomes' values on ``coords``: equal keys, equal values.
-
-    The keys are built in int64: when the codes would span more than
-    ``_KEY_LIMIT`` keys, the key so far is re-coded to the ranks of its
-    distinct values. They are returned in the narrowest unsigned type that
-    holds the span, so that the stable sort of :func:`_grouped` is a radix
-    sort wherever they fit in 16 bits.
-    """
-    key = np.zeros(size, dtype=np.int64)
-    span = 1
-    for c in coords:
-        column, radix = codes[c]
-        if span * radix > _KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            span = len(distinct)
-        key *= radix
-        key += column
-        span *= radix
-    return key.astype(np.min_scalar_type(span - 1))
 
 
 def _assignment_values(spec: FamilySpec, d: Distribution) -> np.ndarray:
@@ -289,10 +265,8 @@ def shearer_kl_gap(spec: FamilySpec, conditioned: Distribution) -> tuple[Nats, N
     terms = []
     for fn, (first, sums), cell_masses, cell_norm in zip(spec.functions, groups, *spec._cell_laws):
         # Each group's truth-table position, from the values of its first outcome.
-        position = np.zeros(len(first), dtype=np.int64)
-        for i in fn.vars:
-            position *= sizes[i]
-            position += values[i, first]
+        position = _mixed_radix([values[i, first] for i in fn.vars], [sizes[i] for i in fn.vars],
+                                len(first))
         terms.append(max(_kl_sum(sums, cell_masses[position].tolist(), cell_norm), 0.0))
     rhs = math.fsum(terms)
     if lhs < rhs - GAP_TOL:
@@ -314,7 +288,7 @@ def conditional_law(
     :class:`ResourceError` when the family spans more assignments than the
     guard.
     """
-    _, kept_digits, kept_masses = zip(*_scan_in_tail(spec, query, guard))
+    kept_digits, kept_masses = zip(*_scan_in_tail(spec, query, guard))
     weights = np.concatenate(kept_masses)
     z = float(weights.sum())
     if z <= 0.0:

@@ -51,9 +51,10 @@ number of assignments. The scan holds one chunk of at most ``CHUNK``
 (``2**20``) assignments, one row of digits per variable as the Monte
 Carlo sampler holds its draws, and evaluates the functions on it through
 :class:`_Lookup`, the one kernel it shares with the sampler, one group of
-functions of equal arity and lookup mode at a time. The Shearer
-audits group a law by its coordinates with mixed-radix keys of their own
-(:mod:`readk.audit`), not through the lookup.
+functions of equal arity and lookup mode at a time. Every other
+mixed-radix code, each function's truth-table positions of a tail event
+and the keys by which the Shearer audits group a law (:mod:`readk.audit`),
+comes from one function, :func:`_mixed_radix`.
 
 :func:`_verify_rows` is ``readk verify``'s one sweep: it checks r, k, p
 and the tolerance once and compares :func:`tail_prob` against the read-k
@@ -92,6 +93,9 @@ CHUNK = 1 << 20
 #: Cells (functions times columns) that :class:`_Lookup` evaluates per block
 #: of columns: a block's buffers stay in cache, and a large scan streams.
 _LOOKUP_CELLS = 1 << 18
+
+#: Largest number of codes :func:`_mixed_radix` spans without re-coding: int64 holds them.
+_KEY_LIMIT = 1 << 62
 
 
 def enumeration_guard(guard: int | None = None) -> int:
@@ -201,6 +205,48 @@ def _digit_dtype(spec: FamilySpec) -> np.dtype:
     return spec._layout.digits
 
 
+def _mixed_radix(columns: Sequence[np.ndarray], radices: Sequence[int], size: int) -> np.ndarray:
+    """Mixed-radix codes of ``size`` rows, ``columns[0]`` the most significant digit.
+
+    Column ``i`` holds values in ``[0, radices[i])``, ``radices`` are ints,
+    and no column means a code of 0 for every row. When the columns are a
+    function's read variables in read order, the codes are its truth-table
+    positions. This is the one rule for positions and keys outside
+    :meth:`_Lookup.sums_of`. The codes take the narrowest unsigned type
+    that holds ``prod(radices) - 1``, and the products a type that also
+    holds every radix, since a radix may equal that span. A lone unsigned
+    column of a type as wide is returned itself, not copied. Past
+    ``_KEY_LIMIT`` the codes are built in int64, and whenever the next
+    column would take them past it the codes so far are re-coded to the
+    ranks of their distinct values: the codes are then no positions, but
+    equal codes still mean equal rows, and they still order the rows
+    lexicographically.
+    """
+    span = math.prod(radices)
+    if span > _KEY_LIMIT:
+        codes, span = np.zeros(size, np.int64), 1
+        for column, radix in zip(columns, radices):
+            if span * radix > _KEY_LIMIT:
+                distinct, codes = np.unique(codes, return_inverse=True)
+                span = len(distinct)
+            codes *= radix
+            codes += column
+            span *= radix
+        return codes.astype(np.min_scalar_type(span - 1))
+    dtype = np.min_scalar_type(span - 1)
+    if not columns:
+        return np.zeros(size, dtype)
+    head = columns[0]
+    if len(columns) == 1 and head.dtype.kind == "u" and head.dtype.itemsize >= dtype.itemsize:
+        return head
+    codes = head.astype(np.promote_types(dtype, np.min_scalar_type(max(radices))))
+    for column, radix in zip(columns[1:], radices[1:]):
+        codes *= radix
+        # Added in the codes' type: uint64 and int64 would add in float64.
+        np.add(codes, column, out=codes, dtype=codes.dtype, casting="unsafe")
+    return codes.astype(dtype, copy=False)
+
+
 class _Lookup:
     """The one kernel that evaluates a family's functions on batches of assignments.
 
@@ -222,15 +268,9 @@ class _Lookup:
     own narrowest unsigned types (see ``readk.family._Group``), and the
     sums the narrowest that holds the number of functions. Sums are
     integers, so neither the grouping nor the blocks can move them.
-
-    :meth:`each` stays per function: ``_scan_tail`` counts each function's
-    positions over the whole batch with one ``np.bincount`` of float
-    weights, and splitting that count by blocks would change the order of
-    its additions, and so its bits.
     """
 
     def __init__(self, spec: FamilySpec, rows: Sequence[int] | None, size: int):
-        self._spec, self._rows = spec, range(spec.num_variables) if rows is None else rows
         layout = spec._layout
         self._ones = layout.ones
         self._block = block = min(size, max(1, _LOOKUP_CELLS // spec.num_functions))
@@ -247,38 +287,6 @@ class _Lookup:
         # A block of a wider batch, copied to be contiguous: ``take`` copies
         # a strided array whole on every call.
         self._batch = np.empty(spec.num_variables * block, layout.digits)
-        self._positions: np.ndarray | None = None
-
-    def each(self, values: np.ndarray) -> Iterator[np.ndarray]:
-        """Each function's truth-table positions of the batch ``values``, in turn.
-
-        A function of one variable yields its row of ``values`` itself; any
-        other yields the positions buffer, which holds its function's
-        positions only until the next one is written.
-        """
-        spec, rows = self._spec, self._rows
-        if self._positions is None:
-            dtype = np.promote_types(spec._layout.digits, np.min_scalar_type(max(map(len, spec.tables))))
-            self._positions = np.empty(len(self._sums), dtype=dtype)
-        positions = self._positions[:values.shape[1]]
-        sizes = [v.support_size for v in spec.variables]
-        for fn in spec.functions:
-            read = [(rows[i], sizes[i]) for i in fn.vars]
-            if len(read) == 1:
-                yield values[read[0][0]]
-            elif not read:
-                positions[...] = 0
-                yield positions
-            else:
-                (first, _), (row, size), *rest = read
-                # The first product is taken in the positions' type: in the
-                # digits' narrower one it would wrap.
-                np.multiply(values[first], size, out=positions, dtype=positions.dtype)
-                positions += values[row]
-                for row, size in rest:
-                    positions *= size
-                    positions += values[row]
-                yield positions
 
     def sums_of(self, values: np.ndarray) -> np.ndarray:
         """Each assignment's function sum in the batch ``values``, in a buffer the next call reuses."""
@@ -347,11 +355,10 @@ def _check_guard(size: int, guard: int, what: str, unit: str = "assignments") ->
 def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """Every full assignment in lexicographic order, by chunks.
 
-    Yields ``(lookup, digits, sums, masses)`` per chunk: the scan's
-    :class:`_Lookup`, which takes any batch of at most a chunk's columns
-    of digits; each variable's values, one row per variable of the
-    :func:`_digit_dtype`; and each assignment's function sum and
-    product-law mass, in buffers the next chunk overwrites. Raises
+    Yields ``(digits, sums, masses)`` per chunk: each variable's values,
+    one row per variable of the :func:`_digit_dtype`, and each
+    assignment's function sum (by :meth:`_Lookup.sums_of`) and product-law
+    mass, in buffers the next chunk overwrites. Raises
     :class:`ResourceError` when the family spans more assignments than the
     guard (see :func:`enumeration_guard`).
     """
@@ -370,19 +377,18 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     for values in itertools.product(*map(range, sizes[:lead])):
         digits[:lead] = np.reshape(values, (-1, 1))
         lead_mass = math.prod(m[v] for m, v in zip(masses, values))
-        yield lookup, digits, lookup.sums_of(digits), _cell_masses(masses[lead:], lead_mass)
+        yield digits, lookup.sums_of(digits), _cell_masses(masses[lead:], lead_mass)
 
 
 def _scan_in_tail(spec: FamilySpec, query: TailQuery, guard: int | None) -> Iterator[tuple]:
     """The tail event's assignments of each chunk of :func:`_scan`.
 
-    Yields ``(lookup, digits, masses)`` per chunk: the scan's lookup, and
-    copies of the digits and product-law masses of the chunk's
-    assignments in the tail.
+    Yields ``(digits, masses)`` per chunk: copies of the digits and
+    product-law masses of the chunk's assignments in the tail.
     """
-    for lookup, digits, sums, masses in _scan(spec, guard):
+    for digits, sums, masses in _scan(spec, guard):
         mask = _in_tail(sums, query)
-        yield lookup, digits[:, mask], masses[mask]
+        yield digits[:, mask], masses[mask]
 
 
 def _scan_tail(
@@ -391,14 +397,19 @@ def _scan_tail(
     """Product-law mass of a tail event, and its mass on each cell of each truth table.
 
     Both are before division by the norm. Table positions are found for
-    the tail's assignments only. Raises :class:`DomainError` when the event
-    has probability zero.
+    the tail's assignments only, by :func:`_mixed_radix`, and each
+    function's are counted over a whole chunk's tail with one
+    ``np.bincount`` of float weights. Raises :class:`DomainError` when the
+    event has probability zero.
     """
     mass = 0.0
     cells = [np.zeros(len(table)) for table in spec.tables]
-    for lookup, tail, w in _scan_in_tail(spec, query, guard):
+    sizes = [v.support_size for v in spec.variables]
+    reads = [(fn.vars, [sizes[i] for i in fn.vars]) for fn in spec.functions]
+    for tail, w in _scan_in_tail(spec, query, guard):
         mass += float(w.sum())
-        for cell, pos in zip(cells, lookup.each(tail)):
+        for cell, (read, radices) in zip(cells, reads):
+            pos = _mixed_radix([tail[i] for i in read], radices, len(w))
             cell += np.bincount(pos, weights=w, minlength=len(cell))
     if mass <= 0.0:
         raise DomainError("conditioning event has probability zero")
@@ -667,7 +678,7 @@ def sum_pmf_enumerate(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     """
     _, norm = _product_law(spec)
     pmf = np.zeros(spec.num_functions + 1)
-    for _, _, sums, masses in _scan(spec, guard):
+    for _, sums, masses in _scan(spec, guard):
         # Sums are uint64 when some table has 33 to 64 cells, which bincount
         # does not take; it casts narrower ones to intp all the same.
         pmf += np.bincount(sums.astype(np.intp), weights=masses, minlength=len(pmf))

@@ -21,12 +21,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from readk.audit import _array_kl_sum, _cover_keys, _log_sum, conditional_law, proof_trace
+from readk.audit import _array_kl_sum, _log_sum, conditional_law, proof_trace
 from readk.audit import shearer_entropy_gap, shearer_kl_gap
 from readk.bounds import BoundQuery, read_k_tail_bound
 from readk.errors import DomainError
 from readk.exact import (
     _INT_COUNT_LIMIT,
+    _KEY_LIMIT,
     _LOOKUP_CELLS,
     SumPmf,
     TailQuery,
@@ -34,6 +35,7 @@ from readk.exact import (
     _convolve_in_order,
     _eliminate_pmf,
     _Lookup,
+    _mixed_radix,
     _place,
     _Program,
     _times_poly,
@@ -1316,12 +1318,79 @@ def test_entropy_gap_at_the_key_type_boundaries(span, itemsize):
     outcomes = [(v, b) for v in (0, 1, span - 2, span - 1) for b in (0, 1)]
     raw = rng.random(len(outcomes)) + 0.1
     joint = with_digits(Distribution(tuple(outcomes), tuple((raw / raw.sum()).tolist())))
-    keys = _cover_keys({0: (joint._digits[0], span)}, [0], len(outcomes))
+    keys = _mixed_radix([joint._digits[0]], [span], len(outcomes))
     assert keys.dtype.itemsize == itemsize and int(keys.max()) == span - 1
     cover = [[0], [1], [0, 1], [1, 0]]
     want = reference_shearer_entropy_gap(joint, cover, 2)
     for law in (joint, Distribution(joint.outcomes, joint.probs)):  # kept digits, then none
         assert hex_pair(shearer_entropy_gap(law, cover, 2)) == hex_pair(want)
+
+
+def digit_columns(rng, radices, n, signed):
+    """``n`` random rows of digits below ``radices``: int64 columns, or each in its narrowest unsigned type."""
+    return [rng.integers(radix, size=n).astype(np.int64 if signed else np.min_scalar_type(radix - 1))
+            for radix in radices]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 300) | st.sampled_from([255, 256, 257, 65535, 65536, 65537]),
+             min_size=1, max_size=6),
+    st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_mixed_radix_is_ravel_multi_index_in_the_narrowest_type(radices, n, signed, seed):
+    # Ones among the radices leave a radix equal to the span: 256 beside
+    # ones spans codes 0..255, a uint8, but the products must hold 256.
+    while math.prod(radices) > _KEY_LIMIT:
+        radices = radices[:-1]
+    span = math.prod(radices)
+    columns = digit_columns(np.random.default_rng(seed), radices, n, signed)
+    before = [column.copy() for column in columns]
+    codes = _mixed_radix(columns, radices, n)
+    assert codes.dtype == np.min_scalar_type(span - 1)
+    assert codes.tolist() == np.ravel_multi_index(columns, radices).tolist()
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(columns, before))
+    # A lone column already of the codes' type is the codes, uncopied.
+    assert (codes is columns[0]) == (len(columns) == 1 and not signed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 7]), min_size=40, max_size=90),
+       st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_mixed_radix_past_the_key_limit_keeps_rows_apart_and_in_order(radices, n, signed, seed):
+    # As in test_entropy_gap_on_a_cover_set_wider_than_int64_keys: past
+    # 2**62 the leading columns' place values would wrap in int64.
+    radices = [2] * 70 if math.prod(radices) <= _KEY_LIMIT else radices
+    rng = np.random.default_rng(seed)
+    columns = digit_columns(rng, radices, n, signed)
+    # Rows repeat, and some differ from others only in their leading columns.
+    picks = rng.integers(n, size=n)
+    for c, column in enumerate(columns):
+        column[:] = column[picks] if c >= 6 else column
+    codes = _mixed_radix(columns, radices, n)
+    assert codes.dtype.kind == "u"
+    rows = list(zip(*[column.tolist() for column in columns]))
+    keys = codes.tolist()
+    for a, b in itertools.product(range(n), repeat=2):
+        assert (keys[a] == keys[b]) == (rows[a] == rows[b])
+        assert (keys[a] < keys[b]) == (rows[a] < rows[b])
+
+
+def test_mixed_radix_edges():
+    # A radix equal to the span: the codes fit a uint8, the product 1 * 256 does not.
+    zeros, column = np.zeros(5, np.uint8), np.array([0, 1, 254, 255, 7], np.uint8)
+    for columns, radices in (([zeros, column], [1, 256]), ([column, zeros], [256, 1])):
+        codes = _mixed_radix(columns, radices, 5)
+        assert codes.dtype == np.uint8 and codes.tolist() == column.tolist()
+    wide = np.array([0, 1, 65535], np.uint16)
+    codes = _mixed_radix([np.zeros(3, np.uint8), np.zeros(3, np.uint8), wide], [1, 1, 65536], 3)
+    assert codes.dtype == np.uint16 and codes.tolist() == wide.tolist()
+    # No column at all, a function of no variable: every row's code is 0.
+    for size in (0, 1, 9):
+        codes = _mixed_radix([], [], size)
+        assert codes.dtype == np.uint8 and codes.tolist() == [0] * size
+    # A lone unsigned column of a type wider than needed is returned itself.
+    assert _mixed_radix([wide], [3], 3) is wide
 
 
 @st.composite
@@ -1557,6 +1626,7 @@ def test_table_positions_and_function_sums_match_scalar_reference(case):
     values[rows] = digits
     n = digits.shape[1]
     assignments = list(zip(*digits.tolist()))
+    sizes = [v.support_size for v in spec.variables]
     # Blocks of one column, of 7, and of the default budget: a batch spans
     # several blocks, and its last one is short.
     for cells in (1, 7 * spec.num_functions, _LOOKUP_CELLS):
@@ -1566,9 +1636,11 @@ def test_table_positions_and_function_sums_match_scalar_reference(case):
         lookup.sums_of(values[:, ::-1])
         # The full batch, then a shorter one: its last columns.
         for batch, cut in ((values, assignments), (values[:, n // 2:], assignments[n // 2:])):
-            for j, pos in enumerate(lookup.each(batch)):
+            for j, fn in enumerate(spec.functions):
+                columns = [batch[rows[i]] for i in fn.vars]
+                pos = _mixed_radix(columns, [sizes[i] for i in fn.vars], batch.shape[1])
                 assert pos.tolist() == [table_index(spec, j, a) for a in cut]
-                if len(spec.functions[j].vars) == 1:
+                if len(fn.vars) == 1:
                     assert np.shares_memory(pos, batch)
             want = [sum(eval_function(spec, j, a) for j in range(spec.num_functions)) for a in cut]
             assert lookup.sums_of(batch).tolist() == want
