@@ -575,6 +575,74 @@ def test_convolving_in_order_is_np_convolve_bit_for_bit(pmfs):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(pmfs, copies))
 
 
+#: Two-bin steps: ``q0`` on either side of 1/2; the rounding edges of ``5e-324 * q``
+#: (``q`` at 1/2, just above it, or 3/2), both bins just above 1/2; point masses; and
+#: pmfs holding ``5e-324``.
+FOLD_STEPS = [
+    (2 / 3, 1 / 3), (1 / 3, 2 / 3), (63 / 64, 1 / 64), (1 / 64, 63 / 64),
+    (0.5, 0.5), (math.nextafter(0.5, 1.0), 0.5), (0.5, math.nextafter(0.5, 1.0)),
+    (math.nextafter(0.5, 1.0), math.nextafter(0.5, 1.0)), (1.5, 0.0), (0.0, 1.5),
+    (1.0, 0.0), (0.0, 1.0), (5e-324, 1.0), (1.0, 5e-324), (5e-324, 5e-324),
+]
+
+
+@st.composite
+def two_bin_folds(draw):
+    """A first pmf, then 1 to 3000 steps drawn from one to four two-bin pmfs, now and then three bins.
+
+    The two-bin pmfs come from ``FOLD_STEPS`` or are any ``q0`` in
+    ``[0, 1]`` and ``q1`` in ``[0, 3/2 - q0]``; each is one array that all
+    its steps share, as a class's components share one pmf. The first
+    pmf's bins are scaled to between about ``1e-250`` and ``1e-324``, and
+    some bins at either end are ``5e-324``, so runs of ``5e-324`` form at
+    once or within a few hundred steps; no step's mass exceeds 3/2, so
+    3000 steps stay finite. A three-bin pmf, of mass at most 1, drops any
+    run.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    first = rng.random(n) * 10.0 ** -rng.uniform(250.0, 324.0, n)
+    first[:draw(st.integers(0, n))] = 5e-324
+    first[n - draw(st.integers(0, n)):] = 5e-324
+    pair = st.floats(0.0, 1.0).flatmap(lambda q0: st.tuples(st.just(q0), st.floats(0.0, 1.5 - q0)))
+    step = st.one_of(st.sampled_from(FOLD_STEPS), pair)
+    pool = [np.array(pmf) for pmf in draw(st.lists(step, min_size=1, max_size=4))]
+    three_bins = draw(st.sampled_from([0.0, 0.001, 0.01]))
+    pmfs = [first]
+    for i in rng.integers(len(pool), size=draw(st.integers(1, 3000))):
+        pmfs.append(rng.random(3) / 3.0 if rng.random() < three_bins else pool[i])
+    return pmfs
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_bin_folds())
+def test_long_two_bin_folds_keep_runs_of_the_least_subnormal_bit_for_bit(pmfs):
+    """Thousands of steps, so runs of ``5e-324`` form, are kept or dropped: ``np.convolve``'s bits."""
+    copies = [pmf.copy() for pmf in pmfs]
+    want = pmfs[0]
+    for pmf in pmfs[1:]:
+        want = np.convolve(want, pmf)
+    got = _convolve_in_order(pmfs, len(want))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pmfs, copies))
+
+
+@pytest.mark.parametrize("edge", FOLD_STEPS, ids=str)
+def test_each_fold_step_after_kept_runs_is_np_convolve_bit_for_bit(edge):
+    """Each step of ``FOLD_STEPS``, twice, after a kept leading run and after a kept trailing run.
+
+    Every prefix of the folds is checked: a later step may round a wrong
+    bin back to the right one.
+    """
+    first = np.array([5e-324] * 3 + [1e-300, 0.5, 1e-310] + [5e-324] * 3)
+    lead, trail, step = np.array([2 / 3, 1 / 3]), np.array([1 / 3, 2 / 3]), np.array(edge)
+    pmfs = [first] + [lead] * 3 + [step] * 2 + [trail] * 3 + [step] * 2 + [lead] * 2
+    want = first
+    for i, pmf in enumerate(pmfs[1:], 2):
+        want = np.convolve(want, pmf)
+        assert _convolve_in_order(pmfs[:i], len(want)).tobytes() == want.tobytes()
+
+
 def one_function_blocks():
     """Random blocks cut to their first function: each a component of a two-bin pmf."""
     return blocks().map(lambda block: (block[0], block[1][:1]))
@@ -600,15 +668,29 @@ def test_one_function_components_mixed_with_longer_ones_match_sequential_convolu
     assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: gen_block_tight(1, 1100, "1/3"),
-    lambda: disjoint_union(gen_block_tight(1, 600, "1/3"), gen_block_tight(3, 40, "1/4"),
-                           gen_random_family(8, 8, 3, 3, 4), gen_block_tight(1, 500, "2/5")),
-], ids=["block-tight-1100", "mixed"])
-def test_one_function_components_with_subnormal_bins_match_sequential_convolution(make):
+@pytest.mark.parametrize("make, end", [
+    (lambda: gen_block_tight(1, 1100, "1/3"), None),
+    (lambda: disjoint_union(gen_block_tight(1, 600, "1/3"), gen_block_tight(3, 40, "1/4"),
+                            gen_random_family(8, 8, 3, 3, 4), gen_block_tight(1, 500, "2/5")), None),
+    (lambda: gen_block_tight(1, 2500, "1/3"), 0),
+    (lambda: gen_block_tight(1, 2500, "2/3"), -1),
+    (lambda: disjoint_union(*[gen_block_tight(1, 1, p) for _ in range(100) for p in ("1/3", "2/3")],
+                            gen_block_tight(1, 450, "2/3"), gen_block_tight(1, 350, "1/3"),
+                            gen_block_tight(1, 1500, "2/3")), -1),
+], ids=["block-tight-1100", "mixed", "block-tight-2500-one-third", "block-tight-2500-two-thirds",
+        "interleaved"])
+def test_one_function_components_with_subnormal_bins_match_sequential_convolution(make, end):
+    """Past 1100 blocks the fold keeps a run of ``5e-324`` at the leading (0) or trailing (-1) end.
+
+    The interleaved family first alternates p = 1/3 and 2/3 blocks, so no
+    run is kept there; then it keeps a leading run late in its 350 blocks
+    at p = 1/3, drops it at the next block, and ends on a trailing run.
+    """
     spec = make()
     got = sum_pmf(spec).probs
     assert 0.0 < min(p for p in got if p > 0.0) < sys.float_info.min  # subnormal bins
+    if end is not None:
+        assert (got[:8] if end == 0 else got[-8:]) == (5e-324,) * 8
     want = per_component_reference(spec)
     assert [p.hex() for p in got] == [p.hex() for p in want]
 
