@@ -31,15 +31,19 @@ function, of pmf ``(q0, q1)``, updates it in place in three array
 passes; its bins are then ``acc[s] * q0 + acc[s - 1] * q1``, the two
 terms ``np.convolve`` adds in the other order, and as a two-term sum
 rounds the same in either order and no pmf bin is ever ``-0.0``, they
-equal ``np.convolve``'s bit for bit. The passes leave out a run of
-``2**-1074`` bins at either end that the step keeps: ``2**-1074 * q``
-rounds back to ``2**-1074`` for ``q`` in ``(1/2, 3/2)`` and to ``0.0``
-for ``q <= 1/2``, so with such a ``q0`` and ``q1`` a leading run is a
-fixed point, and with them swapped a trailing run moves up one bin. A
+equal ``np.convolve``'s bit for bit. The passes touch only the bins the
+step can change. A run of ``0.0`` at either end is a fixed point of
+every step except at its inner bin, which the passes form. A run of
+``2**-1074`` bins at either end is left out when the step keeps it:
+``2**-1074 * q`` rounds back to ``2**-1074`` for ``q`` in ``(1/2, 3/2)``
+and to ``0.0`` for ``q <= 1/2``, so with such a ``q0`` and ``q1`` a
+leading run of bins each ``0.0`` or ``2**-1074`` is a fixed point, and
+with them swapped a trailing run of ``2**-1074`` moves up one bin. A
 longer pmf keeps ``np.convolve``, whose sums of three or more terms no
-fixed in-place order reproduces. No pmf, message or tail sum is kept
-across calls, so every call eliminates each representative and runs the
-whole convolution.
+fixed in-place order reproduces. The first tail query of a pmf makes its
+upper and lower tail sums at every threshold in one exact integer pass.
+No pmf, message or tail sum is kept across calls, so every call
+eliminates each representative and runs the whole convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -175,29 +179,48 @@ class SumPmf:
     @cached_property
     def _prefix_sums(self) -> tuple[float, ...]:
         """``[t] = Pr[Y <= t]``, each equal to ``math.fsum(probs[:t + 1])``."""
-        return _exact_running_sums(self.probs)
+        return self._fill_tail_sums()[0]
 
     @cached_property
     def _suffix_sums(self) -> tuple[float, ...]:
         """``[t] = Pr[Y >= t]``, each equal to ``math.fsum(probs[t:])``."""
-        return _exact_running_sums(self.probs[::-1])[::-1]
+        return self._fill_tail_sums()[1]
+
+    def _fill_tail_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Both tail-sum tuples from one pass (:func:`_exact_tail_sums`), kept as plain attributes."""
+        sums = _exact_tail_sums(self.probs)
+        self.__dict__.update(_prefix_sums=sums[0], _suffix_sums=sums[1])
+        return sums
 
 
-def _exact_running_sums(probs: Sequence[float]) -> tuple[float, ...]:
-    """Correctly rounded running sums, accumulated exactly in integers.
+def _exact_tail_sums(probs: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(prefix, suffix)``: correctly rounded sums of ``probs[:t + 1]`` and ``probs[t:]``.
 
     Every double is a multiple of a power of two no smaller than
     ``2**-1074``, so scaling by the largest denominator among the bins
     makes each bin an exact integer; as every denominator is a power of
-    two, the scaling is a shift. Int/int true division rounds correctly,
-    so each entry equals ``math.fsum`` of the same prefix, subnormals
-    included.
+    two, the scaling is a shift. One running sum ``acc`` of the scaled
+    bins gives both directions: ``prefix[t]`` is ``acc_t / scale`` and
+    ``suffix[t]`` is ``(total - acc_{t-1}) / scale``. Int/int true
+    division rounds correctly, so each entry equals ``math.fsum`` of the
+    same slice, subnormals included. A bin of ``0.0`` leaves the running
+    sum as it was, so its entries reuse the last quotients. No integer is
+    kept after the pass.
     """
     ratios = list(map(float.as_integer_ratio, probs))
     top = max(den for _, den in ratios).bit_length()
     scale = 1 << (top - 1)
     terms = [num << (top - den.bit_length()) for num, den in ratios]
-    return tuple([acc / scale for acc in itertools.accumulate(terms)])
+    total = sum(terms)
+    prefix, suffix = [], []
+    acc, below, above = 0, 0.0, total / scale
+    for term in terms:
+        suffix.append(above)
+        if term:
+            acc += term
+            below, above = acc / scale, (total - acc) / scale
+        prefix.append(below)
+    return tuple(prefix), tuple(suffix)
 
 
 class Marginals(NamedTuple):
@@ -477,14 +500,22 @@ def _convolve_in_order(pmfs: Sequence[np.ndarray], size: int) -> np.ndarray:
     equal ``np.convolve``'s when no bin is negative or ``-0.0`` (see
     :func:`sum_pmf`).
 
-    The three passes leave out the runs of :data:`_TINY` at either end of
-    the buffer that the step keeps bit for bit (:func:`_keeps_run`, tested
-    once per distinct pmf): a leading run stays as it is, and a trailing
-    run ``[hi, n)`` moves up one bin, so bin ``hi`` is zeroed before the
-    shifted add and bin ``n`` is set to ``_TINY``. The runs are extended,
-    a bin at a time from their inner ends, before each step whose pmf is
-    the previous step's; a step of another pmf drops the runs it does not
-    keep, and a longer pmf drops both.
+    The three passes run only on the live bins ``[lo, hi)``. They leave
+    out a run of ``0.0`` at either end, a fixed point of every step but at
+    its inner bin: bin ``lo`` becomes ``acc[lo] * q0``, formed in place,
+    and the shifted add puts ``acc[hi - 1] * q1`` onto bin ``hi``, still
+    ``0.0``. They also leave out the runs of :data:`_TINY` that the step
+    keeps bit for bit (:func:`_keeps_run`, tested once per distinct pmf):
+    a leading run of bins each ``0.0`` or ``_TINY`` stays as it is, and a
+    trailing run ``[hi, top)`` of ``_TINY`` below the zeros moves up one
+    bin, so bin ``hi`` is zeroed before the shifted add and bin ``top``
+    set to ``_TINY``. Before every step the runs are extended, a bin at a
+    time from their inner ends and never past each other; a step that
+    keeps no run of ``_TINY`` at an end falls back to that end's run of
+    ``0.0``, which no two-bin step shortens, and a longer pmf drops every
+    run. ``q0`` and ``q1`` are kept as 0-d arrays, made once per distinct
+    pmf, and ``out`` is passed positionally: numpy takes either with less
+    overhead per call, and the steps are mostly overhead.
     """
     acc = pmfs[0]
     if len(pmfs) == 1:
@@ -493,41 +524,54 @@ def _convolve_in_order(pmfs: Sequence[np.ndarray], size: int) -> np.ndarray:
     n = len(acc)
     buf[:n] = acc
     bins = memoryview(buf)  # reads and writes single bins as Python floats
-    # Bins [0, lo) and [hi, n) are runs of _TINY that the next step may keep.
-    lo, hi = 0, n
-    # id of a two-bin pmf: (q0, q1, keeps a leading run, keeps a trailing run)
+    # The next step leaves out bins [0, lo) and [hi, n): [0, zlo) and [top, n)
+    # are 0.0, [zlo, lo) each 0.0 or _TINY, [hi, top) _TINY; zlo <= lo <= hi <= top.
+    lo = zlo = 0
+    hi = top = n
+    # id of a two-bin pmf: (q0, q1 as 0-d arrays, keeps a leading run, keeps a trailing run)
     last, steps = None, {}
+    multiply, add = np.multiply, np.add  # looked up once, not once a step
     for pmf in pmfs[1:]:
         if pmf is not last:  # a class's components share one pmf
             if len(pmf) != 2:
                 m = n + len(pmf) - 1
                 buf[:m] = np.convolve(buf[:n], pmf)
-                last, lo, hi, n = None, 0, m, m
+                last, lo, zlo, hi, top, n = None, 0, 0, m, m, m
                 continue
             last, step = pmf, steps.get(id(pmf))
             if step is None:
                 q0, q1 = pmf.tolist()
-                step = steps[id(pmf)] = (q0, q1, _keeps_run(q0, q1), _keeps_run(q1, q0))
+                step = steps[id(pmf)] = (np.array(q0), np.array(q1),
+                                         _keeps_run(q0, q1), _keeps_run(q1, q0))
             q0, q1, lead, trail = step
             if not lead:
-                lo = 0
+                lo = zlo
             if not trail:
-                hi = n
-        elif lead:  # runs are looked for while one pmf repeats
-            while bins[lo] == _TINY:  # stops at buf[n], still 0.0
+                hi = top
+        if lead:
+            while lo < hi and bins[lo] <= _TINY:
                 lo += 1
-        elif trail:
-            while hi and bins[hi - 1] == _TINY:
+        else:
+            while lo < hi and not bins[lo]:
+                lo += 1
+            zlo = lo
+        if trail:
+            while hi > lo and bins[hi - 1] == _TINY:
                 hi -= 1
+        else:
+            while hi > lo and not bins[hi - 1]:
+                hi -= 1
+            top = hi
         part, tmp = buf[lo:hi], spare[:hi - lo]
-        np.multiply(part, q1, out=tmp)
-        np.multiply(part, q0, out=part)
-        if hi < n:  # the trailing run moves up one bin
+        multiply(part, q1, tmp)
+        multiply(part, q0, part)
+        if hi < top:  # the trailing run of _TINY moves up one bin
             bins[hi] = 0.0
-            bins[n] = _TINY
-        shifted = buf[lo + 1:hi + 1]  # when hi == n, its last bin, buf[n], is still 0.0
-        np.add(shifted, tmp, out=shifted)
+            bins[top] = _TINY
+        shifted = buf[lo + 1:hi + 1]  # when hi == top, its last bin, buf[top], is still 0.0
+        add(shifted, tmp, shifted)
         hi += 1
+        top += 1
         n += 1
     return buf[:n]
 
@@ -698,11 +742,12 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     bit for bit. A longer pmf is convolved by ``np.convolve`` and copied
     into the buffer, because its sums of three or more terms depend on
     their order and neither fixed order of an in-place update matches
-    ``np.convolve``'s on every length. The update leaves out the bins of
-    a run of ``2**-1074`` at either end of the running pmf that the step
-    keeps bit for bit, as a fixed point of its rounding: on
-    ``gen_block_tight(1, 5000, "1/3")`` the leading run grows to 507 of
-    the 5001 bins. Raises
+    ``np.convolve``'s on every length. The update leaves out the runs of
+    ``0.0`` at either end of the running pmf, and the runs of ``2**-1074``
+    that the step keeps bit for bit, as a fixed point of its rounding: on
+    ``gen_block_tight(1, 5000, "1/3")`` the leading run of ``2**-1074``
+    grows to 507 of the 5001 bins and the trailing run of ``0.0`` to
+    1967. Raises
     :class:`ResourceError` naming the first component whose elimination
     would form a product factor of more cells than the guard.
     """

@@ -178,6 +178,31 @@ class TestTailSums:
         for seed in range(10):
             self.check_every_threshold(sum_pmf(gen_random_family(8, 8, 3, 3, seed=seed)))
 
+    def test_long_runs_of_zero_bins_at_both_ends_and_inside(self):
+        # Each zero bin reuses the last quotient in both directions.
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            live = [float(rng.random()) * 10.0 ** -float(rng.uniform(0.0, 320.0)) for _ in range(12)]
+            live[int(rng.integers(12))] = 1.0
+            live += [5e-324] * int(rng.integers(0, 4))
+            probs = [0.0] * int(rng.integers(0, 400))
+            for p in rng.permutation(live).tolist():
+                probs += [p] + [0.0] * int(rng.integers(0, 300))
+            probs += [0.0] * int(rng.integers(0, 400))
+            scale = math.fsum(probs)
+            probs = [p / scale if p > 1e-300 else p for p in probs]
+            assert probs.count(0.0) >= 100
+            for first in ("ge", "le"):  # either direction may fill both
+                pmf = SumPmf(tuple(probs))
+                for direction in (first, "le" if first == "ge" else "ge"):
+                    for t in range(-1, pmf.max_sum + 2):
+                        assert tail_prob(pmf, TailQuery(t, direction)) == fsum_tail(pmf, t, direction)
+
+    def test_single_bin(self):
+        pmf = SumPmf((1.0,))
+        self.check_every_threshold(pmf)
+        assert pmf._prefix_sums == pmf._suffix_sums == (1.0,)
+
 
 class TestElimination:
     """sum_pmf by variable elimination against independent computations."""

@@ -587,7 +587,7 @@ FOLD_STEPS = [
 
 
 @st.composite
-def two_bin_folds(draw):
+def two_bin_folds(draw, end_bins=(5e-324,)):
     """A first pmf, then 1 to 3000 steps drawn from one to four two-bin pmfs, now and then three bins.
 
     The two-bin pmfs come from ``FOLD_STEPS`` or are any ``q0`` in
@@ -597,13 +597,16 @@ def two_bin_folds(draw):
     some bins at either end are ``5e-324``, so runs of ``5e-324`` form at
     once or within a few hundred steps; no step's mass exceeds 3/2, so
     3000 steps stay finite. A three-bin pmf, of mass at most 1, drops any
-    run.
+    run. With more than one of ``end_bins``, each end bin is drawn from them.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
     first = rng.random(n) * 10.0 ** -rng.uniform(250.0, 324.0, n)
-    first[:draw(st.integers(0, n))] = 5e-324
-    first[n - draw(st.integers(0, n)):] = 5e-324
+    ends = rng.choice(end_bins, n) if len(end_bins) > 1 else np.full(n, end_bins[0])
+    head = draw(st.integers(0, n))
+    tail = n - draw(st.integers(0, n))
+    first[:head] = ends[:head]
+    first[tail:] = ends[tail:]
     pair = st.floats(0.0, 1.0).flatmap(lambda q0: st.tuples(st.just(q0), st.floats(0.0, 1.5 - q0)))
     step = st.one_of(st.sampled_from(FOLD_STEPS), pair)
     pool = [np.array(pmf) for pmf in draw(st.lists(step, min_size=1, max_size=4))]
@@ -625,6 +628,17 @@ def test_long_two_bin_folds_keep_runs_of_the_least_subnormal_bit_for_bit(pmfs):
     got = _convolve_in_order(pmfs, len(want))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(pmfs, copies))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(two_bin_folds((0.0,)), two_bin_folds((0.0, 5e-324))))
+def test_long_two_bin_folds_from_runs_of_zero_bins_bit_for_bit(pmfs):
+    """The first pmf's end runs are ``0.0``, or bins each ``0.0`` or ``5e-324``: ``np.convolve``'s bits."""
+    want = pmfs[0]
+    for pmf in pmfs[1:]:
+        want = np.convolve(want, pmf)
+    got = _convolve_in_order(pmfs, len(want))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("edge", FOLD_STEPS, ids=str)
@@ -668,29 +682,32 @@ def test_one_function_components_mixed_with_longer_ones_match_sequential_convolu
     assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
-@pytest.mark.parametrize("make, end", [
-    (lambda: gen_block_tight(1, 1100, "1/3"), None),
+@pytest.mark.parametrize("make, end, residue", [
+    (lambda: gen_block_tight(1, 1100, "1/3"), None, None),
     (lambda: disjoint_union(gen_block_tight(1, 600, "1/3"), gen_block_tight(3, 40, "1/4"),
-                            gen_random_family(8, 8, 3, 3, 4), gen_block_tight(1, 500, "2/5")), None),
-    (lambda: gen_block_tight(1, 2500, "1/3"), 0),
-    (lambda: gen_block_tight(1, 2500, "2/3"), -1),
+                            gen_random_family(8, 8, 3, 3, 4), gen_block_tight(1, 500, "2/5")), None, None),
+    (lambda: gen_block_tight(1, 2500, "1/3"), 0, 5e-324),
+    (lambda: gen_block_tight(1, 2500, "2/3"), -1, 5e-324),
     (lambda: disjoint_union(*[gen_block_tight(1, 1, p) for _ in range(100) for p in ("1/3", "2/3")],
                             gen_block_tight(1, 450, "2/3"), gen_block_tight(1, 350, "1/3"),
-                            gen_block_tight(1, 1500, "2/3")), -1),
+                            gen_block_tight(1, 1500, "2/3")), -1, 5e-324),
+    (lambda: gen_block_tight(1, 2500, "1/64"), -1, 0.0),
+    (lambda: gen_block_tight(1, 2500, "63/64"), 0, 0.0),
 ], ids=["block-tight-1100", "mixed", "block-tight-2500-one-third", "block-tight-2500-two-thirds",
-        "interleaved"])
-def test_one_function_components_with_subnormal_bins_match_sequential_convolution(make, end):
+        "interleaved", "block-tight-2500-one-64th", "block-tight-2500-63-64ths"])
+def test_one_function_components_with_subnormal_bins_match_sequential_convolution(make, end, residue):
     """Past 1100 blocks the fold keeps a run of ``5e-324`` at the leading (0) or trailing (-1) end.
 
     The interleaved family first alternates p = 1/3 and 2/3 blocks, so no
     run is kept there; then it keeps a leading run late in its 350 blocks
-    at p = 1/3, drops it at the next block, and ends on a trailing run.
+    at p = 1/3, drops it at the next block, and ends on a trailing run. At
+    p = 1/64 and 63/64 the fold leaves out a run of ``0.0`` instead.
     """
     spec = make()
     got = sum_pmf(spec).probs
     assert 0.0 < min(p for p in got if p > 0.0) < sys.float_info.min  # subnormal bins
     if end is not None:
-        assert (got[:8] if end == 0 else got[-8:]) == (5e-324,) * 8
+        assert (got[:8] if end == 0 else got[-8:]) == (residue,) * 8
     want = per_component_reference(spec)
     assert [p.hex() for p in got] == [p.hex() for p in want]
 
