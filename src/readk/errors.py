@@ -33,8 +33,8 @@ def _check_int(value, name: str, minimum: int = 1, error: type[ReadkError] = Dom
         raise error(f"{name} must be a {kind} int, got {value!r}")
 
 
-def _check_real(value, name: str) -> None:
-    """Raise :class:`DomainError` unless ``value`` is a real number, numpy's too, not a bool.
+def _check_real(value, name: str, error: type[ReadkError] = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a real number, numpy's too, not a bool.
 
     A float, or an exact ``int`` such as the threshold of ``TailQuery(5,
     "ge")``, passes on the first tests, without the ``numbers`` import or
@@ -48,7 +48,7 @@ def _check_real(value, name: str) -> None:
     import numbers
 
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
 
 
 def _check_finite(value, name: str) -> None:

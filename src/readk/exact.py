@@ -26,24 +26,14 @@ tables and variable laws) form one class, solved once per call by
 eliminating its representative, so a family of thousands of identical
 blocks costs one elimination. The component pmfs are then convolved in
 order of smallest function index into one running pmf of ``r + 1``
-bins, made when there is a second component. A component of one
-function, of pmf ``(q0, q1)``, updates it in place in three array
-passes; its bins are then ``acc[s] * q0 + acc[s - 1] * q1``, the two
-terms ``np.convolve`` adds in the other order, and as a two-term sum
-rounds the same in either order and no pmf bin is ever ``-0.0``, they
-equal ``np.convolve``'s bit for bit. The passes touch only the bins the
-step can change. A run of ``0.0`` at either end is a fixed point of
-every step except at its inner bin, which the passes form. A run of
-``2**-1074`` bins at either end is left out when the step keeps it:
-``2**-1074 * q`` rounds back to ``2**-1074`` for ``q`` in ``(1/2, 3/2)``
-and to ``0.0`` for ``q <= 1/2``, so with such a ``q0`` and ``q1`` a
-leading run of bins each ``0.0`` or ``2**-1074`` is a fixed point, and
-with them swapped a trailing run of ``2**-1074`` moves up one bin. A
-longer pmf keeps ``np.convolve``, whose sums of three or more terms no
-fixed in-place order reproduces. The first tail query of a pmf makes its
-upper and lower tail sums at every threshold in one exact integer pass.
-No pmf, message or tail sum is kept across calls, so every call
-eliminates each representative and runs the whole convolution.
+bins, made when there is a second component: a component of one
+function updates it in place and a longer one goes through
+``np.convolve``, and :func:`_convolve_in_order` gives the argument that
+every bin equals sequential ``np.convolve``'s bit for bit. The first
+tail query of a pmf makes its upper and lower tail sums at every
+threshold in one exact integer pass (``SumPmf._tail_sums``). No pmf,
+message or tail sum is kept across calls, so every call eliminates each
+representative and runs the whole convolution.
 
 The guard (``DEFAULT_GUARD``, overridable per call or through the
 ``READK_ENUM_GUARD`` environment variable) bounds different work on
@@ -62,7 +52,8 @@ Carlo sampler holds its draws, and evaluates the functions on it through
 functions of equal arity and lookup mode at a time. Every other
 mixed-radix code, each function's truth-table positions of a tail event
 and the keys by which the Shearer audits group a law (:mod:`readk.audit`),
-comes from one function, :func:`_mixed_radix`.
+comes from one function, :func:`_mixed_radix`: one loop of Horner's rule
+over the columns, which re-codes to ranks only past ``_KEY_LIMIT``.
 
 :func:`_verify_rows` is ``readk verify``'s one sweep: it checks r, k, p
 and the tolerance once and compares :func:`tail_prob` against the read-k
@@ -177,20 +168,12 @@ class SumPmf:
         return math.fsum(s * p for s, p in enumerate(self.probs))
 
     @cached_property
-    def _prefix_sums(self) -> tuple[float, ...]:
-        """``[t] = Pr[Y <= t]``, each equal to ``math.fsum(probs[:t + 1])``."""
-        return self._fill_tail_sums()[0]
+    def _tail_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(Pr[Y <= t], Pr[Y >= t])`` at every ``t``: :func:`_exact_tail_sums`, made on the first query.
 
-    @cached_property
-    def _suffix_sums(self) -> tuple[float, ...]:
-        """``[t] = Pr[Y >= t]``, each equal to ``math.fsum(probs[t:])``."""
-        return self._fill_tail_sums()[1]
-
-    def _fill_tail_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Both tail-sum tuples from one pass (:func:`_exact_tail_sums`), kept as plain attributes."""
-        sums = _exact_tail_sums(self.probs)
-        self.__dict__.update(_prefix_sums=sums[0], _suffix_sums=sums[1])
-        return sums
+        It is then a plain instance attribute, so a query reads it with no property call.
+        """
+        return _exact_tail_sums(self.probs)
 
 
 def _exact_tail_sums(probs: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -230,11 +213,6 @@ class Marginals(NamedTuple):
     mean: float
 
 
-def _digit_dtype(spec: FamilySpec) -> np.dtype:
-    """The narrowest unsigned type that holds every variable's values: digits and draws."""
-    return spec._layout.digits
-
-
 def _mixed_radix(columns: Sequence[np.ndarray], radices: Sequence[int], size: int) -> np.ndarray:
     """Mixed-radix codes of ``size`` rows, ``columns[0]`` the most significant digit.
 
@@ -243,47 +221,42 @@ def _mixed_radix(columns: Sequence[np.ndarray], radices: Sequence[int], size: in
     function's read variables in read order, the codes are its truth-table
     positions. This is the one rule for positions and keys outside
     :meth:`_Lookup.sums_of`. The codes take the narrowest unsigned type
-    that holds ``prod(radices) - 1``, and the products a type that also
-    holds every radix, since a radix may equal that span. A lone unsigned
-    column of a type as wide is returned itself, not copied. Past
-    ``_KEY_LIMIT`` the codes are built in int64, and whenever the next
-    column would take them past it the codes so far are re-coded to the
-    ranks of their distinct values: the codes are then no positions, but
-    equal codes still mean equal rows, and they still order the rows
-    lexicographically.
+    that holds ``prod(radices) - 1``; a lone unsigned column of a type as
+    wide is returned itself, not copied. One loop builds them by Horner's
+    rule, a column at a time, in a type that also holds every radix, since
+    a radix may equal the span; past ``_KEY_LIMIT`` it builds in int64, and
+    whenever the next column would take the codes past the limit it first
+    re-codes them to the ranks of their distinct values. The codes are
+    then no positions, but equal codes still mean equal rows, and they
+    still order the rows lexicographically.
     """
-    span = math.prod(radices)
-    if span > _KEY_LIMIT:
-        codes, span = np.zeros(size, np.int64), 1
-        for column, radix in zip(columns, radices):
-            if span * radix > _KEY_LIMIT:
-                distinct, codes = np.unique(codes, return_inverse=True)
-                span = len(distinct)
-            codes *= radix
-            codes += column
-            span *= radix
-        return codes.astype(np.min_scalar_type(span - 1))
-    dtype = np.min_scalar_type(span - 1)
-    if not columns:
-        return np.zeros(size, dtype)
-    head = columns[0]
-    if len(columns) == 1 and head.dtype.kind == "u" and head.dtype.itemsize >= dtype.itemsize:
-        return head
-    codes = head.astype(np.promote_types(dtype, np.min_scalar_type(max(radices))))
+    total = math.prod(radices)
+    dtype = np.min_scalar_type(total - 1)
+    if len(columns) == 1 and columns[0].dtype.kind == "u" and columns[0].dtype.itemsize >= dtype.itemsize:
+        return columns[0]
+    work = np.promote_types(dtype, np.min_scalar_type(max(radices, default=1)))
+    if total > _KEY_LIMIT:
+        work = np.int64
+    codes, span = (columns[0].astype(work), radices[0]) if columns else (np.zeros(size, work), 1)
     for column, radix in zip(columns[1:], radices[1:]):
+        if span * radix > _KEY_LIMIT:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            span = len(distinct)
         codes *= radix
         # Added in the codes' type: uint64 and int64 would add in float64.
         np.add(codes, column, out=codes, dtype=codes.dtype, casting="unsafe")
-    return codes.astype(dtype, copy=False)
+        span *= radix
+    return codes.astype(np.min_scalar_type(span - 1), copy=False)
 
 
 class _Lookup:
     """The one kernel that evaluates a family's functions on batches of assignments.
 
     A batch holds one variable per row, variable ``i`` in row ``rows[i]``
-    (in row ``i`` when ``rows`` is ``None``), in the family's
-    :func:`_digit_dtype`, and one assignment per column, at most ``size``
-    of them. The family keeps its functions grouped by arity and by lookup
+    (in row ``i`` when ``rows`` is ``None``), in the family's digit type
+    (``FamilySpec._layout.digits``, the narrowest unsigned type that holds
+    every variable's values), and one assignment per column, at most
+    ``size`` of them. The family keeps its functions grouped by arity and by lookup
     mode (``FamilySpec._layout``); a lookup maps each group's read
     variables to their rows and holds the group's buffers. :meth:`sums_of`
     evaluates one group at a time, in one pass over a block of columns: it
@@ -386,7 +359,8 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     """Every full assignment in lexicographic order, by chunks.
 
     Yields ``(digits, sums, masses)`` per chunk: each variable's values,
-    one row per variable of the :func:`_digit_dtype`, and each
+    one row per variable in the family's digit type
+    (``FamilySpec._layout.digits``), and each
     assignment's function sum (by :meth:`_Lookup.sums_of`) and product-law
     mass, in buffers the next chunk overwrites. Raises
     :class:`ResourceError` when the family spans more assignments than the
@@ -400,7 +374,7 @@ def _scan(spec: FamilySpec, guard: int | None) -> Iterator[tuple]:
     lead = len(sizes) - 1
     while lead and math.prod(sizes[lead - 1:]) <= CHUNK:
         lead -= 1
-    dtype = _digit_dtype(spec)
+    dtype = spec._layout.digits
     digits = np.empty((len(sizes), math.prod(sizes[lead:])), dtype=dtype)
     digits[lead:] = np.indices(sizes[lead:], dtype=dtype).reshape(len(sizes) - lead, -1)
     lookup = _Lookup(spec, None, digits.shape[1])
@@ -493,29 +467,48 @@ def _convolve_in_order(pmfs: Sequence[np.ndarray], size: int) -> np.ndarray:
     """``np.convolve`` of ``pmfs`` from left to right, bit for bit: a pmf of ``size`` bins.
 
     ``size`` is one more than the sum of every pmf's last index. A single
-    pmf is returned as it is; otherwise the running pmf lives in one
-    buffer of ``size`` bins, which starts as a copy of the first pmf, so
-    no input is written. A two-bin pmf updates the buffer in place in
-    three passes, and a longer one goes through ``np.convolve``; the bits
-    equal ``np.convolve``'s when no bin is negative or ``-0.0`` (see
-    :func:`sum_pmf`).
+    pmf is returned as it is; otherwise the running pmf ``acc`` lives in
+    one buffer of ``size`` bins, made only when there is a second pmf (so
+    a one-component family makes none), which starts as a copy of the
+    first pmf, so no input is written: a class's later components read
+    its pmf again.
+
+    A two-bin pmf ``(q0, q1)``, a component of one function, updates the
+    buffer in place in three passes: ``q1`` times the running pmf into a
+    scratch row, ``q0`` times it in place, then the scratch row added one
+    bin up, onto a last bin still ``0.0``. Each bin is then ``acc[s] * q0
+    + acc[s - 1] * q1``, where ``np.convolve`` forms ``0.0 + acc[s - 1] *
+    q1 + acc[s] * q0``. Every bin is a pmf's, whose sum takes in a term of
+    positive mass, so it is never negative and never ``-0.0``: the leading
+    ``0.0`` moves no bit, and a sum of two terms rounds the same in either
+    order, so the bins are ``np.convolve``'s bit for bit. A longer pmf is
+    convolved by ``np.convolve`` and copied into the buffer, because its
+    sums of three or more terms depend on their order and neither fixed
+    order of an in-place update matches ``np.convolve``'s on every length.
 
     The three passes run only on the live bins ``[lo, hi)``. They leave
     out a run of ``0.0`` at either end, a fixed point of every step but at
     its inner bin: bin ``lo`` becomes ``acc[lo] * q0``, formed in place,
     and the shifted add puts ``acc[hi - 1] * q1`` onto bin ``hi``, still
-    ``0.0``. They also leave out the runs of :data:`_TINY` that the step
-    keeps bit for bit (:func:`_keeps_run`, tested once per distinct pmf):
-    a leading run of bins each ``0.0`` or ``_TINY`` stays as it is, and a
-    trailing run ``[hi, top)`` of ``_TINY`` below the zeros moves up one
-    bin, so bin ``hi`` is zeroed before the shifted add and bin ``top``
-    set to ``_TINY``. Before every step the runs are extended, a bin at a
-    time from their inner ends and never past each other; a step that
-    keeps no run of ``_TINY`` at an end falls back to that end's run of
-    ``0.0``, which no two-bin step shortens, and a longer pmf drops every
-    run. ``q0`` and ``q1`` are kept as 0-d arrays, made once per distinct
-    pmf, and ``out`` is passed positionally: numpy takes either with less
-    overhead per call, and the steps are mostly overhead.
+    ``0.0``. They also leave out the runs of :data:`_TINY` (``2**-1074``,
+    the least positive double) that the step keeps bit for bit
+    (:func:`_keeps_run`, tested once per distinct pmf). In
+    round-to-nearest ``_TINY * q`` rounds back to ``_TINY`` for ``q`` in
+    ``(1/2, 3/2)`` and to ``0.0`` for ``q <= 1/2``, so with such a ``q0``
+    and ``q1`` a leading run of bins each ``0.0`` or ``_TINY`` stays as it
+    is, and with them swapped a trailing run ``[hi, top)`` of ``_TINY``
+    below the zeros moves up one bin, so bin ``hi`` is zeroed before the
+    shifted add and bin ``top`` set to ``_TINY``. Before every step the
+    runs are extended, a bin at a time from their inner ends and never
+    past each other; a step that keeps no run of ``_TINY`` at an end falls
+    back to that end's run of ``0.0``, which no two-bin step shortens, and
+    a longer pmf drops every run. On ``gen_block_tight(1, 5000, "1/3")``
+    the leading run of ``_TINY`` grows to 507 of the 5001 bins and the
+    trailing run of ``0.0`` to 1967; at ``p = 1/64`` and ``63/64`` only
+    the run of ``0.0`` is left out, and at ``1/2`` both ends are runs of
+    ``0.0``. ``q0`` and ``q1`` are kept as 0-d arrays, made once per
+    distinct pmf, and ``out`` is passed positionally: numpy takes either
+    with less overhead per call, and the steps are mostly overhead.
     """
     acc = pmfs[0]
     if len(pmfs) == 1:
@@ -727,29 +720,11 @@ def sum_pmf(spec: FamilySpec, guard: int | None = None) -> SumPmf:
     pmf, message or tail sum is kept across calls: every call eliminates
     each representative and runs the whole convolution.
 
-    The pmfs then convolve in component order (:func:`_convolve_in_order`)
-    in one buffer of ``r + 1`` bins, made only when there is a second
-    component, so a one-component family makes none; it starts as a copy
-    of the first pmf, which its class's later components read again.
-    A two-bin pmf ``(q0, q1)``, a component of one function, updates the
-    buffer in place: ``q1`` times the running pmf into a scratch row,
-    ``q0`` times it in place, then the scratch row added one bin up, onto
-    a last bin still ``0.0``. ``np.convolve`` forms each bin as ``0.0 +
-    acc[s - 1] * q1 + acc[s] * q0``. Every bin here is a pmf's, whose sum
-    takes in a term of positive mass, so it is never negative and never
-    ``-0.0``: the leading ``0.0`` moves no bit, and a sum of two terms
-    rounds the same in either order, so the bins are ``np.convolve``'s
-    bit for bit. A longer pmf is convolved by ``np.convolve`` and copied
-    into the buffer, because its sums of three or more terms depend on
-    their order and neither fixed order of an in-place update matches
-    ``np.convolve``'s on every length. The update leaves out the runs of
-    ``0.0`` at either end of the running pmf, and the runs of ``2**-1074``
-    that the step keeps bit for bit, as a fixed point of its rounding: on
-    ``gen_block_tight(1, 5000, "1/3")`` the leading run of ``2**-1074``
-    grows to 507 of the 5001 bins and the trailing run of ``0.0`` to
-    1967. Raises
-    :class:`ResourceError` naming the first component whose elimination
-    would form a product factor of more cells than the guard.
+    The pmfs then convolve in component order, bit for bit as sequential
+    ``np.convolve`` would, by :func:`_convolve_in_order`, which gives the
+    argument. Raises :class:`ResourceError` naming the first component
+    whose elimination would form a product factor of more cells than the
+    guard.
     """
     guard = enumeration_guard(guard)
     classes = spec._classes
@@ -789,8 +764,9 @@ def tail_prob(pmf: SumPmf, query: TailQuery) -> float:
     """``Pr[Y >= t]`` or ``Pr[Y <= t]``, inclusive at integer thresholds.
 
     Fractional thresholds round toward the event: ceiling for ``ge``,
-    floor for ``le``. O(1) after the pmf's first query in each direction,
-    and equal to ``math.fsum`` over the same bins.
+    floor for ``le``. The pmf's first query, in either direction, makes
+    both directions' tail sums (``SumPmf._tail_sums``); every query after
+    is O(1). Each equals ``math.fsum`` over the same bins.
     """
     return _tail_at(pmf, query.effective_threshold(), query.direction)
 
@@ -802,12 +778,12 @@ def _tail_at(pmf: SumPmf, t: int, direction: Literal["ge", "le"]) -> float:
             return 0.0
         if t <= 0:
             return 1.0
-        return min(pmf._suffix_sums[t], 1.0)
+        return min(pmf._tail_sums[1][t], 1.0)
     if t < 0:
         return 0.0
     if t >= pmf.max_sum:
         return 1.0
-    return min(pmf._prefix_sums[t], 1.0)
+    return min(pmf._tail_sums[0][t], 1.0)
 
 
 def function_marginals(spec: FamilySpec) -> Marginals:

@@ -39,7 +39,7 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _check_real
 
 # Finite entropy / divergence values, in natural-log units.
 Nats = float
@@ -51,11 +51,18 @@ PROB_SUM_TOL = 1e-12
 def _prob_vector(probs: Iterable[float], what: str, size: int | None = None) -> tuple[float, ...]:
     """``probs`` as a float tuple, checked to be a probability vector.
 
-    Raises :class:`ValidationError`, naming ``what``, unless the vector
-    has ``size`` entries (when given), is non-empty, holds only finite
-    non-negative entries and sums to one within ``PROB_SUM_TOL``.
+    Raises :class:`ValidationError`, naming ``what``, unless every entry
+    is a real number as :func:`readk.errors._check_real` takes it (no
+    bool, string or ``Decimal``), and the vector has ``size`` entries
+    (when given), is non-empty, holds only finite non-negative entries and
+    sums to one within ``PROB_SUM_TOL``.
     """
-    probs = tuple(map(float, probs))
+    probs = tuple(probs)
+    # All-float input, as every pmf the engine builds, takes no further test.
+    if not {float}.issuperset(map(type, probs)):
+        for p in probs:
+            _check_real(p, f"{what}: a probability", ValidationError)
+        probs = tuple(map(float, probs))
     if size is not None and len(probs) != size:
         raise ValidationError(f"{what}: {len(probs)} probabilities for {size} outcomes")
     if not probs:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import _check_int
-from .exact import TailQuery, _digit_dtype, _in_tail, _Lookup
+from .exact import TailQuery, _in_tail, _Lookup
 from .family import FamilySpec
 
 #: Samples per chunk, few enough for a chunk's arrays to stay in cache: larger
@@ -76,8 +76,6 @@ class _InverseCdf(NamedTuple):
     rows: list[int]
     #: One ``(start, column)`` level per threshold rank; see :func:`_inverse_cdf`.
     levels: list[tuple[int, np.ndarray]]
-    #: The narrowest unsigned type that holds every value.
-    dtype: np.dtype
 
 
 def _inverse_cdf(spec: FamilySpec) -> _InverseCdf:
@@ -99,7 +97,7 @@ def _inverse_cdf(spec: FamilySpec) -> _InverseCdf:
         start = bisect.bisect_right(counts, r)
         levels.append((start, np.array([thresholds[i][r] for i in order[start:]]).reshape(-1, 1)))
     rows = np.argsort(order).tolist()
-    return _InverseCdf(np.array(order), rows, levels, _digit_dtype(spec))
+    return _InverseCdf(np.array(order), rows, levels)
 
 
 def _draw_values(cdf: _InverseCdf, uniforms: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -126,7 +124,7 @@ def _draw_values(cdf: _InverseCdf, uniforms: np.ndarray, values: np.ndarray) -> 
 def sample_assignment(spec: FamilySpec, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw one assignment; consumes exactly one uniform per variable."""
     cdf = _inverse_cdf(spec)
-    values = np.empty((spec.num_variables, 1), dtype=cdf.dtype)
+    values = np.empty((spec.num_variables, 1), dtype=spec._layout.digits)
     _draw_values(cdf, rng.random((1, spec.num_variables)), values)
     return tuple(values[cdf.rows, 0].tolist())
 
@@ -202,7 +200,7 @@ def estimate_tail(
     # One values buffer and one lookup serve every chunk: fresh buffers fault
     # in their pages anew.
     chunk = min(_SAMPLE_CHUNK, max(1, _UNIFORM_CHUNK // spec.num_variables), samples)
-    values = np.empty((spec.num_variables, chunk), dtype=cdf.dtype)
+    values = np.empty((spec.num_variables, chunk), dtype=spec._layout.digits)
     lookup = _Lookup(spec, cdf.rows, chunk)
     successes = 0
     chunks = _drawn_chunks(rng, cdf, samples, values)

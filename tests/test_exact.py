@@ -201,7 +201,26 @@ class TestTailSums:
     def test_single_bin(self):
         pmf = SumPmf((1.0,))
         self.check_every_threshold(pmf)
-        assert pmf._prefix_sums == pmf._suffix_sums == (1.0,)
+        assert pmf._tail_sums == ((1.0,), (1.0,))
+
+    @pytest.mark.parametrize("first", ["ge", "le"])
+    def test_first_query_makes_both_tails_in_one_pass(self, first, monkeypatch):
+        passes = []
+
+        def counted(probs):
+            passes.append(probs)
+            return real(probs)
+
+        real = exact._exact_tail_sums
+        monkeypatch.setattr(exact, "_exact_tail_sums", counted)
+        pmf = SumPmf((0.125, 0.0, 0.5, 0.375))
+        second = "le" if first == "ge" else "ge"
+        for direction in (first, second, first):
+            for t in range(-1, pmf.max_sum + 2):
+                assert tail_prob(pmf, TailQuery(t, direction)) == fsum_tail(pmf, t, direction)
+            assert passes == [pmf.probs]
+        # Kept as a plain attribute: no later query runs the property again.
+        assert pmf.__dict__["_tail_sums"] is pmf._tail_sums
 
 
 class TestElimination:

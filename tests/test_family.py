@@ -12,7 +12,7 @@ import pytest
 from readk.audit import shearer_entropy_gap
 from readk.bounds import BoundQuery, shearer_and_bound
 from readk.errors import DomainError, ValidationError, _check_real
-from readk.exact import TailQuery, _verify_rows
+from readk.exact import SumPmf, TailQuery, _verify_rows
 from readk.family import (
     FamilySpec,
     ReadFunction,
@@ -297,6 +297,46 @@ def test_booleans_and_non_numbers_are_rejected_where_reals_belong(call, message)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as raised:
         call()
     assert type(raised.value) is DomainError
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Variable("x", 2, (True, False)), "variable 'x': a probability must be a real number, got True"),
+        (lambda: Variable("x", 2, ("0.5", "0.5")), "variable 'x': a probability must be a real number, got '0.5'"),
+        (lambda: Variable("x", 2, (0.5, np.bool_(True))),
+         "variable 'x': a probability must be a real number, got np.True_"),
+        (lambda: Variable("x", 2, (Decimal("0.5"), 0.5)),
+         "variable 'x': a probability must be a real number, got Decimal('0.5')"),
+        (lambda: Distribution(("a", "b"), (True, False)), "distribution: a probability must be a real number, got True"),
+        (lambda: Distribution(("a", "b"), (0.5, None)), "distribution: a probability must be a real number, got None"),
+        (lambda: SumPmf(("1", 0)), "pmf: a probability must be a real number, got '1'"),
+    ],
+    ids=["variable-bool", "variable-str", "variable-numpy-bool", "variable-decimal", "distribution-bool",
+         "distribution-none", "pmf-str"],
+)
+def test_booleans_and_non_numbers_are_rejected_as_probabilities(call, message):
+    # float() would take True as 1.0 and "0.5" as 0.5
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is ValidationError
+
+
+@pytest.mark.parametrize("probs", [
+    (1, 0), (0.25, 0.75), (Fraction(1, 3), Fraction(2, 3)), (np.float32(0.5), np.float64(0.5)),
+    (np.int64(0), 1), (1, 0.0),
+], ids=repr)
+def test_real_probabilities_of_every_kind_pass_as_floats(probs):
+    for got in (Variable("x", 2, probs).probs, Distribution(("a", "b"), probs).probs, SumPmf(probs).probs):
+        assert got == tuple(map(float, probs)) and {type(p) for p in got} == {float}
+
+
+def test_float_and_int_probabilities_are_checked_without_numbers_or_numpy():
+    code = ("import sys; from readk.info_theory import Distribution; "
+            "Distribution(('a', 'b'), (0.25, 0.75)); Distribution(('a', 'b'), (1, 0)); "
+            "print('numbers' in sys.modules, 'numpy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout == "False False\n"
 
 
 class _Count(int):

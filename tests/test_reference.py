@@ -1490,6 +1490,28 @@ def test_mixed_radix_edges():
         assert codes.dtype == np.uint8 and codes.tolist() == [0] * size
     # A lone unsigned column of a type wider than needed is returned itself.
     assert _mixed_radix([wide], [3], 3) is wide
+    # Both sides of _KEY_LIMIT: a span of exactly 2**62 still gives positions; a
+    # span that crosses it at the last column, or at the second, is re-coded to
+    # ranks there, first over the leading columns ``radices[:cut]``.
+    rng = np.random.default_rng(3)
+    n = 40
+    for (radices, cut), signed in itertools.product(
+            [([2] * 62, None), ([2] * 63, 62), ([2**40, 2**30], 1)], [True, False]):
+        picks = rng.integers(n // 2, size=n)  # rows repeat
+        columns = [column[picks] for column in digit_columns(rng, radices, n, signed)]
+        codes = _mixed_radix(columns, radices, n)
+        rows = list(zip(*[column.tolist() for column in columns]))
+        keys = codes.tolist()
+        assert len(set(rows)) < n
+        for a, b in itertools.product(range(n), repeat=2):
+            assert (keys[a] == keys[b]) == (rows[a] == rows[b])
+            assert (keys[a] < keys[b]) == (rows[a] < rows[b])
+        if cut is None:
+            assert codes.dtype == np.uint64
+            assert keys == np.ravel_multi_index(columns, radices).tolist()
+        else:
+            leading = len({row[:cut] for row in rows})
+            assert codes.dtype == np.min_scalar_type(leading * math.prod(radices[cut:]) - 1)
 
 
 @st.composite
@@ -1634,7 +1656,7 @@ def families_and_uniforms(draw):
 def test_draw_values_is_bit_identical_to_searchsorted_reference(case):
     spec, uniforms = case
     cdf = _inverse_cdf(spec)
-    stale = np.full(uniforms.shape[::-1], 7, dtype=cdf.dtype)
+    stale = np.full(uniforms.shape[::-1], 7, dtype=spec._layout.digits)
     # the sampler holds variable i in row cdf.rows[i]; back to variable order
     got = _draw_values(cdf, uniforms, stale)[cdf.rows]
     assert np.array_equal(got, reference_draw_values(spec, uniforms))
